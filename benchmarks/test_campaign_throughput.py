@@ -1,4 +1,4 @@
-"""Campaign throughput: serial, process-parallel, and stacked execution.
+"""Campaign throughput: serial and process-parallel execution.
 
 Times the Fig 5(b) default campaign spec and writes
 ``BENCH_campaign.json`` at the repo root — one entry in the
@@ -7,16 +7,14 @@ is the portable headline number every host records.
 
 Three legs:
 
-* **serial vs stacked (full spec, fxp)** — the stacked path must
-  produce byte-identical campaign JSON to the serial run (a throughput
-  number can never be bought with a correctness regression);
-* **sweep columns per mode** — :func:`repro.bench.bench_campaign_modes`
-  times the fig5b sweep columns through each (mode, backend, dtype)
-  execution mode with identical best-of-N, overhead-subtracted
-  methodology, and the stacked fp32 fast path must clear
-  ``STACKED_SPEEDUP_TARGET`` x the committed serial reference floor
-  (scaled down on hosts measurably slower than the reference, so a
-  loaded CI box degrades the target rather than flaking the assert);
+* **serial (full spec, fxp)** — the headline throughput;
+* **sweep columns per dtype policy** —
+  :func:`repro.bench.bench_campaign_modes` times the fig5b sweep
+  columns serially under each dtype policy with identical best-of-N,
+  overhead-subtracted methodology, and the fp32 fast path must clear
+  ``SPEEDUP_TARGET`` x the committed serial reference floor (scaled
+  down on hosts measurably slower than the reference, so a loaded CI
+  box degrades the target rather than flaking the assert);
 * **parallel (>= 4 CPUs only)** — byte-identical and >= 2x, as before.
 
 Floors are *sticky*: the first measurement on a host writes
@@ -41,21 +39,21 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_campaign.json"
 PARALLEL_WORKERS = 4
 
 #: The committed serial full-fig5b reference throughput (cells/s) the
-#: stacked path is measured against.  Frozen on the reference host; the
+#: fp32 fast path is measured against.  Frozen on the reference host; the
 #: sweep-column acceptance below scales it by measured host speed.
 REFERENCE_SERIAL_FLOOR = 9.257
 #: What the *sweep-column serial* leg measures on the reference host —
 #: the host-speed proxy for the acceptance below, measured in the same
 #: bench window as the fast mode so load moves both together.
 REFERENCE_SWEEP_SERIAL = 10.5
-STACKED_SPEEDUP_TARGET = 3.0
+SPEEDUP_TARGET = 3.0
 #: The gather-heavy fp32 leg is bimodal on small hosts (~25% swing with
 #: steady serial legs in the same window — TLB/hugepage layout luck, not
 #: load), so the *assert* allows this much below target while the
 #: committed BENCH_campaign.json records the full-speed measurement.
 NOISE_ALLOWANCE = 0.85
 #: The mode the speedup acceptance pins (the fp32 fast path).
-FAST_MODE = "stacked-numpy-fp32"
+FAST_MODE = "serial-numpy-fp32"
 
 
 def fresh_attack(victim):
@@ -66,23 +64,18 @@ def fresh_attack(victim):
     return DeepStrike(engine, rng=np.random.default_rng(77))
 
 
-def timed_run(victim, spec, workers=1, stacked=False):
+def timed_run(victim, spec, workers=1):
     attack = fresh_attack(victim)
     start = time.perf_counter()
     result = run_campaign(attack, victim.dataset.test_images,
                           victim.dataset.test_labels, spec,
-                          workers=workers, stacked=stacked)
+                          workers=workers)
     elapsed = time.perf_counter() - start
     return result, elapsed
 
 
 def sticky_floors(payload):
-    """Merge committed floors over freshly derived ones (committed win).
-
-    Modes skipped this run (absent cupy/jax backends) derive no fresh
-    floor, but their *committed* floor is carried forward — a
-    numpy-only host must never erase the floor a GPU host recorded.
-    """
+    """Merge committed floors over freshly derived ones (committed win)."""
     modes = payload["sweep_columns"]["modes"]
     fresh = {
         "serial_cells_per_sec": round(
@@ -90,7 +83,6 @@ def sticky_floors(payload):
         "sweep_columns": {
             mode: round(row["cells_per_sec"] * FLOOR_FRACTION, 3)
             for mode, row in modes.items()
-            if row.get("status", "measured") == "measured"
         },
     }
     try:
@@ -117,12 +109,6 @@ def test_campaign_throughput(victim):
     serial_cps = n_cells / t_serial
     serial_json = _to_json(serial, complete=True)
 
-    # Differential guard: the stacked path may not change a single byte
-    # of the full fig5b campaign under the default fxp policy.
-    stacked, t_stacked = timed_run(victim, spec, stacked=True)
-    assert _to_json(stacked, complete=True) == serial_json
-    stacked_cps = n_cells / t_stacked
-
     sweep = bench_campaign_modes(repeats=6)
 
     payload = {
@@ -132,7 +118,6 @@ def test_campaign_throughput(victim):
         "eval_images": spec.eval_images,
         "cpu_count": host_cpus,
         "serial_cells_per_sec": round(serial_cps, 3),
-        "stacked_cells_per_sec": round(stacked_cps, 3),
         "workers": {
             "1": {"seconds": round(t_serial, 3),
                   "cells_per_sec": round(serial_cps, 3)},
@@ -140,17 +125,13 @@ def test_campaign_throughput(victim):
         "sweep_columns": sweep,
         "reference": {
             "serial_floor_cells_per_sec": REFERENCE_SERIAL_FLOOR,
-            "stacked_speedup_target": STACKED_SPEEDUP_TARGET,
+            "fp32_speedup_target": SPEEDUP_TARGET,
         },
     }
     print(f"\ncampaign throughput ({n_cells} cells, "
           f"{spec.eval_images} images/cell, {host_cpus} CPUs):")
     print(f"  serial : {t_serial:6.2f}s  ({serial_cps:.2f} cells/s)")
-    print(f"  stacked: {t_stacked:6.2f}s  ({stacked_cps:.2f} cells/s)")
     for mode, row in sweep["modes"].items():
-        if row.get("status") == "skipped":
-            print(f"  sweep {mode}: skipped ({row.get('reason')})")
-            continue
         print(f"  sweep {mode}: {row['cells_per_sec']:.2f} cells/s "
               f"({row['column_seconds']:.3f}s columns)")
 
@@ -172,32 +153,28 @@ def test_campaign_throughput(victim):
     payload["floors"] = sticky_floors(payload)
     _atomic_write_text(BENCH_PATH, json.dumps(payload, indent=2) + "\n")
 
-    # Sticky regression floors (measured modes only; skipped modes keep
-    # their committed floor in the file for hosts that can run them).
+    # Sticky regression floors.
     assert serial_cps >= payload["floors"]["serial_cells_per_sec"]
     for mode, floor in payload["floors"]["sweep_columns"].items():
-        row = sweep["modes"].get(mode)
-        if not row or row.get("status", "measured") != "measured":
-            continue
-        cps = row["cells_per_sec"]
+        cps = sweep["modes"][mode]["cells_per_sec"]
         assert cps >= floor, f"{mode}: {cps:.2f} cells/s under its " \
                              f"committed floor {floor:.2f}"
 
-    # The tentpole acceptance: stacked fp32 sweep columns >= 3x the
-    # committed serial reference.  On a host measurably slower than the
+    # The fast-path acceptance: fp32 sweep columns >= 3x the committed
+    # serial reference.  On a host measurably slower than the
     # reference (the same-window serial sweep leg below its committed
     # reference), the target scales with the measured slowdown instead
     # of flaking.
     serial_sweep_cps = sweep["modes"]["serial-numpy-fxp"]["cells_per_sec"]
     host_scale = min(1.0, serial_sweep_cps / REFERENCE_SWEEP_SERIAL)
-    target = (STACKED_SPEEDUP_TARGET * REFERENCE_SERIAL_FLOOR
+    target = (SPEEDUP_TARGET * REFERENCE_SERIAL_FLOOR
               * host_scale * NOISE_ALLOWANCE)
     fast = sweep["modes"][FAST_MODE]["cells_per_sec"]
     assert fast >= target, \
         f"{FAST_MODE} sweep columns at {fast:.2f} cells/s, need " \
-        f"{target:.2f} ({STACKED_SPEEDUP_TARGET}x reference, host " \
+        f"{target:.2f} ({SPEEDUP_TARGET}x reference, host " \
         f"scale {host_scale:.2f}, allowance {NOISE_ALLOWANCE})"
 
     if not parallel_capable:
-        pytest.skip(f"only {host_cpus} CPU(s): recorded serial/stacked "
+        pytest.skip(f"only {host_cpus} CPU(s): recorded serial "
                     "throughput without the parallel comparison")

@@ -1,8 +1,8 @@
 """Defense hot-path throughput: the arms-race sweep per execution mode.
 
 Times :func:`repro.bench.bench_defense` — the default 9-cell arms-race
-grid (3 striker banks x none/recover/tmr) through every (warmth,
-backend, dtype) mode — and writes ``BENCH_defense.json`` at the repo
+grid (3 striker banks x none/recover/tmr) through every (warmth, dtype)
+mode — and writes ``BENCH_defense.json`` at the repo
 root, a sibling of ``BENCH_campaign.json`` in the benchmark-regression
 trajectory.
 
@@ -16,9 +16,7 @@ instead of flaking, exactly like the campaign bench.
 
 Floors are *sticky*: the first measurement on a host writes ``floors``
 at :data:`repro.bench.FLOOR_FRACTION` of measured, and later runs keep
-the committed value.  Committed floors for modes *skipped this run*
-(cupy/jax hosts vs CI) are carried forward, never silently dropped —
-their payload rows record ``status: skipped`` instead of vanishing.
+the committed value.
 """
 
 import json
@@ -48,17 +46,10 @@ FAST_MODE = "warm-numpy-fp32"
 
 
 def sticky_floors(payload):
-    """Merge committed floors over freshly derived ones.
-
-    Committed values win for modes measured this run, and committed
-    floors for modes *not* measured this run (skipped backends) are
-    carried forward so a numpy-only CI host can never erase the floor a
-    cupy host recorded.
-    """
+    """Merge committed floors over freshly derived ones (committed win)."""
     fresh = {
         mode: round(row["cells_per_sec"] * FLOOR_FRACTION, 3)
         for mode, row in payload["modes"].items()
-        if row.get("status") == "measured"
     }
     try:
         committed = json.loads(BENCH_PATH.read_text()).get("floors", {})
@@ -82,9 +73,6 @@ def test_defense_hotpath():
     print(f"\ndefense hot path ({payload['cells']} cells, "
           f"{payload['grid']['images']} images/cell):")
     for mode, row in payload["modes"].items():
-        if row.get("status") != "measured":
-            print(f"  {mode}: skipped ({row.get('reason')})")
-            continue
         print(f"  {mode}: {row['sweep_seconds']:6.3f}s  "
               f"({row['cells_per_sec']:.2f} cells/s)")
 
@@ -95,12 +83,9 @@ def test_defense_hotpath():
     payload["floors"] = sticky_floors(payload)
     _atomic_write_text(BENCH_PATH, json.dumps(payload, indent=2) + "\n")
 
-    # Sticky regression floors (measured modes only; skipped modes keep
-    # their committed floor in the file for the host that can run them).
+    # Sticky regression floors.
     for mode, floor in payload["floors"].items():
-        row = payload["modes"].get(mode)
-        if not row or row.get("status") != "measured":
-            continue
+        row = payload["modes"][mode]
         assert row["cells_per_sec"] >= floor, \
             f"{mode}: {row['cells_per_sec']:.2f} cells/s under its " \
             f"committed floor {floor:.2f}"

@@ -149,15 +149,9 @@ class AcceleratorEngine:
         # on the *identity* of the images array (campaigns evaluate one
         # fixed test slice over and over).
         self._stage_cache: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
-        # Single-slot im2col cache keyed on (input array identity,
-        # stage): a stacked group injects many cells into the same
-        # clean batch, and the struck conv's unfolded input is
-        # identical for every one of them.
+        # Small im2col cache keyed on (input array identity, stage): the
+        # fp32 forward pass and the conv injector unfold the same input.
         self._unfold_cache: List[Tuple[np.ndarray, str, tuple]] = []
-        # When the stacked evaluator arms this list, injectors append
-        # the image indices they touched, so changed-row detection is a
-        # cheap mask instead of a dense compare against the clean codes.
-        self._touch_log: Optional[List[np.ndarray]] = None
 
     #: Exposure-cache entries kept before the cache is dropped wholesale.
     _EXPOSURE_CACHE_MAX = 64
@@ -270,7 +264,9 @@ class AcceleratorEngine:
         images) lets the engine skip recomputing every stage upstream of
         the first struck layer — the fault pattern and RNG stream are
         unaffected, since injection only consumes randomness at struck
-        layers.
+        layers.  With exactly one struck stage, only the image rows the
+        strike changed run through the later stages
+        (:meth:`_forward_changed_rows`).
         """
         by_layer = self._index_strikes(struck)
         first = 0
@@ -278,13 +274,14 @@ class AcceleratorEngine:
         if stage_codes is None:
             codes = self._quantize_input(images)
         else:
-            struck_stages = [
-                self._plan_by_name[name].stage_index
-                for name, entry in by_layer.items() if entry.count > 0
-            ]
-            if not struck_stages:
+            live = [entry for entry in by_layer.values() if entry.count > 0]
+            if not live:
                 return self._dequantize_scores(stage_codes[-1])
-            first = min(struck_stages)
+            if len(live) == 1:
+                return self._dequantize_scores(
+                    self._forward_changed_rows(live[0], stage_codes))
+            first = min(self._plan_by_name[entry.layer_name].stage_index
+                        for entry in live)
         for index, stage in enumerate(self.model.stages):
             if index < first:
                 continue
@@ -301,6 +298,41 @@ class AcceleratorEngine:
                 continue
             codes = self._apply_stage_faults(stage, index, entry, x_in, codes)
         return self._dequantize_scores(codes)
+
+    def _forward_changed_rows(self, entry: StruckCycles,
+                              stage_codes: List[np.ndarray]) -> np.ndarray:
+        """Final codes of a one-stage strike, forwarding only the rows
+        it changed.
+
+        The injector writes into a copy of the struck stage's cached
+        clean output.  A row that comes out identical to its clean row
+        is clean all the way down — every later stage is row-independent
+        and draws no randomness — so it takes its cached clean final
+        codes, and only the changed rows run through the later stages.
+        Under fxp every stage is exact integer arithmetic, so the result
+        is bit-identical to forwarding the whole batch.  The pooling
+        layer rarely faults (Fig 5(b)), so its cells usually forward
+        nothing.
+        """
+        index = self._plan_by_name[entry.layer_name].stage_index
+        stage = self.model.stages[index]
+        clean_out = stage_codes[index + 1]
+        codes = self._apply_stage_faults(stage, index, entry,
+                                         stage_codes[index], clean_out.copy())
+        n_images = codes.shape[0]
+        changed = np.flatnonzero(
+            (codes != clean_out).reshape(n_images, -1).any(axis=1))
+        if changed.size == 0:
+            return stage_codes[-1]
+        if changed.size < n_images:
+            codes = codes[changed]
+        for later in self.model.stages[index + 1:]:
+            codes = self._forward_stage(later, codes)
+        if changed.size == n_images:
+            return codes
+        final = stage_codes[-1].copy()
+        final[changed] = codes
+        return final
 
     def _index_strikes(self, struck: Sequence[StruckCycles]
                        ) -> Dict[str, StruckCycles]:
@@ -423,167 +455,6 @@ class AcceleratorEngine:
                                               stage_codes=batch_codes)
             correct += int((preds == labels[window]).sum())
         return correct / images.shape[0]
-
-    def accuracy_under_attack_many(
-            self, images: np.ndarray, labels: np.ndarray,
-            cells: Sequence[Tuple[Sequence[StruckCycles],
-                                  np.random.Generator]],
-            batch_size: Optional[int] = None,
-            stage_codes: Optional[List[np.ndarray]] = None,
-    ) -> List[float]:
-        """Evaluate many strike cells in one stacked pass over the images.
-
-        ``cells`` is a sequence of ``(struck, rng)`` pairs — each cell's
-        generator starts exactly where a serial run's engine generator
-        would (``np.random.default_rng(cell_seed)``), and is the only
-        randomness that cell consumes.  Returns per-cell accuracies,
-        position-aligned with ``cells``.
-
-        Per batch window, each cell injects into a private copy of the
-        cached clean output of its struck stage (consuming its own
-        generator in the same batch order as a serial run); only the
-        image rows whose accumulators actually changed are then pushed
-        through the downstream stages, *concatenated across cells* into
-        one tensor pass.  Every downstream stage is row-independent and
-        — in the int64 fixed-point policy — bitwise order-independent,
-        so under ``dtype_policy="fxp"`` the per-cell accuracies are
-        byte-identical to per-cell serial ``accuracy_under_attack``
-        calls (``tests/core/test_stacked_parity.py``).  Under ``fp32``
-        the whole policy is tolerance-pinned anyway.
-
-        Cells striking multiple layers (the blind baseline) fall back to
-        the serial evaluator under their own generator; zero-strike
-        cells score clean accuracy and consume no randomness — both
-        exactly as serial.
-        """
-        if batch_size is None:
-            batch_size = (images.shape[0] if self.dtype_policy == "fp32"
-                          else self.config.accel.eval_batch_size)
-            batch_size = max(batch_size, 1)
-        if stage_codes is None:
-            stage_codes = self.clean_stage_codes(images)
-        n_total = images.shape[0]
-        results = [0.0] * len(cells)
-
-        clean_cells: List[int] = []
-        serial_cells: List[Tuple[int, Sequence[StruckCycles],
-                                 np.random.Generator]] = []
-        stacked: Dict[int, List[Tuple[int, StruckCycles,
-                                      np.random.Generator]]] = {}
-        for i, (struck, gen) in enumerate(cells):
-            by_layer = self._index_strikes(struck)
-            live = [e for e in by_layer.values() if e.count > 0]
-            if not live:
-                clean_cells.append(i)
-            elif len(live) == 1:
-                entry = live[0]
-                first = self._plan_by_name[entry.layer_name].stage_index
-                stacked.setdefault(first, []).append((i, entry, gen))
-            else:
-                serial_cells.append((i, struck, gen))
-
-        for i, struck, gen in serial_cells:
-            saved = self.rng
-            self.rng = gen
-            try:
-                results[i] = self.accuracy_under_attack(
-                    images, labels, struck, batch_size=batch_size,
-                    stage_codes=stage_codes)
-            finally:
-                self.rng = saved
-
-        # One quadrature call per fault model for the whole group: the
-        # per-record results are identical to the lazy per-cell path
-        # (fault_probabilities is elementwise over cycles), it just
-        # avoids paying the call overhead once per cell.
-        prefetch: Dict[TimingFaultModel, List[dict]] = {}
-        for group in stacked.values():
-            for _i, entry, _gen in group:
-                plan = self._plan_by_name[entry.layer_name]
-                model = (self.pool_faults if plan.kind == "pool"
-                         else self.dsp_faults)
-                record = self._exposure(plan, entry)
-                if model not in record.setdefault("cycle_probs", {}):
-                    prefetch.setdefault(model, []).append(record)
-        for model, records in prefetch.items():
-            volts = np.concatenate([r["cycle_volts"] for r in records])
-            pf, pd = model.fault_probabilities(
-                volts, self.config.pdn.noise_sigma_v)
-            offset = 0
-            for r in records:
-                n = r["cycle_volts"].shape[0]
-                r["cycle_probs"][model] = (pf[offset:offset + n],
-                                           pd[offset:offset + n])
-                offset += n
-
-        counts = np.zeros(len(cells), dtype=np.int64)
-        clean_total = 0
-        for start in range(0, n_total, batch_size):
-            window = slice(start, start + batch_size)
-            wlabels = labels[window]
-            n_b = wlabels.shape[0]
-            batch_codes = [c[window] for c in stage_codes]
-            # Dequantization is a positive power-of-two scale, so the
-            # argmax over raw final codes matches the serial argmax over
-            # dequantized logits exactly.
-            clean_preds = np.argmax(batch_codes[-1], axis=1)
-            clean_ok = clean_preds == np.asarray(wlabels)
-            clean_correct = int(clean_ok.sum())
-            clean_total += clean_correct
-            for first in sorted(stacked):
-                stage = self.model.stages[first]
-                x_in = batch_codes[first]
-                base_out = np.ascontiguousarray(batch_codes[first + 1])
-                rows: List[np.ndarray] = []
-                owners: List[Tuple[int, np.ndarray]] = []
-                for i, entry, gen in stacked[first]:
-                    saved = self.rng
-                    self._touch_log = log = []
-                    try:
-                        self.rng = gen
-                        acc = self._apply_stage_faults(
-                            stage, first, entry, x_in, base_out.copy())
-                    finally:
-                        self.rng = saved
-                        self._touch_log = None
-                    counts[i] += clean_correct
-                    # Rows the injectors touched — a superset of the
-                    # rows that actually changed; recomputing an
-                    # untouched-value row reproduces its clean
-                    # prediction, so the correction below is still
-                    # exact.  Far cheaper than comparing the dense
-                    # accumulators against the clean codes.
-                    if log:
-                        touched = np.zeros(n_b, dtype=bool)
-                        for t in log:
-                            touched[t] = True
-                        changed = np.flatnonzero(touched)
-                    else:
-                        changed = np.empty(0, dtype=np.int64)
-                    if changed.size:
-                        owners.append((i, changed))
-                        rows.append(acc[changed])
-                if not rows:
-                    continue
-                codes = np.concatenate(rows, axis=0)
-                for later in self.model.stages[first + 1:]:
-                    codes = self._forward_stage(later, codes)
-                preds = np.argmax(codes, axis=1)
-                offset = 0
-                for i, changed in owners:
-                    sub = preds[offset:offset + changed.size]
-                    offset += changed.size
-                    # Swap the changed rows' clean correctness (already
-                    # counted above) for their attacked correctness.
-                    counts[i] -= int(clean_ok[changed].sum())
-                    counts[i] += int(
-                        (sub == np.asarray(wlabels)[changed]).sum())
-        for i in clean_cells:
-            results[i] = clean_total / n_total
-        for group in stacked.values():
-            for i, _entry, _gen in group:
-                results[i] = counts[i] / n_total
-        return results
 
     # -- exposure helpers ----------------------------------------------------------
 
@@ -890,8 +761,6 @@ class AcceleratorEngine:
         if not self._observe_is_noop:
             self._observe_fault_sites(n_images, n_ops, img, pos, dup,
                                       record["volts"])
-            if self._touch_log is not None:
-                self._touch_log.append(img)
             doomed = self._doomed_images()
             if doomed is not None and img.size:
                 # The observer just promised these images' outputs will
@@ -908,8 +777,6 @@ class AcceleratorEngine:
                         flat_idx = flat_idx[live]
                     else:
                         p_cur, p_prev = p_cur[live], p_prev[live]
-        elif self._touch_log is not None:
-            self._touch_log.append(img)
         if lazy and img.size:
             # Deferred product gathers, on the post-filter survivors
             # only: int16 dense storage widened to int32 (a product
@@ -1052,17 +919,16 @@ class AcceleratorEngine:
         ).astype(flat_acc.dtype).reshape(flat_acc.shape)
 
     #: Slots in the im2col cache: enough for every conv of the victim
-    #: plus the stacked downstream recompute batches.
+    #: plus the batches an injection unfolds.
     _UNFOLD_CACHE_MAX = 4
 
     def _unfold(self, stage: QConv, x_codes: np.ndarray
                 ) -> Tuple[np.ndarray, int, int]:
         """im2col of a conv's input, cached per input-array identity.
 
-        A stacked cell group injects into the same clean batch many
-        times over, and the fp32 forward pass unfolds the very arrays
-        the injectors then gather from; the unfolded input is a pure
-        function of ``x_codes``, so both share these slots.
+        The fp32 forward pass unfolds the very arrays the injectors then
+        gather from; the unfolded input is a pure function of
+        ``x_codes``, so both share these slots.
         """
         for entry in self._unfold_cache:
             if entry[0] is x_codes and entry[1] == stage.name:
@@ -1264,6 +1130,4 @@ class AcceleratorEngine:
         rand_vals = self.rng.integers(act.int_min, act.int_max + 1,
                                       size=img.size)
         flat[img, fop] = np.where(is_dup, dup_vals, rand_vals)
-        if self._touch_log is not None:
-            self._touch_log.append(img)
         return out

@@ -1,28 +1,20 @@
 """Pluggable array-namespace backends (the ``xp`` shim).
 
 The engine and the PDN do their tensor math through a *backend object*
-instead of importing :mod:`numpy` directly, so the same hot paths can
-run on CuPy or ``jax.numpy`` when those are installed — the thin-shim
-pattern of the scipy/sklearn ``xp`` convention.  NumPy is always
-available and is the reference backend: the byte-parity contracts of
-``docs/performance.md`` are stated for ``numpy`` + the fixed-point
-dtype policy, while alternate backends and the float32 fast path are
-held to the *differential tolerance* tier instead
-(``tests/accel/test_backend_parity.py``).
+instead of importing :mod:`numpy` directly — the thin-shim pattern of
+the scipy/sklearn ``xp`` convention.  NumPy is built in and is the
+reference backend: the byte-parity contracts of ``docs/performance.md``
+are stated for ``numpy`` + the fixed-point dtype policy, while the
+float32 fast path and any other backend are held to the *differential
+tolerance* tier instead (``tests/accel/test_backend_parity.py``).
 
-Backends resolve in two steps:
-
-1. the built-in table below (``numpy`` eagerly, ``cupy``/``jax``
-   lazily — importing them only when requested, so their absence costs
-   nothing), then
-2. ``importlib.metadata`` entry points in the ``repro.array_backends``
-   group, so third-party accelerator packages can register a backend
-   without touching this repo.
-
-Requesting a backend whose package is not installed raises
-:class:`~repro.errors.ConfigError` with an actionable message;
-:func:`backend_available` lets tests and CLI code probe first and skip
-cleanly.
+Any other backend is a third-party package that registers a loader
+under the ``repro.array_backends`` ``importlib.metadata`` entry-point
+group; loaders are imported only when their backend is requested, so
+an absent package costs nothing.  Requesting a backend whose package
+is not installed raises :class:`~repro.errors.ConfigError` with an
+actionable message; :func:`backend_available` lets tests and CLI code
+probe first and skip cleanly.
 """
 
 from __future__ import annotations
@@ -48,8 +40,8 @@ ENTRY_POINT_GROUP = "repro.array_backends"
 class ArrayBackend:
     """One resolved array namespace plus its host<->device bridges.
 
-    ``xp`` is the namespace module (``numpy``, ``cupy`` or
-    ``jax.numpy``); ``asarray`` moves host data onto the backend and
+    ``xp`` is the namespace module (``numpy`` for the built-in
+    backend); ``asarray`` moves host data onto the backend and
     ``asnumpy`` brings results back as plain :class:`numpy.ndarray`
     (identity for numpy).  ``lfilter`` is the backend's IIR filter for
     the PDN recurrence, or None when the backend has no vectorized
@@ -80,40 +72,9 @@ def _numpy_backend() -> ArrayBackend:
     )
 
 
-def _cupy_backend() -> ArrayBackend:
-    import cupy
-
-    try:
-        from cupyx.scipy.signal import lfilter as _lfilter
-    except ImportError:  # pragma: no cover - older cupy without signal
-        _lfilter = None
-    return ArrayBackend(
-        name="cupy",
-        xp=cupy,
-        asarray=cupy.asarray,
-        asnumpy=cupy.asnumpy,
-        lfilter=_lfilter,
-    )
-
-
-def _jax_backend() -> ArrayBackend:
-    import jax.numpy as jnp
-
-    return ArrayBackend(
-        name="jax",
-        xp=jnp,
-        asarray=jnp.asarray,
-        asnumpy=lambda a: _np.asarray(a),
-        lfilter=None,
-    )
-
-
-#: Built-in loaders; values are zero-arg callables so optional packages
-#: are imported only when their backend is actually requested.
+#: Built-in loaders; values are zero-arg callables, like entry points.
 _BUILTIN: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": _numpy_backend,
-    "cupy": _cupy_backend,
-    "jax": _jax_backend,
 }
 
 #: Resolved-backend cache (a backend is stateless; one instance is fine).
@@ -136,8 +97,9 @@ def _entry_point_loaders() -> Dict[str, Callable[[], ArrayBackend]]:
 def available_backends() -> Tuple[str, ...]:
     """Every *registered* backend name (built-in + entry points).
 
-    Registration is not installation: ``cupy`` is always listed, but
-    :func:`get_backend` for it still fails unless the package imports.
+    Registration is not installation: an entry point is listed even
+    when :func:`get_backend` for it fails because its package does not
+    import.
     """
     names = dict.fromkeys(_BUILTIN)
     names.update(dict.fromkeys(_entry_point_loaders()))

@@ -141,28 +141,19 @@ def bench_engine(images: int = 64, repeats: int = 3, seed: int = 7,
     }
 
 
-#: The (backend, dtype policy, stacked?) execution modes the campaign
-#: bench records.  The fast fp32 mode runs first — it pins the speedup
-#: acceptance, so it gets the coolest measurement window before the
-#: heavier serial legs have saturated the host.  CuPy/JAX legs run only
-#: where the package is installed; the bench lists absent backends
-#: under ``skipped``.
-CAMPAIGN_MODES = (
-    ("stacked", "numpy", "fp32"),
-    ("stacked", "numpy", "fxp"),
-    ("serial", "numpy", "fxp"),
-    ("stacked", "cupy", "fp32"),
-    ("stacked", "jax", "fp32"),
-)
+#: The dtype policies the campaign bench runs serially on numpy.  The
+#: fast fp32 mode runs first — it pins the speedup acceptance, so it
+#: gets the coolest measurement window before the heavier fxp leg has
+#: saturated the host.
+CAMPAIGN_MODES = ("fp32", "fxp")
 
 
 def bench_campaign_modes(repeats: int = 3, seed: int = 66) -> dict:
-    """Fig 5(b) *sweep-column* throughput per execution mode.
+    """Fig 5(b) *sweep-column* throughput per dtype policy.
 
-    The stacked path's unit of work is the sweep column — cells sharing
-    a struck layer, differing only in intensity/seed; the blind
-    baseline is not a sweep column and runs serially by design, so the
-    sweep-column metric times the fig5b sweeps alone.
+    A sweep column is the cells sharing a struck layer, differing only
+    in intensity/seed; the metric times the fig5b sweeps alone, without
+    the blind baseline.
 
     Methodology (identical for every mode, so the ratios are honest):
     best-of-``repeats`` end-to-end ``run_campaign`` wall time of the
@@ -176,7 +167,6 @@ def bench_campaign_modes(repeats: int = 3, seed: int = 66) -> dict:
     import dataclasses
 
     from .accel import AcceleratorEngine
-    from .accel.xp import backend_available
     from .core import CampaignSpec, DeepStrike, run_campaign
     from .zoo import get_pretrained
 
@@ -189,36 +179,21 @@ def bench_campaign_modes(repeats: int = 3, seed: int = 66) -> dict:
                                     sweeps=(("pool1", (40,)),))
     n_measured = len(sweep_spec.cells()) - len(base_spec.cells())
 
-    def campaign_time(config, stacked, spec):
+    def campaign_time(config, spec):
         def once():
             engine = AcceleratorEngine(victim.quantized, config=config,
                                        rng=np.random.default_rng(seed))
             attack = DeepStrike(engine, rng=np.random.default_rng(seed + 11))
-            run_campaign(attack, images, labels, spec,
-                         stacked=stacked)
+            run_campaign(attack, images, labels, spec)
         return _best_of(repeats, once)
 
     modes: Dict[str, dict] = {}
-    skipped = []
-    for mode, backend, dtype in CAMPAIGN_MODES:
-        key = f"{mode}-{backend}-{dtype}"
-        if not backend_available(backend):
-            # Absent backends still get a mode row (status + reason) so
-            # the payload's section list is stable across hosts and the
-            # regression test can carry their committed floors forward.
-            skipped.append(key)
-            modes[key] = {
-                "status": "skipped",
-                "reason": f"backend '{backend}' not installed",
-            }
-            continue
-        config = dataclasses.replace(default_config(), backend=backend,
-                                     dtype_policy=dtype)
-        t_sweep = campaign_time(config, mode == "stacked", sweep_spec)
-        t_base = campaign_time(config, mode == "stacked", base_spec)
+    for dtype in CAMPAIGN_MODES:
+        config = dataclasses.replace(default_config(), dtype_policy=dtype)
+        t_sweep = campaign_time(config, sweep_spec)
+        t_base = campaign_time(config, base_spec)
         busy = max(t_sweep - t_base, 1e-9)
-        modes[key] = {
-            "status": "measured",
+        modes[f"serial-numpy-{dtype}"] = {
             "campaign_seconds": round(t_sweep, 4),
             "overhead_seconds": round(t_base, 4),
             "column_seconds": round(busy, 4),
@@ -230,24 +205,19 @@ def bench_campaign_modes(repeats: int = 3, seed: int = 66) -> dict:
         "measured_cells": n_measured,
         "repeats": repeats,
         "modes": modes,
-        "skipped": skipped,
     }
 
 
-#: The (warmth, backend, dtype policy) execution modes the defense
-#: bench records.  Warm legs time a second sweep on a study whose
-#: clamp calibration, defended clean caches, and dense product grids
-#: are already built — the steady-state regime a long arms-race
-#: campaign spends its time in; the cold leg is the historical
-#: build-everything-per-sweep serial loop, the 5x anchor's
-#: denominator.  Absent backends get status rows, like the campaign
-#: bench.
+#: The (warmth, dtype policy) modes the defense bench records on numpy.
+#: Warm legs time a second sweep on a study whose clamp calibration,
+#: defended clean caches, and dense product grids are already built —
+#: the steady-state regime a long arms-race campaign spends its time
+#: in; the cold leg is the historical build-everything-per-sweep
+#: serial loop, the 5x anchor's denominator.
 DEFENSE_MODES = (
-    ("warm", "numpy", "fp32"),
-    ("warm", "numpy", "fxp"),
-    ("cold", "numpy", "fxp"),
-    ("warm", "cupy", "fp32"),
-    ("warm", "jax", "fp32"),
+    ("warm", "fp32"),
+    ("warm", "fxp"),
+    ("cold", "fxp"),
 )
 
 #: The default arms-race grid the defense bench times: every striker
@@ -258,7 +228,7 @@ DEFENSE_BENCH_STRIKES = 4500
 
 def bench_defense(images: int = 64, repeats: int = 3,
                   seed: int = 1) -> dict:
-    """Arms-race sweep throughput per (warmth, backend, dtype) mode.
+    """Arms-race sweep throughput per (warmth, dtype) mode.
 
     Times :meth:`~repro.defense.ArmsRaceStudy.sweep` over the default
     9-cell grid (:data:`DEFENSE_BENCH_BANKS` x none/recover/tmr at
@@ -270,7 +240,6 @@ def bench_defense(images: int = 64, repeats: int = 3,
     """
     import dataclasses as _dc
 
-    from .accel.xp import backend_available
     from .config import RecoveryConfig
     from .defense import ArmsRaceStudy
     from .zoo import get_pretrained
@@ -287,43 +256,33 @@ def bench_defense(images: int = 64, repeats: int = 3,
     ]
     n_cells = len(grid) * len(defenses)
 
-    def make_study(backend, dtype):
-        config = _dc.replace(default_config(), backend=backend,
-                             dtype_policy=dtype)
+    def make_study(dtype):
+        config = _dc.replace(default_config(), dtype_policy=dtype)
         return ArmsRaceStudy(victim.quantized, eval_images, eval_labels,
                              config=config, seed=seed)
 
     modes: Dict[str, dict] = {}
-    skipped = []
     reference_cells = None
-    for warmth, backend, dtype in DEFENSE_MODES:
-        key = f"{warmth}-{backend}-{dtype}"
-        if not backend_available(backend):
-            skipped.append(key)
-            modes[key] = {
-                "status": "skipped",
-                "reason": f"backend '{backend}' not installed",
-            }
-            continue
+    for warmth, dtype in DEFENSE_MODES:
+        key = f"{warmth}-numpy-{dtype}"
         if warmth == "cold":
             def once():
-                make_study(backend, dtype).sweep(grid, defenses)
+                make_study(dtype).sweep(grid, defenses)
             elapsed = _best_of(repeats, once)
         else:
-            study = make_study(backend, dtype)
+            study = make_study(dtype)
             cells = study.sweep(grid, defenses)  # build every cache
-            if backend == "numpy" and dtype == "fxp":
+            if dtype == "fxp":
                 reference_cells = cells
             elapsed = _best_of(
                 repeats, lambda s=study: s.sweep(grid, defenses))
         modes[key] = {
-            "status": "measured",
             "sweep_seconds": round(elapsed, 4),
             "cells_per_sec": round(n_cells / elapsed, 3),
         }
     if reference_cells is not None:
         # Differential guard: warm fxp results == cold fxp results.
-        fresh = make_study("numpy", "fxp").sweep(grid, defenses)
+        fresh = make_study("fxp").sweep(grid, defenses)
         if [vars(c) for c in fresh] != [vars(c) for c in reference_cells]:
             raise AssertionError(
                 "warm arms-race sweep drifted from the cold reference "
@@ -338,7 +297,6 @@ def bench_defense(images: int = 64, repeats: int = 3,
         "cells": n_cells,
         "repeats": repeats,
         "modes": modes,
-        "skipped": skipped,
     }
 
 

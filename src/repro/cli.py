@@ -97,15 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shard campaign cells across N worker "
                                "processes (byte-identical to the serial "
                                "run; default 1)")
-    campaign.add_argument("--stacked", action="store_true",
-                          help="run each sweep column as one stacked "
-                               "tensor pass (byte-identical to serial "
-                               "under the default fxp policy; excludes "
-                               "--workers>1 and --broker)")
     campaign.add_argument("--backend", default=None, metavar="NAME",
                           help="array backend for the engine hot paths "
-                               "(default numpy; cupy/jax when installed, "
-                               "see repro.accel.xp)")
+                               "(default numpy; others registered as "
+                               "repro.array_backends entry points)")
     campaign.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                           metavar="POLICY",
                           help="dtype policy: fxp is the exact fixed-point "
@@ -121,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="supervisor: per-cell lease deadline; a cell "
                                "still running when it lapses is cancelled "
                                "and retried (default: no lease)")
-    campaign.add_argument("--no-supervisor", action="store_true",
-                          help="run workers>1 on the raw fail-fast "
-                               "executor (a worker crash aborts the run)")
     campaign.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="content-addressed cell-result cache: cells "
                                "already computed for this exact recipe are "
@@ -218,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed cell cache shared with "
                              "campaign runs; warm cells are merged "
                              "without recomputation")
-    defend.add_argument("--backend", default=None,
-                        choices=("numpy", "cupy", "jax"),
-                        help="array backend for the defended engines")
+    defend.add_argument("--backend", default=None, metavar="NAME",
+                        help="array backend for the defended engines "
+                             "(as campaign --backend)")
     defend.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                         help="dtype policy (fxp = bit-exact reference, "
                              "fp32 = fast tier)")
@@ -519,11 +511,9 @@ def _cmd_campaign(args) -> int:
                 overrides["local_workers"] = args.local_workers
             service = dataclasses.replace(attack.config.service, **overrides)
         supervisor = None
-        if args.no_supervisor or args.max_retries is not None \
-                or args.cell_timeout is not None:
+        if args.max_retries is not None or args.cell_timeout is not None:
             supervisor = dataclasses.replace(
                 attack.config.supervisor,
-                enabled=not args.no_supervisor,
                 **{k: v for k, v in (
                     ("max_retries", args.max_retries),
                     ("cell_timeout_s", args.cell_timeout),
@@ -542,7 +532,6 @@ def _cmd_campaign(args) -> int:
                               resume_from=args.resume,
                               before_cell=before_cell,
                               workers=args.workers,
-                              stacked=args.stacked,
                               cache=args.cache_dir,
                               supervisor=supervisor,
                               service=service,
@@ -576,7 +565,6 @@ def _cmd_serve(args) -> int:
     args.broker = f"{args.host}:{args.port}"
     for name, value in (("show", None), ("workers", 1),
                         ("max_retries", None), ("cell_timeout", None),
-                        ("no_supervisor", False), ("stacked", False),
                         ("backend", None), ("dtype", None)):
         setattr(args, name, value)
     return _cmd_campaign(args)

@@ -422,16 +422,12 @@ class ExecutorConfig:
 class SupervisorConfig:
     """Self-healing campaign supervision (docs/reliability.md §3c).
 
-    The supervisor wraps the parallel executor with lease-based
+    Every ``workers>1`` campaign runs under the supervisor: lease-based
     dispatch, bounded retries with jittered exponential backoff, poison
     quarantine, and a degradation ladder — so a campaign survives worker
     crashes, hung cells, and repeat offenders without a manual resume.
-    ``enabled=False`` restores the raw executor's fail-fast behaviour
-    (one pool death aborts the run with ``WorkerCrashError``).
     """
 
-    #: Route ``workers>1`` campaigns through the supervisor.
-    enabled: bool = True
     #: Lease deadline per dispatched cell, wall-clock seconds.  A cell
     #: still running at its deadline is presumed hung: its pool is torn
     #: down and the cell is retried.  ``None`` disables leases.
@@ -576,8 +572,8 @@ class SimulationConfig:
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Array-namespace backend for the engine/PDN hot paths
-    #: (``repro.accel.xp``): "numpy" always works; "cupy"/"jax" need
-    #: their packages installed.
+    #: (``repro.accel.xp``): "numpy" always works; other names resolve
+    #: through the ``repro.array_backends`` entry points.
     backend: str = "numpy"
     #: "fxp" is the exact int64 fixed-point reference (byte-parity
     #: tier); "fp32" runs MAC layers in float32 (sgemm) and is pinned

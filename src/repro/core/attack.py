@@ -17,7 +17,7 @@ Ties the pieces into the paper's three-step procedure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,41 +169,6 @@ class DeepStrike:
         scheme = self._scheme_for_layer(layer_name, n_strikes, trigger)
         return self._finalize_plan(layer_name, n_strikes, scheme, trigger)
 
-    def plan_for_layers(self, cells: Sequence[Tuple[str, int]],
-                        trigger_cycle: Optional[int] = None
-                        ) -> List[AttackPlan]:
-        """Price many ``(layer, n_strikes)`` cells in one PDN pass.
-
-        The returned plans are bit-identical to per-cell
-        :meth:`plan_for_layer` calls: each cell gets its own current row
-        (shared base trace + that cell's striker pulses) and
-        :meth:`PowerDistributionNetwork.simulate_batch` evaluates all
-        rows from the one settled state.  Raises on the first invalid
-        cell — callers needing per-cell failure isolation (the stacked
-        campaign loop) fall back to serial pricing, which isolates the
-        offender and produces the same bytes.
-        """
-        trigger = self.default_trigger_cycle if trigger_cycle is None \
-            else trigger_cycle
-        schemes = [self._scheme_for_layer(layer, n, trigger)
-                   for layer, n in cells]
-        absolutes = [trigger + s.strike_start_cycles() for s in schemes]
-        volt_rows = self.strike_voltages_many(
-            absolutes, [s.strike_cycles for s in schemes])
-        plans = []
-        for (layer, n), scheme, absolute, volts in zip(
-                cells, schemes, absolutes, volt_rows):
-            struck, wasted = self.bucket_strikes(absolute, volts)
-            plans.append(AttackPlan(
-                target_layer=layer,
-                n_strikes_requested=n,
-                scheme=scheme,
-                trigger_cycle=trigger,
-                struck=struck,
-                wasted_strikes=wasted,
-            ))
-        return plans
-
     def plan_from_profile(self, library: Sequence[LayerSignature],
                           target_order: int, n_strikes: int) -> AttackPlan:
         """Plan using only profiled signatures (black-box mode).
@@ -297,52 +262,6 @@ class DeepStrike:
         else:
             pdn.state = self._settled_state
         return pdn
-
-    def strike_voltages_many(self, absolute_cycles: Sequence[np.ndarray],
-                             strike_cycles: Sequence[int]
-                             ) -> List[np.ndarray]:
-        """Deterministic strike voltages for many plans in one PDN pass.
-
-        Row ``k`` of the result is bit-identical to
-        ``strike_voltages(absolute_cycles[k], strike_cycles[k])``: every
-        plan's current row shares the base inference trace, and
-        :meth:`PowerDistributionNetwork.simulate_batch` evaluates the
-        whole stack from the same settled state the serial path uses.
-        """
-        n = len(absolute_cycles)
-        if n == 0:
-            return []
-        tpc = self.config.clock.ticks_per_victim_cycle
-        base = self._base_current_trace()
-        n_ticks = base.shape[0]
-        current = np.tile(base, (n, 1))
-        spans = []
-        flat_parts = []
-        for k, (cyc, sc) in enumerate(zip(absolute_cycles, strike_cycles)):
-            cycles = np.asarray(cyc, dtype=np.int64)
-            span = cycles[:, None] + np.arange(sc, dtype=np.int64)
-            ticks = (span.reshape(-1, 1) * tpc
-                     + np.arange(tpc, dtype=np.int64)).reshape(-1)
-            valid = (ticks >= 0) & (ticks < n_ticks)
-            flat_parts.append(k * n_ticks + ticks[valid])
-            spans.append(span)
-        # One buffered add over the flattened matrix: within a row the
-        # add order matches the serial per-cell np.add.at exactly.
-        np.add.at(current.reshape(-1), np.concatenate(flat_parts),
-                  self._strike_current)
-        volts = self._pricing_pdn().simulate_batch(current)
-        n_full = n_ticks // tpc
-        mins = volts[:, :n_full * tpc].reshape(n, n_full, tpc).min(axis=2)
-        if n_ticks % tpc:
-            mins = np.concatenate(
-                [mins, volts[:, n_full * tpc:].min(axis=1, keepdims=True)],
-                axis=1)
-        padded = np.concatenate([mins, np.full((n, 1), np.inf)], axis=1)
-        out = []
-        for k, span in enumerate(spans):
-            clipped = np.minimum(span, mins.shape[1])
-            out.append(padded[k][clipped].min(axis=1))
-        return out
 
     def _base_current_trace(self) -> np.ndarray:
         """A private copy of the deterministic inference current trace."""

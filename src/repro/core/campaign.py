@@ -21,12 +21,14 @@ is fault-isolated and resumable:
   JSON to an uninterrupted run.
 
 Because every cell runs under its own stream, cells are also
-*embarrassingly parallel*: ``run_campaign(..., workers=N)`` shards them
-across a process pool (:mod:`repro.core.executor`) with the guarantee —
-enforced by ``tests/core/test_parallel_parity.py`` — that the final
-campaign JSON is byte-identical to the ``workers=1`` run, including
+*embarrassingly parallel*.  ``run_campaign`` has three execution
+paths — serial, the supervised process pool (``workers=N``,
+:mod:`repro.core.supervisor`), and the socket broker (``service=``,
+:mod:`repro.core.service`) — with the guarantee, enforced by
+``tests/core/test_parallel_parity.py`` and its siblings, that the final
+campaign JSON is byte-identical to the serial run, including
 interrupted-and-resumed runs.  :func:`_execute_cell` is the single
-source of truth both paths call.
+source of truth all three call.
 
 File format v2 adds the ``failures`` and ``complete`` fields; v1 files
 still load.
@@ -248,7 +250,6 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
                  resume_from=None,
                  before_cell: Optional[Callable[[str, int], None]] = None,
                  workers: int = 1,
-                 stacked: bool = False,
                  recipe=None,
                  cache=None,
                  supervisor=None,
@@ -284,20 +285,10 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         injector's cell killer) makes identical decisions at every
         worker count.
     workers:
-        Shard pending cells across this many worker processes
-        (:mod:`repro.core.executor`).  ``1`` (the default) runs the
-        untouched serial path.  Per-cell reseeding makes the final
-        result byte-identical either way.
-    stacked:
-        Run consecutive same-layer cells as one stacked tensor pass
-        (:mod:`repro.core.stacked`): per-cell generators inject into a
-        shared clean batch and only changed image rows re-run the
-        downstream stages, concatenated across cells.  Byte-identical
-        to the serial loop under the numpy/fxp reference policy
-        (``tests/core/test_stacked_parity.py``); mutually exclusive
-        with ``workers > 1`` and ``service`` (the stacked pass *is*
-        this process's parallelism — combine it with remote workers by
-        giving each worker a column instead).
+        Shard pending cells across this many supervised worker
+        processes (``supervisor`` below).  ``1`` (the default) runs the
+        serial path.  Per-cell reseeding makes the final result
+        byte-identical either way.
     recipe:
         A :class:`~repro.core.executor.WorkerRecipe` telling workers how
         to rebuild the attack (victim zoo name + ``SimulationConfig`` +
@@ -314,14 +305,12 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         serial run.
     supervisor:
         A :class:`~repro.config.SupervisorConfig` overriding the
-        attack config's ``supervisor`` section.  When the effective
-        section has ``enabled=True`` (the default), ``workers>1``
+        recipe config's ``supervisor`` section.  ``workers>1``
         campaigns run under the self-healing supervisor
         (:mod:`repro.core.supervisor`): worker crashes are retried with
         backoff, hung cells are cancelled at their lease deadline,
         poison cells are quarantined, and repeated pool deaths degrade
-        the worker count rather than aborting.  ``enabled=False``
-        restores the raw fail-fast executor.
+        the worker count rather than aborting.
     service:
         A :class:`~repro.config.ServiceConfig`: run the campaign as a
         socket-served broker (:mod:`repro.core.service`) instead of a
@@ -360,11 +349,6 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
             "service= and workers>1 are mutually exclusive; a service "
             "campaign parallelizes through registered workers "
             "(service.local_workers, repro work --broker)"
-        )
-    if stacked and (workers > 1 or service is not None):
-        raise ConfigError(
-            "stacked= is an in-process execution mode and is mutually "
-            "exclusive with workers>1 and service="
         )
     plan_spec = spec
     outcomes: Dict[Tuple[str, int], AttackOutcome] = {}
@@ -437,33 +421,17 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
                 cache=cache_obj, digest=digest, on_bound=on_bound)
 
         if workers > 1:
-            from .executor import WorkerRecipe, run_parallel
+            from .executor import WorkerRecipe
+            from .supervisor import run_supervised
 
             active_recipe = recipe if recipe is not None \
                 else WorkerRecipe.from_attack(attack)
-            sup = supervisor if supervisor is not None \
-                else active_recipe.config.supervisor
-            if sup.enabled:
-                from .supervisor import run_supervised
-
-                return run_supervised(
-                    active_recipe, images, labels, plan_spec, clean,
-                    outcomes, failures, workers=workers, config=sup,
-                    checkpoint_path=checkpoint_path,
-                    before_cell=before_cell, fault_hook=fault_hook,
-                    stats=stats)
-            return run_parallel(active_recipe, images, labels, plan_spec,
-                                clean, outcomes, failures, workers=workers,
-                                checkpoint_path=checkpoint_path,
-                                before_cell=before_cell)
-
-        if stacked:
-            from .stacked import run_stacked_serial
-
-            return run_stacked_serial(
-                attack, images, labels, plan_spec, clean, outcomes,
-                failures, checkpoint_path=checkpoint_path,
-                before_cell=before_cell, stats=stats)
+            return run_supervised(
+                active_recipe, images, labels, plan_spec, clean,
+                outcomes, failures, workers=workers, config=supervisor,
+                checkpoint_path=checkpoint_path,
+                before_cell=before_cell, fault_hook=fault_hook,
+                stats=stats)
 
         blind_box: Dict[str, BlindAttack] = {}
         for target, count in plan_spec.cells():

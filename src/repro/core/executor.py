@@ -1,47 +1,32 @@
-"""Process-parallel campaign execution with serial-parity guarantees.
+"""Process-parallel campaign workers: the recipe and the pool entry points.
 
-PR 1 gave every campaign cell its own blake2s-derived RNG stream, which
-made cells independent of execution *order*; this module makes them
-independent of execution *process*.  ``run_campaign(..., workers=N)``
-lands here and shards the pending ``(target, strike-count)`` cells
-across a :class:`concurrent.futures.ProcessPoolExecutor`:
+Every campaign cell runs under its own blake2s-derived RNG stream,
+which makes cells independent of execution *order*; this module makes
+them independent of execution *process*.  ``run_campaign(..., workers=N)``
+shards the pending ``(target, strike-count)`` cells across a process
+pool run by the self-healing supervisor (:mod:`repro.core.supervisor`),
+which builds its pools and workers from the entry points here:
 
 * **Workers rebuild, never unpickle.**  A worker receives a
   :class:`WorkerRecipe` — victim *zoo name*, frozen
   :class:`~repro.config.SimulationConfig` (so ``ReliabilityConfig`` and
   every other section apply per worker), striker bank size — and
-  reconstructs the engine/attack itself in its initializer.  Live
-  engines are never pickled across the process boundary.
-* **Out-of-order completions merge losslessly.**  Results land in the
-  same ``(target, count)``-keyed dicts the serial loop fills;
-  :func:`~repro.core.campaign._assemble` orders them canonically, so
-  the final JSON is byte-identical to the serial run.  A checkpoint is
-  written with the same atomic ``os.replace`` discipline after every
-  completion (and every dispatch-time failure), so ``--resume``
-  semantics are unchanged — any checkpoint a parallel run leaves behind
-  resumes into the same bytes.
-* **Fault isolation is unchanged.**  A :class:`~repro.errors.ReproError`
-  inside a worker cell comes back as a structured
-  :class:`~repro.core.campaign.CellFailure` record; only a worker
-  *process* dying (segfault, OOM kill) raises, as a typed
-  :class:`~repro.errors.WorkerCrashError`, with the last checkpoint
-  still valid on disk.
-* **Hooks fire at dispatch.**  ``before_cell`` runs in the submitting
-  process, at dispatch time, in canonical cell order — the pinned
-  contract that keeps stateful hooks (the chaos injector's cell killer)
-  making identical decisions at every worker count.
+  reconstructs the engine/attack itself in its initializer
+  (:func:`_init_worker` / :func:`_build_state`).  Live engines are never
+  pickled across the process boundary.
+* **Fault isolation matches the serial loop.**  A
+  :class:`~repro.errors.ReproError` inside a worker cell comes back from
+  :func:`_worker_cell` as a structured
+  :class:`~repro.core.campaign.CellFailure` record.
 
-The differential tests in ``tests/core/test_parallel_parity.py`` enforce
-the headline guarantee: ``workers ∈ {1, 2, 4}`` produce byte-identical
-final campaign JSON, including interrupted-and-resumed runs and runs
-under a chaos preset.
-
-:func:`run_parallel` is the *raw, fail-fast* path — one dead worker
-aborts the run.  By default ``run_campaign`` routes ``workers>1``
-through :mod:`repro.core.supervisor`, which reuses this module's worker
-entry points (``_init_worker`` / ``_worker_cell`` / ``_build_state``)
-and adds leases, bounded retries, quarantine, and graceful degradation
-on top; ``SupervisorConfig(enabled=False)`` restores this path.
+The supervisor looks ``ProcessPoolExecutor`` and ``_atomic_write_text``
+up through this module at call time (the broker does the same for its
+checkpoints), so a test can patch the pool construction or the
+checkpoint writer of the whole parallel layer in one place.  The
+differential tests in ``tests/core/test_parallel_parity.py`` enforce
+the headline guarantee: ``workers ∈ {1, 2, 4}`` produce
+byte-identical final campaign JSON, including interrupted-and-resumed
+runs and runs under a chaos preset.
 """
 
 from __future__ import annotations
@@ -49,28 +34,22 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401 (patch point)
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..config import SimulationConfig, default_config
-from ..errors import ReproError, WorkerCrashError
+from ..errors import ReproError
 from .attack import DEFAULT_ATTACK_CELLS, DeepStrike
-from .campaign import (
-    CampaignResult,
-    CampaignSpec,
+from .campaign import (  # noqa: F401 (_atomic_write_text is a patch point)
     CellFailure,
-    _assemble,
     _atomic_write_text,
     _execute_cell,
-    _to_json,
 )
-from .evaluation import AttackOutcome
 
-__all__ = ["DefenseGridSpec", "WorkerRecipe", "run_parallel"]
+__all__ = ["DefenseGridSpec", "WorkerRecipe"]
 
 
 @dataclass(frozen=True)
@@ -226,77 +205,3 @@ def _resolve_start_method(name: str) -> str:
     if name != "auto":
         return name
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-def run_parallel(recipe: WorkerRecipe, images: np.ndarray,
-                 labels: np.ndarray, spec: CampaignSpec, clean: float,
-                 outcomes: Dict[Tuple[str, int], AttackOutcome],
-                 failures: Dict[Tuple[str, int], CellFailure],
-                 *,
-                 workers: int,
-                 checkpoint_path=None,
-                 before_cell: Optional[Callable[[str, int], None]] = None,
-                 ) -> CampaignResult:
-    """Shard the pending cells of ``spec`` across a process pool.
-
-    Called by :func:`~repro.core.campaign.run_campaign` after the shared
-    prelude (resume loading, spec resolution, clean-accuracy
-    measurement); ``outcomes``/``failures`` arrive pre-populated from
-    the checkpoint on a resumed run and are mutated in place.
-    """
-    pending = [cell for cell in spec.cells() if cell not in outcomes]
-
-    def checkpoint() -> None:
-        if checkpoint_path is not None:
-            result = _assemble(spec, clean, outcomes, failures)
-            _atomic_write_text(checkpoint_path,
-                               _to_json(result, complete=False))
-
-    if not pending:
-        return _assemble(spec, clean, outcomes, failures)
-
-    n_workers = max(1, min(workers, len(pending),
-                           recipe.config.executor.worker_cap))
-    ctx = mp.get_context(
-        _resolve_start_method(recipe.config.executor.mp_start_method)
-    )
-    pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx,
-                               initializer=_init_worker,
-                               initargs=(recipe, images, labels, clean))
-    try:
-        futures: Dict[object, Tuple[str, int]] = {}
-        for target, count in pending:
-            if before_cell is not None:
-                try:
-                    before_cell(target, count)
-                except ReproError as exc:
-                    failures[(target, count)] = CellFailure(
-                        target_layer=target, n_strikes=count,
-                        error_type=type(exc).__name__, message=str(exc),
-                    )
-                    checkpoint()
-                    continue
-            future = pool.submit(_worker_cell, target, count, spec.seed)
-            futures[future] = (target, count)
-        for future in as_completed(futures):
-            target, count = futures[future]
-            try:
-                kind, payload = future.result()
-            except BrokenProcessPool as exc:
-                raise WorkerCrashError(
-                    f"campaign worker died executing cell "
-                    f"({target!r}, {count}); the last checkpoint is still "
-                    f"valid — resume from it",
-                    target_layer=target, n_strikes=count,
-                ) from exc
-            if kind == "outcome":
-                outcomes[(target, count)] = payload
-            else:
-                failures[(target, count)] = payload
-            checkpoint()
-    finally:
-        # On KeyboardInterrupt (or any error) drop the queued cells and
-        # let running ones finish, so the last checkpoint on disk is
-        # always a complete, valid snapshot.
-        pool.shutdown(wait=True, cancel_futures=True)
-    return _assemble(spec, clean, outcomes, failures)

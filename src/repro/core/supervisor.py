@@ -1,12 +1,11 @@
 """Self-healing campaign supervision: leases, retries, quarantine.
 
-The raw parallel executor (:mod:`repro.core.executor`) is fail-fast: a
-single worker-process death aborts the whole run with
-``WorkerCrashError`` and waits for a human ``--resume``.  That is the
-wrong posture for DeepStrike's threat model — campaigns are long fleets
+Every ``workers>1`` campaign runs here.  A fail-fast pool — one dead
+worker aborts the run and waits for a human ``--resume`` — is the
+wrong posture for DeepStrike's threat model: campaigns are long fleets
 of independent cells running in an environment the attack itself
-destabilizes — so this module layers a supervisor over the same worker
-infrastructure that keeps the campaign alive on its own:
+destabilizes.  So the pool is supervised, over the worker entry points
+of :mod:`repro.core.executor`, and keeps the campaign alive on its own:
 
 * **Lease-based dispatch.**  Every in-flight cell carries a lease
   (``SupervisorConfig.cell_timeout_s``).  Cells are dispatched
@@ -421,11 +420,14 @@ def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
                    ) -> CampaignResult:
     """Run the pending cells of ``spec`` under self-healing supervision.
 
-    Drop-in replacement for :func:`repro.core.executor.run_parallel`
-    (same merge-in-place contract); ``before_cell`` keeps its pinned
-    semantics — fired once per cell, in the submitting process, in
-    canonical order, *before* any dispatch — so stateful chaos hooks
-    make identical decisions at every worker count, retries included.
+    Called by :func:`~repro.core.campaign.run_campaign` after the shared
+    prelude (resume loading, spec resolution, clean-accuracy
+    measurement); ``outcomes``/``failures`` arrive pre-populated from
+    the checkpoint on a resumed run and are mutated in place.
+    ``before_cell`` keeps its pinned semantics — fired once per cell,
+    in the submitting process, in canonical order, *before* any
+    dispatch — so stateful chaos hooks make identical decisions at
+    every worker count, retries included.
     """
     cfg = config if config is not None else recipe.config.supervisor
     cfg.validate()

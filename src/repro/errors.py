@@ -104,12 +104,10 @@ class WorkerCrashError(ReproError):
     An in-cell :class:`ReproError` is recorded as a ``CellFailure`` and
     the campaign survives it; a crashed worker (segfault, OOM kill,
     ``os._exit``) means results were lost in flight and the pool is
-    broken.  Under the raw executor (supervision disabled) the campaign
-    stops with this error; under the self-healing supervisor
-    (:mod:`repro.core.supervisor`) the pool is rebuilt and only the lost
-    cells are re-dispatched, so this error surfaces only when retry and
-    degradation budgets are exhausted.  The last atomically written
-    checkpoint is still valid on disk and ``--resume`` picks up from it.
+    broken.  The self-healing supervisor (:mod:`repro.core.supervisor`)
+    and the campaign broker rebuild or re-lease and re-dispatch only the
+    lost cells; a cell blamed for repeated worker deaths is recorded as
+    a ``CellFailure`` with this error type and ``kind="quarantined"``.
     """
 
     def __init__(self, message: str, target_layer: str = "",

@@ -2,7 +2,7 @@
 determinism, clock, durability, exception, wire-protocol, and
 backend-purity contracts.
 
-The dynamic parity suites (byte-identical parallel/stacked/served
+The dynamic parity suites (byte-identical parallel/served/cached
 campaigns, byte-identical resume, exactly-once merge) prove the
 contracts hold *today*; this package makes violating them fail in
 seconds at lint time instead of hours into a distributed run.  See

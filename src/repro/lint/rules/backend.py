@@ -1,14 +1,14 @@
 """Backend-purity rule.
 
 The pluggable array path (``repro/accel/xp.py``) is the *only* place
-optional accelerator packages may be imported: backends resolve
-lazily through :func:`repro.accel.xp.get_backend`, so an uninstalled
-CuPy/JAX costs nothing and an installed one is reached the same way on
-every path (engine matmuls, batched PDN pricing, stacked sweeps).  A
-bare ``import cupy`` anywhere else breaks both halves of that
-contract — it makes the module unimportable without the optional
-package, and it sidesteps the entry-point registry that lets
-third-party backends plug in.
+optional accelerator packages may be reached: backends resolve lazily
+through :func:`repro.accel.xp.get_backend` and its entry points, so an
+uninstalled CuPy/JAX costs nothing and an installed one is reached the
+same way on every path (engine matmuls, PDN pricing).  A bare
+``import cupy`` anywhere else breaks both halves of that contract — it
+makes the module unimportable without the optional package, and it
+sidesteps the entry-point registry that lets third-party backends plug
+in.
 
 ``REPRO-XP001`` flags any import of an optional accelerator package
 outside the shim.  Plain ``numpy`` imports stay legal everywhere:

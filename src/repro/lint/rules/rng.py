@@ -107,7 +107,6 @@ class HotLoopRngRule(Rule):
     #: order is a documented public contract.
     scopes = (
         "repro/accel/engine.py",
-        "repro/core/stacked.py",
         "repro/fpga/pdn.py",
         "repro/dsp/*",
     )

@@ -179,6 +179,62 @@ class TestInjection:
         assert len({tuple(np.round(row, 6)) for row in out}) > 1
 
 
+class TestChangedRowForwarding:
+    """With clean stage codes, a one-stage strike sends only the image
+    rows it changed through the later stages.  Under fxp the logits must
+    equal the full forward pass bit for bit from the same engine seed."""
+
+    N_IMAGES = 32
+    SEED = 11
+
+    @pytest.fixture(scope="class")
+    def setup(self, victim, config):
+        from repro.core import DeepStrike
+
+        engine = AcceleratorEngine(victim.quantized, config=config,
+                                   rng=np.random.default_rng(5))
+        attack = DeepStrike(engine, rng=np.random.default_rng(6))
+        images = victim.dataset.test_images[:self.N_IMAGES]
+        return engine, attack, images, engine.clean_stage_codes(images)
+
+    def _reseed(self, engine):
+        engine.rng.bit_generator.state = \
+            np.random.default_rng(self.SEED).bit_generator.state
+
+    @pytest.mark.parametrize("layer, count, forwarded", [
+        ("pool1", 140, "none"),   # the LUT pooling path barely faults
+        ("fc1", 30, "some"),
+        ("conv2", 1500, "all"),
+    ])
+    def test_matches_full_forward_bit_for_bit(self, setup, monkeypatch,
+                                              layer, count, forwarded):
+        engine, attack, images, codes = setup
+        struck = attack.plan_for_layer(layer, count).struck
+        rows = []
+        forward = engine._forward_stage
+
+        def counting_forward(stage, x):
+            rows.append(x.shape[0])
+            return forward(stage, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_forward_stage", counting_forward)
+            self._reseed(engine)
+            fast = engine.infer_under_attack(images, struck,
+                                             stage_codes=codes)
+        self._reseed(engine)
+        full = engine.infer_under_attack(images, struck)
+        np.testing.assert_array_equal(fast, full)
+
+        n_forwarded = rows[0] if rows else 0
+        if forwarded == "none":
+            assert n_forwarded == 0
+        elif forwarded == "some":
+            assert 0 < n_forwarded < self.N_IMAGES
+        else:
+            assert n_forwarded == self.N_IMAGES
+
+
 class TestExposedOps:
     """Unit contract of the vectorized exposure enumeration."""
 

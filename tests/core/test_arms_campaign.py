@@ -3,10 +3,10 @@
 The tentpole contract of the defended-sweep orchestration layer: an
 ``arms:<layer>:<defense>@<bank>`` campaign cell executed by
 ``run_campaign`` — serially, under a process pool, from a warm cell
-cache, after a kill-and-resume, or through the stacked executor — is
-*the same bytes* as the cell a direct :meth:`ArmsRaceStudy.sweep`
-computes.  Cells are seed-isolated (the study's own blake2s scheme), so
-every execution strategy is interchangeable.
+cache, or after a kill-and-resume — is *the same bytes* as the cell a
+direct :meth:`ArmsRaceStudy.sweep` computes.  Cells are seed-isolated
+(the study's own blake2s scheme), so every execution strategy is
+interchangeable.
 """
 
 import dataclasses
@@ -83,11 +83,6 @@ class TestSerialParity:
         for cell in cells:
             ref = direct[(cell.bank_cells, cell.defense)]
             assert dataclasses.asdict(cell) == dataclasses.asdict(ref)
-
-    def test_stacked_routes_arms_cells_serially(self, victim, eval_slice,
-                                                spec, serial_json):
-        stacked = run(victim, eval_slice, spec, stacked=True)
-        assert _to_json(stacked, complete=True) == serial_json
 
 
 class TestParallelParity:

@@ -8,7 +8,6 @@ of ``workers=1`` against ``workers ∈ {2, 4}`` runs, plus the fault
 isolation and hook-ordering contracts the parallel path must preserve.
 """
 
-import multiprocessing as mp
 import os
 
 import numpy as np
@@ -19,7 +18,7 @@ from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core import executor as executor_mod
 from repro.core.campaign import _to_json
 from repro.core.executor import WorkerRecipe
-from repro.errors import ConfigError, ProfilingError, WorkerCrashError
+from repro.errors import ConfigError, ProfilingError
 
 WORKER_COUNTS = [2, 4]
 
@@ -200,36 +199,13 @@ class TestDispatchSemantics:
     def test_before_cell_fires_in_submitting_process_in_order(
             self, victim, small_spec):
         """The pinned contract: the hook runs in the parent, at dispatch
-        time, in canonical CampaignSpec.cells() order."""
-        seen = []
+        time, in canonical CampaignSpec.cells() order — serially too."""
+        for workers in (1, 2):
+            seen = []
 
-        def hook(target, count):
-            seen.append((os.getpid(), target, count))
+            def hook(target, count):
+                seen.append((os.getpid(), target, count))
 
-        run(victim, small_spec, workers=2, before_cell=hook)
-        assert [(t, c) for _, t, c in seen] == small_spec.cells()
-        assert {pid for pid, _, _ in seen} == {os.getpid()}
-
-
-@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
-                    reason="needs fork to propagate the crash stub")
-class TestWorkerCrash:
-    def test_dead_worker_raises_typed_error_and_keeps_checkpoint(
-            self, victim, small_spec, tmp_path, monkeypatch):
-        """With supervision off, a worker *process* dying is not a cell
-        failure: the campaign stops with WorkerCrashError, the
-        checkpoint stays valid.  (Supervised crash recovery is covered
-        by tests/core/test_supervisor.py.)"""
-        from repro.config import SupervisorConfig
-
-        monkeypatch.setattr(executor_mod, "_worker_cell", _crash_cell)
-        ckpt = tmp_path / "ckpt.json"
-        with pytest.raises(WorkerCrashError) as excinfo:
-            run(victim, small_spec, workers=2, checkpoint_path=ckpt,
-                supervisor=SupervisorConfig(enabled=False))
-        assert excinfo.value.target_layer in {"pool1", "blind"}
-
-
-def _crash_cell(target, count, base_seed, fault=None):
-    # pragma: no cover - dies
-    os._exit(13)
+            run(victim, small_spec, workers=workers, before_cell=hook)
+            assert [(t, c) for _, t, c in seen] == small_spec.cells()
+            assert {pid for pid, _, _ in seen} == {os.getpid()}

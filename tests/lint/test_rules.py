@@ -89,7 +89,7 @@ class TestHotLoopRng:
         assert len(ids(run_lint(root), "REPRO-RNG003")) == 1
 
     def test_cell_seed_derivation_is_sanctioned(self, make_tree, run_lint):
-        root = make_tree({"repro/core/stacked.py": (
+        root = make_tree({"repro/accel/engine.py": (
             "import numpy as np\n"
             "def _cell_seed(s, t, c):\n"
             "    return s + c\n"
@@ -415,7 +415,7 @@ class TestBackendPurity:
         assert ids(run_lint(root), "REPRO-XP001") == []
 
     def test_numpy_stays_legal(self, make_tree, run_lint):
-        root = make_tree({"repro/core/stacked.py": (
+        root = make_tree({"repro/accel/engine.py": (
             "import numpy as np\n"
             "from numpy import random\n"
         )})

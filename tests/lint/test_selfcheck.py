@@ -83,11 +83,12 @@ class TestMutations:
         assert main(["lint", str(package_copy), "--strict"]) == 1
         assert "REPRO-DUR001" in capsys.readouterr().out
 
-    def test_global_rng_call_fails_lint(self, package_copy):
-        stacked = package_copy / "core" / "stacked.py"
-        stacked.write_text(
-            stacked.read_text() +
+    def test_global_rng_call_fails_lint(self, package_copy, capsys):
+        engine = package_copy / "accel" / "engine.py"
+        engine.write_text(
+            engine.read_text() +
             "\n\ndef _jitter():\n"
             "    import numpy as np\n"
             "    return np.random.rand()\n")
         assert main(["lint", str(package_copy), "--strict"]) == 1
+        assert "REPRO-RNG001" in capsys.readouterr().out
