@@ -108,14 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
                                "tolerance-pinned fast path")
     campaign.add_argument("--max-retries", type=int, default=None,
                           metavar="N",
-                          help="supervisor: re-dispatches allowed per cell "
-                               "after a worker crash or lease expiry "
-                               "(default from SupervisorConfig)")
+                          help="re-dispatches allowed per cell after a "
+                               "worker crash or lease expiry (pool and "
+                               "broker; default from SupervisorConfig)")
     campaign.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="supervisor: per-cell lease deadline; a cell "
-                               "still running when it lapses is cancelled "
-                               "and retried (default: no lease)")
+                          help="per-cell lease deadline (pool and broker); "
+                               "a cell still running when it lapses is "
+                               "cancelled and retried (default from "
+                               "SupervisorConfig)")
     campaign.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="content-addressed cell-result cache: cells "
                                "already computed for this exact recipe are "
@@ -518,14 +519,9 @@ def _cmd_campaign(args) -> int:
                     ("max_retries", args.max_retries),
                     ("cell_timeout_s", args.cell_timeout),
                 ) if v is not None})
-        if service is not None:
-            from .core.service import ServiceStats
+        from .core.supervisor import SupervisorStats
 
-            stats = ServiceStats()
-        else:
-            from .core.supervisor import SupervisorStats
-
-            stats = SupervisorStats()
+        stats = SupervisorStats()
         result = run_campaign(attack, victim.dataset.test_images,
                               victim.dataset.test_labels, spec,
                               checkpoint_path=args.checkpoint or args.resume,

@@ -420,42 +420,46 @@ class ExecutorConfig:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Self-healing campaign supervision (docs/reliability.md §3c).
+    """The lease policy of both campaign transports (docs/reliability.md
+    §3c).
 
-    Every ``workers>1`` campaign runs under the supervisor: lease-based
-    dispatch, bounded retries with jittered exponential backoff, poison
-    quarantine, and a degradation ladder — so a campaign survives worker
-    crashes, hung cells, and repeat offenders without a manual resume.
+    ``workers>1`` campaigns run on supervised process pools and
+    ``service=`` campaigns through the socket broker; both report to one
+    lease book, which retries lost cells after a jittered exponential
+    hold, cancels cells at their lease deadline and quarantines poison
+    cells — so a campaign survives crashes, hangs and repeat offenders
+    without a manual resume.  Deadlines are monotonic-clock seconds.
     """
 
-    #: Lease deadline per dispatched cell, wall-clock seconds.  A cell
-    #: still running at its deadline is presumed hung: its pool is torn
-    #: down and the cell is retried.  ``None`` disables leases.
-    cell_timeout_s: Optional[float] = None
-    #: Re-dispatches allowed per cell after lease/crash incidents; a
-    #: cell that is still failing afterwards becomes a ``CellFailure``
-    #: instead of aborting the run.
+    #: Lease deadline per granted cell.  A cell still running at its
+    #: deadline is presumed hung and reclaimed: the pool is torn down,
+    #: the broker re-queues it.  It is also how the broker recovers a
+    #: result lost in delivery.  ``None`` disables leases.
+    cell_timeout_s: Optional[float] = 120.0
+    #: Worker-fatal losses plus lease expiries allowed per cell; one more
+    #: and the cell fails with kind="timeout"/"quarantined" instead of
+    #: aborting the run.
     max_retries: int = 3
-    #: Worker-fatal incidents attributed to one cell before it is
-    #: quarantined as ``CellFailure(kind="quarantined")``.
+    #: Worker-fatal losses (pool deaths, heartbeat evictions) blamed on
+    #: one cell before it is quarantined as kind="quarantined".
     quarantine_after: int = 2
-    #: First backoff wait after an incident, wall-clock seconds.
+    #: Hold before a reclaimed cell re-dispatches after the first
+    #: incident, seconds.
     backoff_base_s: float = 0.05
-    #: Multiplier applied to the wait after every further incident.
+    #: Multiplier applied to the hold after every further incident.
     backoff_factor: float = 2.0
-    #: Ceiling on a single backoff wait, seconds.
+    #: Ceiling on a single hold, seconds.
     backoff_max_s: float = 2.0
-    #: Fractional random jitter on every backoff wait (± this fraction).
+    #: Fractional seeded jitter on every hold (± this fraction), so
+    #: reclaimed cells do not re-dispatch in lockstep.
     backoff_jitter: float = 0.25
-    #: Pool deaths at a given worker count before the supervisor halves
-    #: it (the degradation ladder's first rungs).
+    #: Pool deaths at a given worker count before the pool halves it
+    #: (the degradation ladder's first rungs).
     degrade_after: int = 2
-    #: Total pool deaths before the supervisor abandons process pools
-    #: entirely and finishes the campaign with in-process serial
-    #: execution (the ladder's last rung — degraded, never dead).
+    #: Total pool deaths before the pool transport gives up on process
+    #: pools and finishes the campaign in-process (the ladder's last
+    #: rung — degraded, never dead).
     serial_fallback_after: int = 6
-    #: Lease poll interval, seconds (granularity of deadline checks).
-    poll_interval_s: float = 0.05
 
     def validate(self) -> None:
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
@@ -474,22 +478,16 @@ class SupervisorConfig:
             raise ConfigError("degrade_after must be >= 1")
         if self.serial_fallback_after < 1:
             raise ConfigError("serial_fallback_after must be >= 1")
-        if self.poll_interval_s <= 0:
-            raise ConfigError("poll_interval_s must be positive")
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Campaign-as-a-service broker/worker mechanics (docs/reliability.md
-    §3d).
+    """The broker's socket side (docs/reliability.md §3c).
 
-    The service layer (:mod:`repro.core.service`) promotes the
-    supervisor's lease state machine from process pools to remote
-    workers: a socket broker leases cells to worker daemons that
-    register, heartbeat, and steal stale leases; at-least-once result
-    delivery is deduplicated by cell so the merge into v2 checkpoints is
-    exactly-once.  All deadlines here are *monotonic*-clock seconds —
-    wall-clock jumps never expire a lease or evict a worker.
+    The lease policy lives in :class:`SupervisorConfig`; this section
+    only says where the broker listens, how workers prove liveness, when
+    an idle worker may steal a lease, and when the broker gives up on
+    workers altogether.  Durations are monotonic-clock seconds.
     """
 
     #: Interface the broker binds (workers connect here).
@@ -502,31 +500,15 @@ class ServiceConfig:
     #: How often a worker daemon heartbeats the broker, seconds.
     heartbeat_interval_s: float = 0.25
     #: Silence after which the broker declares a worker dead/partitioned
-    #: and reclaims its leases (missed-heartbeat eviction).
+    #: and reclaims its leases with blame (missed-heartbeat eviction).
     heartbeat_timeout_s: float = 2.0
-    #: Lease deadline per dispatched cell, monotonic seconds.  A cell
-    #: whose every lease is past deadline is reclaimed and re-queued.
-    lease_timeout_s: float = 120.0
     #: Lease age after which an idle worker may *steal* the cell — a
-    #: second lease on the same cell; exactly-once dedup keeps whichever
-    #: result lands first.
+    #: second lease on the same cell; the exactly-once gate keeps
+    #: whichever result lands first.
     steal_after_s: float = 30.0
-    #: Upper bound on the seeded random delay before a reclaimed cell is
-    #: re-dispatched (decorrelates thundering-herd re-leases).
-    redispatch_jitter_s: float = 0.1
-    #: Re-dispatches allowed per cell after eviction/expiry incidents
-    #: before the cell fails with kind="timeout"/"quarantined".
-    max_retries: int = 3
-    #: Worker-fatal incidents (evictions while holding the cell) blamed
-    #: on one cell before it is quarantined.
-    quarantine_after: int = 2
     #: With work outstanding and *no* live worker for this long, the
-    #: broker stops serving and finishes the campaign with in-process
-    #: serial execution (the supervisor ladder's last rung).
+    #: broker stops serving and finishes the campaign in-process.
     no_worker_grace_s: float = 30.0
-    #: Broker control-loop poll interval, seconds (granularity of
-    #: eviction/expiry sweeps).
-    poll_interval_s: float = 0.05
     #: Delay an idle worker is told to wait before asking again.
     idle_wait_s: float = 0.1
 
@@ -538,21 +520,14 @@ class ServiceConfig:
         if self.local_workers < 0:
             raise ConfigError("local_workers must be >= 0")
         for name in ("heartbeat_interval_s", "heartbeat_timeout_s",
-                     "lease_timeout_s", "steal_after_s",
-                     "no_worker_grace_s", "poll_interval_s", "idle_wait_s"):
+                     "steal_after_s", "no_worker_grace_s", "idle_wait_s"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.redispatch_jitter_s < 0:
-            raise ConfigError("redispatch_jitter_s must be >= 0")
         if self.heartbeat_interval_s >= self.heartbeat_timeout_s:
             raise ConfigError(
                 "heartbeat_interval_s must be shorter than "
                 "heartbeat_timeout_s (or every worker gets evicted)"
             )
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        if self.quarantine_after < 1:
-            raise ConfigError("quarantine_after must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -115,9 +115,9 @@ class CellFailure:
     """One isolated per-cell failure (the campaign kept going).
 
     ``kind`` classifies how the cell died: ``"error"`` (an in-cell
-    :class:`~repro.errors.ReproError`, the classic case), or — under the
-    self-healing supervisor — ``"quarantined"`` (the cell killed its
-    worker process ``quarantine_after`` times and was isolated) or
+    :class:`~repro.errors.ReproError`, the classic case), or — a verdict
+    of the lease book behind the pool and the broker — ``"quarantined"``
+    (the cell lost its worker ``quarantine_after`` times) or
     ``"timeout"`` (the cell kept overrunning its lease until its retry
     budget ran out).  Pre-supervisor v2 checkpoints have no ``kind``
     field and load as ``"error"``.
@@ -220,6 +220,12 @@ def _execute_cell(attack: DeepStrike, blind_box: Dict[str, BlindAttack],
     return attack.execute(images, labels, plan, clean_accuracy=clean)
 
 
+def _failure_from(target: str, count: int, exc: ReproError) -> CellFailure:
+    """The record of a cell that raised ``exc`` (its hook or its body)."""
+    return CellFailure(target_layer=target, n_strikes=count,
+                       error_type=type(exc).__name__, message=str(exc))
+
+
 def _assemble(spec: CampaignSpec, clean: float,
               outcomes: Dict[Tuple[str, int], AttackOutcome],
               failures: Dict[Tuple[str, int], CellFailure]
@@ -274,11 +280,12 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         Called with ``(target, count)`` in the *submitting* process at
         *dispatch time*, in canonical :meth:`CampaignSpec.cells` order —
         under ``workers=1`` that is immediately before the cell
-        executes; under ``workers>1`` the whole pending set is
-        dispatched up front, so the hook must not depend on earlier
-        cells' results.  A :class:`~repro.errors.ReproError` raised here
-        (or inside the cell) is recorded as a :class:`CellFailure` and
-        the cell is never executed; anything else — notably
+        executes; under ``workers>1`` or ``service`` it fires for the
+        whole pending set before any dispatch, so the hook must not
+        depend on earlier cells' results.  A
+        :class:`~repro.errors.ReproError` raised here (or inside the
+        cell) is recorded as a :class:`CellFailure` and the cell is
+        never executed; anything else — notably
         ``KeyboardInterrupt`` — propagates, leaving the last checkpoint
         valid on disk.  Because the hook always runs in the submitting
         process in canonical order, a stateful hook (e.g. the chaos
@@ -305,22 +312,21 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         serial run.
     supervisor:
         A :class:`~repro.config.SupervisorConfig` overriding the
-        recipe config's ``supervisor`` section.  ``workers>1``
-        campaigns run under the self-healing supervisor
-        (:mod:`repro.core.supervisor`): worker crashes are retried with
-        backoff, hung cells are cancelled at their lease deadline,
-        poison cells are quarantined, and repeated pool deaths degrade
-        the worker count rather than aborting.
+        recipe config's ``supervisor`` section: the lease policy of
+        both transports (:mod:`repro.core.supervisor`).  Lost workers'
+        cells are retried after a backoff, cells are cancelled at their
+        lease deadline, poison cells are quarantined, and repeated pool
+        deaths degrade the worker count rather than aborting.
     service:
         A :class:`~repro.config.ServiceConfig`: run the campaign as a
         socket-served broker (:mod:`repro.core.service`) instead of a
         local pool.  This process binds ``host:port``, spawns
         ``service.local_workers`` worker daemons, and leases pending
         cells to whoever registers (``repro work --broker`` attaches
-        more workers from anywhere).  Lease expiry, missed-heartbeat
-        eviction, work stealing, and exactly-once result dedup keep the
-        merged checkpoint byte-identical to a serial run; if no worker
-        stays alive for ``no_worker_grace_s`` the broker finishes the
+        more workers from anywhere).  The shared lease book, plus
+        missed-heartbeat eviction and work stealing, keeps the merged
+        checkpoint byte-identical to a serial run; if no worker stays
+        alive for ``no_worker_grace_s`` the broker finishes the
         remaining cells in-process.  Mutually exclusive with
         ``workers > 1``.
     fault_hook:
@@ -407,12 +413,26 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
                 )
 
     try:
+        if service is None and workers == 1:
+            # The serial path is the lease book's in-process cell loop.
+            from .supervisor import _Driver
+
+            driver = _Driver(plan_spec, images, labels, clean, outcomes,
+                             failures, policy=attack.config.supervisor,
+                             checkpoint_path=checkpoint_path, stats=stats)
+            driver.run_in_process(attack, {}, before_cell)
+            return driver.result()
+        from .executor import WorkerRecipe
+
+        active_recipe = recipe if recipe is not None \
+            else WorkerRecipe.from_attack(attack)
+        if supervisor is not None:
+            # Both transports read their lease policy from the recipe.
+            active_recipe = replace(active_recipe, config=replace(
+                active_recipe.config, supervisor=supervisor))
         if service is not None:
-            from .executor import WorkerRecipe
             from .service import run_service
 
-            active_recipe = recipe if recipe is not None \
-                else WorkerRecipe.from_attack(attack)
             return run_service(
                 active_recipe, images, labels, plan_spec, clean,
                 outcomes, failures, config=service,
@@ -420,47 +440,13 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
                 fault_hook=fault_hook, shard_hook=shard_hook, stats=stats,
                 cache=cache_obj, digest=digest, on_bound=on_bound)
 
-        if workers > 1:
-            from .executor import WorkerRecipe
-            from .supervisor import run_supervised
+        from .supervisor import run_supervised
 
-            active_recipe = recipe if recipe is not None \
-                else WorkerRecipe.from_attack(attack)
-            return run_supervised(
-                active_recipe, images, labels, plan_spec, clean,
-                outcomes, failures, workers=workers, config=supervisor,
-                checkpoint_path=checkpoint_path,
-                before_cell=before_cell, fault_hook=fault_hook,
-                stats=stats)
-
-        blind_box: Dict[str, BlindAttack] = {}
-        for target, count in plan_spec.cells():
-            if (target, count) in outcomes:
-                continue
-            try:
-                if before_cell is not None:
-                    before_cell(target, count)
-                if stats is not None:
-                    stats.dispatched += 1
-                outcomes[(target, count)] = _execute_cell(
-                    attack, blind_box, images, labels, plan_spec.seed,
-                    target, count, clean=clean,
-                )
-                if stats is not None:
-                    stats.completed += 1
-            except ReproError as exc:
-                failures[(target, count)] = CellFailure(
-                    target_layer=target, n_strikes=count,
-                    error_type=type(exc).__name__, message=str(exc),
-                )
-            finally:
-                if checkpoint_path is not None:
-                    result = _assemble(plan_spec, clean, outcomes, failures)
-                    _atomic_write_text(
-                        checkpoint_path,
-                        _to_json(result, complete=False),
-                    )
-        return _assemble(plan_spec, clean, outcomes, failures)
+        return run_supervised(
+            active_recipe, images, labels, plan_spec, clean,
+            outcomes, failures, workers=workers,
+            checkpoint_path=checkpoint_path,
+            before_cell=before_cell, fault_hook=fault_hook, stats=stats)
     finally:
         if cache_obj is not None:
             # Store whatever completed — interrupted runs still bank

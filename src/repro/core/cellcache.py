@@ -62,16 +62,25 @@ def _hash_update_array(h, name: str, array: np.ndarray) -> None:
     h.update(arr.tobytes())
 
 
+#: ``SimulationConfig`` sections that cannot change a cell's outcome.
+_SCHEDULING = frozenset({"executor", "supervisor", "service"})
+
+
 def campaign_digest(config: SimulationConfig, bank_cells: int,
                     model, images: np.ndarray, labels: np.ndarray) -> str:
     """Digest everything (besides the cell itself) an outcome depends on.
 
     ``model`` is a :class:`~repro.nn.quantize.QuantizedModel`; its stage
     dataclasses are walked generically so new stage kinds (new victims)
-    are covered without touching this function.
+    are covered without touching this function.  The scheduling
+    sections (:data:`_SCHEDULING`) are left out: they decide where and
+    when a cell runs, never its outcome — the byte-parity suites prove
+    it — so tuning them keeps every address.
     """
     h = hashlib.blake2s()
-    h.update(json.dumps(asdict(config), sort_keys=True).encode())
+    sections = {name: value for name, value in asdict(config).items()
+                if name not in _SCHEDULING}
+    h.update(json.dumps(sections, sort_keys=True).encode())
     # The array backend and dtype policy are config fields, so the JSON
     # above already covers them — but they change *numerics*, not just
     # tuning, so fold them in explicitly too: fp32/alternate-backend

@@ -19,14 +19,12 @@ which builds its pools and workers from the entry points here:
   :func:`_worker_cell` as a structured
   :class:`~repro.core.campaign.CellFailure` record.
 
-The supervisor looks ``ProcessPoolExecutor`` and ``_atomic_write_text``
-up through this module at call time (the broker does the same for its
-checkpoints), so a test can patch the pool construction or the
-checkpoint writer of the whole parallel layer in one place.  The
-differential tests in ``tests/core/test_parallel_parity.py`` enforce
-the headline guarantee: ``workers ∈ {1, 2, 4}`` produce
-byte-identical final campaign JSON, including interrupted-and-resumed
-runs and runs under a chaos preset.
+The supervisor looks ``ProcessPoolExecutor`` up through this module at
+call time, so a test can patch the pool construction of the whole
+parallel layer in one place.  The differential tests in
+``tests/core/test_parallel_parity.py`` enforce the headline guarantee:
+``workers ∈ {1, 2, 4}`` produce byte-identical final campaign JSON,
+including interrupted-and-resumed runs and runs under a chaos preset.
 """
 
 from __future__ import annotations
@@ -43,11 +41,7 @@ import numpy as np
 from ..config import SimulationConfig, default_config
 from ..errors import ReproError
 from .attack import DEFAULT_ATTACK_CELLS, DeepStrike
-from .campaign import (  # noqa: F401 (_atomic_write_text is a patch point)
-    CellFailure,
-    _atomic_write_text,
-    _execute_cell,
-)
+from .campaign import _execute_cell, _failure_from
 
 __all__ = ["DefenseGridSpec", "WorkerRecipe"]
 
@@ -127,9 +121,9 @@ def _build_state(recipe: WorkerRecipe, images: np.ndarray,
                  labels: np.ndarray,
                  clean: Optional[float] = None) -> _WorkerState:
     """Rebuild the attack stack from a recipe (shared by the pool
-    initializer and the supervisor's in-process serial fallback).  The
-    RNG seeds here are irrelevant: every cell reseeds the engine stream
-    from its blake2s-derived cell seed before executing."""
+    initializer, the worker daemon and the in-process fallback rung).
+    The RNG seeds here are irrelevant: every cell reseeds the engine
+    stream from its blake2s-derived cell seed before executing."""
     from ..accel import AcceleratorEngine
     from ..zoo import load_quantized
 
@@ -189,10 +183,7 @@ def _worker_cell(target: str, count: int, base_seed: int, fault=None):
                                 clean=state.clean)
         return "outcome", outcome
     except ReproError as exc:
-        return "failure", CellFailure(
-            target_layer=target, n_strikes=count,
-            error_type=type(exc).__name__, message=str(exc),
-        )
+        return "failure", _failure_from(target, count, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +191,10 @@ def _worker_cell(target: str, count: int, base_seed: int, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_start_method(name: str) -> str:
-    """Map the config's "auto" to the cheapest available start method."""
-    if name != "auto":
-        return name
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+def _mp_context(recipe: WorkerRecipe):
+    """The start method the recipe asks for ("auto" is the cheapest
+    available: fork where it exists, else spawn)."""
+    name = recipe.config.executor.mp_start_method
+    if name == "auto":
+        name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    return mp.get_context(name)

@@ -1,19 +1,18 @@
 """Campaign-as-a-service: broker, worker daemon, wire protocol.
 
-The single-host supervisor (:mod:`repro.core.supervisor`) keeps a
-campaign alive across process-pool deaths; this package promotes the
-same lease state machine to *remote* workers over a socket, the shape
-long fault-injection sweeps take on shared grids (DAVOS on SGE; the
-paper's own multi-tenant cloud-FPGA threat model):
+The lease book of :mod:`repro.core.supervisor` keeps a campaign alive
+across process-pool deaths; this package serves the same book to
+*remote* workers over a socket, the shape long fault-injection sweeps
+take on shared grids (DAVOS on SGE; the paper's own multi-tenant
+cloud-FPGA threat model):
 
 * :mod:`~repro.core.service.protocol` — length-prefixed JSON frames,
   ndarray/recipe codecs, address parsing;
-* :mod:`~repro.core.service.broker` — the campaign broker: registers
-  and heartbeats workers, leases cells with monotonic deadlines,
-  reclaims leases from dead/partitioned workers, lets idle workers
-  steal stale leases, deduplicates at-least-once result delivery so the
-  merge into v2 checkpoints is exactly-once, and falls back to
-  in-process serial execution when no worker stays alive;
+* :mod:`~repro.core.service.broker` — the socket transport: registers
+  and heartbeats workers, evicts silent ones, lets idle workers steal
+  stale leases, validates result frames before the book's exactly-once
+  gate, and falls back to in-process execution when no worker stays
+  alive;
 * :mod:`~repro.core.service.worker` — the worker daemon: registers,
   rebuilds the attack from the wire recipe, heartbeats from a side
   thread, consults the shared content-addressed cell cache before
@@ -24,13 +23,12 @@ Entry points: ``run_campaign(service=ServiceConfig(...))``, or the CLI's
 ``repro serve`` / ``repro work`` / ``repro campaign --broker``.
 """
 
-from .broker import CampaignBroker, ServiceStats, run_service
+from .broker import CampaignBroker, run_service
 from .protocol import parse_address
 from .worker import WorkerReport, run_worker
 
 __all__ = [
     "CampaignBroker",
-    "ServiceStats",
     "WorkerReport",
     "parse_address",
     "run_service",

@@ -1,41 +1,28 @@
-"""The campaign broker: work-stealing leases, exactly-once merge.
+"""The campaign broker: the lease book served over a socket.
 
-This is :mod:`repro.core.supervisor`'s lease state machine promoted
-from process pools to remote workers.  The broker binds a TCP socket,
-workers (:mod:`~repro.core.service.worker`) register and heartbeat, and
-cells are *leased* rather than assigned:
+The broker is the second transport of :mod:`repro.core.supervisor`'s
+lease book — the same grants, exactly-once settling, expiry, blame,
+holds and verdicts as the process pool, reported by remote workers
+instead of futures.  The process owning the campaign binds a TCP
+socket; workers (:mod:`~repro.core.service.worker`) register, heartbeat
+and lease cells.  What this module adds is only the socket side:
 
-* **Monotonic lease deadlines.**  Every grant carries a deadline on the
-  broker's monotonic clock (``ServiceConfig.lease_timeout_s``).  Wall
-  clock never enters the picture — a frozen or jumping wall clock
-  cannot expire a lease.
-* **Missed-heartbeat eviction.**  A worker silent for
-  ``heartbeat_timeout_s`` is declared dead or partitioned; its leases
-  are reclaimed, the cells re-queued after a seeded jittered delay
-  (``redispatch_jitter_s``) so reclaimed shards do not re-dispatch in
-  lockstep.  Evictions while holding a cell count as *blame* toward
-  quarantine, exactly like supervisor pool deaths.
-* **Work stealing.**  An idle worker (empty queue) may take a second
-  lease on a cell whose oldest lease has aged past ``steal_after_s`` —
-  the hedge against a slow or silently-wedged peer.  Both executions
-  may complete; dedup keeps whichever result lands first.
-* **Exactly-once merge.**  Result delivery is at-least-once by design
-  (workers retry, chaos duplicates frames, steals race).  The broker
-  settles each cell exactly once — the first delivery wins, every later
-  one is acknowledged and dropped — so the merge into the v2 checkpoint
-  is exactly-once and byte-identical to a serial run.
-* **Quarantine + degradation carry over.**  Repeatedly-blamed cells
-  fail as ``kind="quarantined"``, chronic lease expiries as
-  ``kind="timeout"`` — same verdicts, same checkpoint schema as the
-  supervisor.  And when *no* worker stays alive for
-  ``no_worker_grace_s``, the broker stops serving and finishes the
-  remaining cells with in-process serial execution: the service layer
+* **Missed-heartbeat eviction.**  Any message from a worker proves it
+  alive; one silent for ``heartbeat_timeout_s`` (on the supervisor's
+  monotonic clock hook) is declared dead or partitioned and loses its
+  leases with blame — the remote analogue of a pool death.  A worker
+  that says ``bye`` leaves without blame.
+* **Work stealing.**  An idle worker may take a second lease on a cell
+  whose oldest lease has aged past ``steal_after_s`` — the hedge against
+  a slow or silently wedged peer.  Both executions may complete; the
+  book's exactly-once gate keeps whichever result lands first.
+* **Frame validation.**  A result frame is decoded and checked against
+  the campaign before it reaches the gate; a foreign or malformed frame
+  gets an ``error`` reply and counts nothing.
+* **The last rung.**  When *no* worker stays alive for
+  ``no_worker_grace_s``, the broker stops granting and finishes the
+  remaining cells with the driver's in-process cell loop: the service
   ends degraded, never dead.
-
-The state machine lives in :class:`_LeaseBook`, pure and
-clock-injectable (tests drive it with a fake monotonic clock);
-:class:`CampaignBroker` wraps it with the socket server, the
-checkpoint writer, and the fallback rung.
 """
 
 from __future__ import annotations
@@ -43,244 +30,28 @@ from __future__ import annotations
 import multiprocessing as mp
 import socket
 import threading
-import time
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...config import ServiceConfig
-from ...errors import ProtocolError, ReproError
+from ...errors import ProtocolError
 from .. import executor as _exec
+from .. import supervisor as _sup
 from ..campaign import (
+    CampaignResult,
     CampaignSpec,
     CellFailure,
-    _assemble,
-    _execute_cell,
     _outcome_from_payload,
-    _to_json,
 )
 from ..evaluation import AttackOutcome
 from ..supervisor import SupervisorStats
 from .protocol import PROTOCOL_VERSION, encode_array, encode_recipe
 from .protocol import recv_msg, send_msg
 
-__all__ = ["CampaignBroker", "ServiceStats", "run_service"]
+__all__ = ["CampaignBroker", "run_service"]
 
 Cell = Tuple[str, int]
-
-#: Seed salt for the re-dispatch jitter stream (decorrelation only —
-#: jitter never touches cell RNG streams, so parity is unaffected).
-_REDISPATCH_SALT = 0xB40C3B0B
-
-
-@dataclass
-class ServiceStats(SupervisorStats):
-    """Supervisor counters plus the distributed-only ones.
-
-    ``dispatched`` keeps its contract — cells handed to a worker,
-    retries and steals included, cache hits excluded — so a warm-cache
-    service run still proves itself with ``dispatched == 0``.
-    """
-
-    workers_joined: int = 0
-    workers_evicted: int = 0     # missed-heartbeat eviction incidents
-    steals: int = 0              # secondary leases granted to idle workers
-    duplicates_dropped: int = 0  # at-least-once deliveries deduplicated
-
-    def describe(self) -> Dict[str, object]:
-        out = super().describe()
-        out.update({k: getattr(self, k) for k in (
-            "workers_joined", "workers_evicted", "steals",
-            "duplicates_dropped")})
-        return out
-
-
-@dataclass
-class _Lease:
-    """One grant of one cell to one worker."""
-
-    worker: str
-    granted: float    # monotonic grant time (steal-eligibility age)
-    deadline: float   # monotonic expiry
-    attempt: int
-
-
-class _LeaseBook:
-    """The broker's pure lease/heartbeat/dedup state machine.
-
-    Holds no sockets and tells no time of its own: ``clock`` is any
-    monotonic-like callable, which is how the tests freeze and jump it.
-    All methods are unsynchronized — :class:`CampaignBroker` serializes
-    access under one lock.
-    """
-
-    def __init__(self, cells: List[Cell], config: ServiceConfig,
-                 seed: int, clock: Callable[[], float] = time.monotonic
-                 ) -> None:
-        self.cfg = config
-        self.clock = clock
-        self.cells = list(cells)
-        self.queue = deque(cells)
-        self.ready_at: Dict[Cell, float] = {}
-        self.leases: Dict[Cell, List[_Lease]] = {}
-        self.attempts: Dict[Cell, int] = defaultdict(int)
-        self.blames: Dict[Cell, int] = defaultdict(int)
-        self.expiries: Dict[Cell, int] = defaultdict(int)
-        self.settled: set = set()
-        self.verdicts: Dict[Cell, CellFailure] = {}
-        self.workers: Dict[str, float] = {}   # worker id -> last heartbeat
-        self._rng = np.random.default_rng(seed ^ _REDISPATCH_SALT)
-
-    # -- liveness -------------------------------------------------------------
-
-    def register(self, worker: str) -> bool:
-        """Record a worker; True if it was not already known."""
-        fresh = worker not in self.workers
-        self.workers[worker] = self.clock()
-        return fresh
-
-    def beat(self, worker: str) -> None:
-        """Any contact proves liveness (an evicted worker that turns out
-        to be merely partitioned re-registers by beating again)."""
-        self.workers[worker] = self.clock()
-
-    def unregister(self, worker: str) -> None:
-        self.workers.pop(worker, None)
-
-    def alive(self) -> int:
-        return len(self.workers)
-
-    # -- granting -------------------------------------------------------------
-
-    def grant(self, worker: str) -> Optional[Tuple[Cell, int, bool]]:
-        """Lease the next cell to ``worker``.
-
-        Queue first (canonical order, honouring jittered ``ready_at``
-        holds); with the queue drained, steal the *oldest* active lease
-        past ``steal_after_s`` that this worker does not already hold.
-        Returns ``(cell, attempt, stolen)`` or None (nothing to do
-        right now).  Every grant — steal or not — counts an attempt.
-        """
-        self.beat(worker)
-        now = self.clock()
-        cell: Optional[Cell] = None
-        stolen = False
-        for candidate in self.queue:
-            if self.ready_at.get(candidate, 0.0) <= now:
-                cell = candidate
-                break
-        if cell is not None:
-            self.queue.remove(cell)
-            self.ready_at.pop(cell, None)
-        else:
-            stealable = [
-                (min(lease.granted for lease in leases), candidate)
-                for candidate, leases in self.leases.items()
-                if candidate not in self.settled
-                and now - min(lease.granted for lease in leases)
-                >= self.cfg.steal_after_s
-                and worker not in {lease.worker for lease in leases}
-            ]
-            if not stealable:
-                return None
-            cell = min(stealable)[1]
-            stolen = True
-        attempt = self.attempts[cell]
-        self.attempts[cell] += 1
-        self.leases.setdefault(cell, []).append(
-            _Lease(worker=worker, granted=now,
-                   deadline=now + self.cfg.lease_timeout_s,
-                   attempt=attempt))
-        return cell, attempt, stolen
-
-    # -- settling -------------------------------------------------------------
-
-    def deliver(self, cell: Cell) -> bool:
-        """Record a delivery; False for a duplicate (already settled or
-        already given a final verdict) — the exactly-once gate."""
-        if cell in self.settled or cell in self.verdicts:
-            return False
-        self.settled.add(cell)
-        self.leases.pop(cell, None)
-        self.ready_at.pop(cell, None)
-        if cell in self.queue:   # reclaimed, then the old result landed
-            self.queue.remove(cell)
-        return True
-
-    def done(self) -> bool:
-        return len(self.settled) + len(self.verdicts) >= len(self.cells)
-
-    # -- the sweep ------------------------------------------------------------
-
-    def sweep(self) -> Tuple[List[str], int, List[Tuple[Cell, CellFailure]]]:
-        """Evict silent workers, expire stale leases, triage reclaims.
-
-        Returns ``(evicted workers, lease expiries, new verdicts)``;
-        reclaimed cells that survive triage are re-queued behind a
-        seeded jittered hold.
-        """
-        now = self.clock()
-        evicted = [w for w, beat in self.workers.items()
-                   if now - beat > self.cfg.heartbeat_timeout_s]
-        for worker in evicted:
-            del self.workers[worker]
-        gone = set(evicted)
-        expiries = 0
-        reclaimed: List[Cell] = []
-        for cell, leases in list(self.leases.items()):
-            keep = []
-            for lease in leases:
-                if lease.worker in gone:
-                    self.blames[cell] += 1
-                elif now > lease.deadline:
-                    self.expiries[cell] += 1
-                    expiries += 1
-                else:
-                    keep.append(lease)
-            if keep:
-                self.leases[cell] = keep
-            else:
-                del self.leases[cell]
-                if cell not in self.settled:
-                    reclaimed.append(cell)
-        verdicts: List[Tuple[Cell, CellFailure]] = []
-        for cell in reclaimed:
-            failure = self._triage(cell)
-            if failure is not None:
-                self.verdicts[cell] = failure
-                verdicts.append((cell, failure))
-            else:
-                self.ready_at[cell] = now + (
-                    float(self._rng.random()) * self.cfg.redispatch_jitter_s)
-                self.queue.append(cell)
-        return evicted, expiries, verdicts
-
-    def _triage(self, cell: Cell) -> Optional[CellFailure]:
-        """Supervisor verdicts, worker-eviction flavoured: repeated
-        blames quarantine, chronic expiries time out."""
-        if self.blames[cell] >= self.cfg.quarantine_after:
-            return CellFailure(
-                target_layer=cell[0], n_strikes=cell[1],
-                error_type="WorkerCrashError",
-                message=f"quarantined after {self.blames[cell]} worker "
-                        f"eviction(s) while leased", kind="quarantined")
-        if self.attempts[cell] > self.cfg.max_retries:
-            if self.expiries[cell] >= self.blames[cell]:
-                return CellFailure(
-                    target_layer=cell[0], n_strikes=cell[1],
-                    error_type="CellLeaseExpiredError",
-                    message=f"lease expired on {self.expiries[cell]} of "
-                            f"{self.attempts[cell]} attempt(s)",
-                    kind="timeout")
-            return CellFailure(
-                target_layer=cell[0], n_strikes=cell[1],
-                error_type="WorkerCrashError",
-                message=f"retry budget exhausted after {self.blames[cell]} "
-                        f"worker eviction(s)", kind="quarantined")
-        return None
 
 
 def _local_worker_main(host: str, port: int) -> None:
@@ -292,49 +63,30 @@ def _local_worker_main(host: str, port: int) -> None:
 
 
 class CampaignBroker:
-    """One campaign served over the wire (see module docstring).
+    """One campaign's driver served over the wire (see module docstring).
 
     Life cycle: :meth:`start` binds the socket (and spawns
-    ``local_workers`` daemons), :meth:`serve` runs the control loop
-    until every cell settles — or falls back to in-process serial when
-    no worker stays alive — and returns the merged
-    :class:`~repro.core.campaign.CampaignResult`; :meth:`close` tears
-    everything down (idempotent, called by :func:`run_service`).
+    ``local_workers`` daemons), :meth:`serve` sweeps until every cell
+    settles — or falls back to in-process execution when no worker
+    stays alive — and returns the merged result; :meth:`close` tears
+    everything down (idempotent; :func:`run_service` always calls it).
     """
 
-    def __init__(self, recipe, images: np.ndarray, labels: np.ndarray,
-                 spec: CampaignSpec, clean: float,
-                 outcomes: Dict[Cell, AttackOutcome],
-                 failures: Dict[Cell, CellFailure],
-                 *, config: Optional[ServiceConfig] = None,
-                 checkpoint_path=None,
-                 fault_hook: Optional[Callable] = None,
+    def __init__(self, recipe, driver: "_sup._Driver", *,
+                 config: Optional[ServiceConfig] = None,
                  shard_hook: Optional[Callable] = None,
-                 stats: Optional[SupervisorStats] = None,
-                 cache_root=None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 cache_root=None, digest: Optional[str] = None) -> None:
         self.recipe = recipe
-        self.images = images
-        self.labels = labels
-        self.spec = spec
-        self.clean = clean
-        self.outcomes = outcomes
-        self.failures = failures
+        self.driver = driver
         self.cfg = config if config is not None else recipe.config.service
         self.cfg.validate()
-        self.checkpoint_path = checkpoint_path
-        self.fault_hook = fault_hook
         self.shard_hook = shard_hook
-        self.stats = stats if stats is not None else ServiceStats()
         self.cache_root = str(cache_root) if cache_root is not None else None
-        self.digest: Optional[str] = None  # set by run_service with a cache
-        self.clock = clock
-        pending = [c for c in spec.cells()
-                   if c not in outcomes and c not in failures]
-        self.book = _LeaseBook(pending, self.cfg, spec.seed, clock)
+        self.digest = digest
+        self.beats: Dict[str, float] = {}   # worker id -> last contact
         self.address: Optional[Tuple[str, int]] = None
-        self._lock = threading.RLock()
         self._closing = threading.Event()
+        self._settled = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._local_procs: List[mp.process.BaseProcess] = []
 
@@ -350,8 +102,7 @@ class CampaignBroker:
         threading.Thread(target=self._accept_loop, daemon=True,
                          name="broker-accept").start()
         if self.cfg.local_workers:
-            ctx = mp.get_context(_exec._resolve_start_method(
-                self.recipe.config.executor.mp_start_method))
+            ctx = _exec._mp_context(self.recipe)
             for _ in range(self.cfg.local_workers):
                 proc = ctx.Process(target=_local_worker_main,
                                    args=self.address, daemon=True)
@@ -360,24 +111,25 @@ class CampaignBroker:
         return self.address
 
     def close(self) -> None:
-        """Stop serving and reap local workers (idempotent)."""
+        """Stop granting, reap local workers, stop serving (idempotent).
+        The listener outlives the workers so each can hear ``done``."""
         self._closing.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - teardown best effort
-                pass
         for proc in self._local_procs:
             proc.join(timeout=2.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
         self._local_procs.clear()
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:  # pragma: no cover - teardown best effort
+                pass
 
     # -- socket plumbing ------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        while not self._closing.is_set():
+        while True:   # until close() closes the listener
             try:
                 conn, _ = self._listener.accept()
             except socket.timeout:
@@ -393,7 +145,7 @@ class CampaignBroker:
         what decides the *worker* is gone."""
         with conn:
             conn.settimeout(max(10.0, 4 * self.cfg.heartbeat_timeout_s))
-            while not self._closing.is_set():
+            while True:
                 try:
                     msg = recv_msg(conn)
                 except (ProtocolError, OSError):
@@ -410,174 +162,102 @@ class CampaignBroker:
     def _handle(self, msg: dict) -> dict:
         kind = msg.get("type")
         worker = str(msg.get("worker", "?"))
+        with self.driver.lock:
+            if kind == "bye":
+                self.beats.pop(worker, None)
+                self.driver.lose(worker, blame=False)
+                return {"type": "ok"}
+            if kind == "hello" and worker not in self.beats:
+                self.driver.stats.workers_joined += 1
+            self.beats[worker] = _sup._monotonic()
         if kind == "hello":
-            return self._handle_hello(worker)
+            return self._job()
         if kind == "beat":
-            with self._lock:
-                self.book.beat(worker)
             return {"type": "ok"}
         if kind == "lease":
-            return self._handle_lease(worker)
+            return self._lease(worker)
         if kind == "result":
-            return self._handle_result(msg)
-        if kind == "bye":
-            with self._lock:
-                self.book.unregister(worker)
-            return {"type": "ok"}
+            return self._result(msg)
         return {"type": "error", "message": f"unknown message type {kind!r}"}
 
-    def _handle_hello(self, worker: str) -> dict:
-        with self._lock:
-            if self.book.register(worker):
-                self.stats.workers_joined += 1
+    def _job(self) -> dict:
         return {
             "type": "job",
             "protocol": PROTOCOL_VERSION,
             "heartbeat_interval_s": self.cfg.heartbeat_interval_s,
             "recipe": encode_recipe(self.recipe),
-            "images": encode_array(self.images),
-            "labels": encode_array(self.labels),
-            "clean": self.clean,
-            "base_seed": self.spec.seed,
+            "images": encode_array(self.driver.images),
+            "labels": encode_array(self.driver.labels),
+            "clean": self.driver.clean,
+            "base_seed": self.driver.spec.seed,
             "cache_root": self.cache_root,
             "digest": self.digest,
         }
 
-    def _handle_lease(self, worker: str) -> dict:
-        with self._lock:
-            if self.book.done() or self._closing.is_set():
+    def _lease(self, worker: str) -> dict:
+        with self.driver.lock:
+            if self.driver.book.done() or self._closing.is_set():
                 return {"type": "done"}
-            granted = self.book.grant(worker)
+            granted = self.driver.grant(worker)
             if granted is None:
                 return {"type": "wait", "delay": self.cfg.idle_wait_s}
-            cell, attempt, stolen = granted
-            self.stats.dispatched += 1
-            if attempt:
-                self.stats.retries += 1
-            if stolen:
-                self.stats.steals += 1
-            fault = (self.fault_hook(cell[0], cell[1], attempt)
-                     if self.fault_hook is not None else None)
-            shard = (self.shard_hook(cell[0], cell[1], attempt)
+            (target, count), attempt, fault = granted
+            shard = (self.shard_hook(target, count, attempt)
                      if self.shard_hook is not None else None)
-        return {"type": "assign", "target": cell[0], "count": cell[1],
+        return {"type": "assign", "target": target, "count": count,
                 "attempt": attempt, "fault": fault, "shard": shard}
 
-    def _handle_result(self, msg: dict) -> dict:
-        cell = (str(msg["target"]), int(msg["count"]))
-        with self._lock:
-            self.book.beat(str(msg.get("worker", "?")))
-            if not self.book.deliver(cell):
-                self.stats.duplicates_dropped += 1
+    def _result(self, msg: dict) -> dict:
+        """Decode and check the frame, then settle it through the gate."""
+        decode = {"outcome": _outcome_from_payload,
+                  "failure": lambda raw: CellFailure(**raw)}
+        try:
+            cell = (str(msg["target"]), int(msg["count"]))
+            payload = decode[msg.get("kind")](msg["payload"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return {"type": "error",
+                    "message": f"malformed result frame: {exc!r}"}
+        if cell not in self.driver.book.order:
+            return {"type": "error",
+                    "message": f"cell {cell} is not pending in this campaign"}
+        with self.driver.lock:
+            if not self.driver.settle(cell, msg["kind"], payload):
                 return {"type": "ack", "duplicate": True}
-            if msg.get("kind") == "outcome":
-                self.outcomes[cell] = _outcome_from_payload(msg["payload"])
-                self.stats.completed += 1
-            else:
-                self.failures[cell] = CellFailure(**msg["payload"])
-            if msg.get("cached"):
-                self.stats.cache_hits += 1
-            self._checkpoint()
+            self.driver.stats.cache_hits += bool(msg.get("cached"))
+        self._settled.set()
         return {"type": "ack"}
-
-    def _checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            result = _assemble(self.spec, self.clean, self.outcomes,
-                               self.failures)
-            # Looked up through the executor module so the parity
-            # suite's patched writer sees service checkpoints too.
-            _exec._atomic_write_text(self.checkpoint_path,
-                                     _to_json(result, complete=False))
 
     # -- control loop ---------------------------------------------------------
 
-    def serve(self):
-        """Run sweeps until the campaign settles; returns the result."""
-        last_alive = self.clock()
-        try:
-            while True:
-                with self._lock:
-                    evicted, expiries, verdicts = self.book.sweep()
-                    self.stats.workers_evicted += len(evicted)
-                    self.stats.worker_crashes += len(evicted)
-                    self.stats.lease_expiries += expiries
-                    for cell, failure in verdicts:
-                        self.failures[cell] = failure
-                        if failure.kind == "quarantined":
-                            self.stats.quarantined += 1
-                        else:
-                            self.stats.exhausted += 1
-                        self._checkpoint()
-                    if self.book.alive():
-                        last_alive = self.clock()
-                    if self.book.done():
-                        break
-                    orphaned = (self.clock() - last_alive
-                                > self.cfg.no_worker_grace_s)
-                if orphaned:
-                    self._fallback()
-                    break
-                time.sleep(self.cfg.poll_interval_s)
-        finally:
-            self.close()
-        return _assemble(self.spec, self.clean, self.outcomes, self.failures)
+    def _sweep(self) -> bool:
+        """Evict workers silent past ``heartbeat_timeout_s`` (their leases
+        are lost with blame) and expire stale leases; True while any
+        worker is alive."""
+        with self.driver.lock:
+            now = _sup._monotonic()
+            for worker, seen in list(self.beats.items()):
+                if now - seen > self.cfg.heartbeat_timeout_s:
+                    del self.beats[worker]
+                    self.driver.lose(worker, blame=True)
+            self.driver.expire()
+            return bool(self.beats)
 
-    # -- the ladder's last rung -----------------------------------------------
-
-    def _fallback(self) -> None:
-        """No worker stayed alive: finish in-process, serially — the
-        same last rung as the supervisor's degradation ladder.  The
-        listener keeps refusing new grants (``_closing``), and the
-        exactly-once gate still applies should a partitioned worker's
-        late result race a fallback execution."""
-        with self._lock:
-            self._closing.set()
-            self.stats.serial_fallback = True
-            remaining = [c for c in self.book.cells
-                         if c not in self.book.settled
-                         and c not in self.book.verdicts]
-        cache = None
-        if self.cache_root is not None and self.digest is not None:
-            from ..cellcache import CellCache
-
-            cache = CellCache(Path(self.cache_root))
-        state = _exec._build_state(self.recipe, self.images, self.labels,
-                                   self.clean)
-        for cell in remaining:
-            with self._lock:
-                if not self.book.deliver(cell):
-                    continue  # a late remote result beat us to it
-            key = None
-            if cache is not None:
-                key = cache.cell_key(self.digest, cell[0], cell[1],
-                                     self.spec.seed)
-                outcome = cache.get(key)
-                if outcome is not None:
-                    with self._lock:
-                        self.outcomes[cell] = outcome
-                        self.stats.cache_hits += 1
-                        self._checkpoint()
-                    continue
-            self.stats.dispatched += 1
-            try:
-                outcome = _execute_cell(
-                    state.attack, state.blind_box, state.images,
-                    state.labels, self.spec.seed, cell[0], cell[1],
-                    clean=state.clean)
-            except ReproError as exc:
-                with self._lock:
-                    self.failures[cell] = CellFailure(
-                        target_layer=cell[0], n_strikes=cell[1],
-                        error_type=type(exc).__name__, message=str(exc),
-                        kind="error")
-                    self._checkpoint()
-            else:
-                if key is not None:
-                    cache.put(key, outcome)
-                with self._lock:
-                    self.outcomes[cell] = outcome
-                    self.stats.completed += 1
-                    self._checkpoint()
+    def serve(self) -> CampaignResult:
+        """Sweep every heartbeat interval, and after every settle, until
+        the campaign settles; returns the result."""
+        last_alive = _sup._monotonic()
+        while not self.driver.book.done():
+            self._settled.clear()
+            alive = self._sweep()
+            now = _sup._monotonic()
+            if alive:
+                last_alive = now
+            elif now - last_alive > self.cfg.no_worker_grace_s:
+                self._closing.set()
+                self.driver.fall_back(self.recipe)
+                break
+            self._settled.wait(self.cfg.heartbeat_interval_s)
+        return self.driver.result()
 
 
 def run_service(recipe, images: np.ndarray, labels: np.ndarray,
@@ -594,36 +274,29 @@ def run_service(recipe, images: np.ndarray, labels: np.ndarray,
                 cache=None,
                 digest: Optional[str] = None,
                 on_bound: Optional[Callable[[Tuple[str, int]], None]] = None,
-                ):
-    """Serve the pending cells of ``spec`` as a campaign broker.
+                ) -> CampaignResult:
+    """Serve the pending cells of ``spec`` as a campaign broker, under
+    the lease policy ``recipe.config.supervisor``.
 
     Drop-in sibling of :func:`repro.core.supervisor.run_supervised`
-    (same merge-in-place contract), reached through
-    ``run_campaign(service=...)``.  ``before_cell`` keeps its pinned
-    semantics — fired once per cell, in this process, in canonical
-    order, before any dispatch — so stateful chaos hooks make identical
-    decisions whether the campaign runs serially, pooled, or
-    distributed.  ``on_bound`` is called with the bound ``(host,
-    port)`` before serving (the CLI prints it; tests attach workers).
+    (same merge-in-place contract and ``before_cell`` prelude), reached
+    through ``run_campaign(service=...)``.  ``cache``/``digest``
+    advertise the shared cell cache to workers; ``on_bound`` is called
+    with the bound ``(host, port)`` before serving (the CLI prints it;
+    tests attach workers).
     """
-    pending = [cell for cell in spec.cells() if cell not in outcomes]
-    for target, count in pending:
-        if before_cell is not None:
-            try:
-                before_cell(target, count)
-            except ReproError as exc:
-                failures[(target, count)] = CellFailure(
-                    target_layer=target, n_strikes=count,
-                    error_type=type(exc).__name__, message=str(exc),
-                    kind="error")
-    broker = CampaignBroker(
-        recipe, images, labels, spec, clean, outcomes, failures,
-        config=config, checkpoint_path=checkpoint_path,
-        fault_hook=fault_hook, shard_hook=shard_hook, stats=stats,
-        cache_root=None if cache is None else cache.root)
-    broker.digest = digest
-    if not [c for c in pending if c not in failures]:
-        return _assemble(spec, clean, outcomes, failures)
+    service = config if config is not None else recipe.config.service
+    driver = _sup._Driver(spec, images, labels, clean, outcomes, failures,
+                          policy=recipe.config.supervisor,
+                          checkpoint_path=checkpoint_path,
+                          fault_hook=fault_hook, stats=stats,
+                          steal_after_s=service.steal_after_s)
+    driver.prelude(before_cell)
+    if driver.book.done():
+        return driver.result()
+    broker = CampaignBroker(recipe, driver, config=service,
+                            shard_hook=shard_hook, digest=digest,
+                            cache_root=None if cache is None else cache.root)
     try:
         bound = broker.start()
         if on_bound is not None:

@@ -7,7 +7,7 @@ no versioned handshake beyond ``PROTOCOL_VERSION`` in the hello
 exchange — because the interesting reliability work (leases,
 heartbeats, dedup) lives above it in :mod:`~repro.core.service.broker`.
 
-Message types (see docs/reliability.md §3d for the full table):
+Message types (see docs/reliability.md §3c for the full table):
 
 ========== =========== ==================================================
 direction  type        meaning

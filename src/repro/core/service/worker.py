@@ -11,7 +11,7 @@ the result, ask for the next.
 Delivery is *at-least-once* by design.  The worker retries failed
 exchanges on fresh connections, chaos shard directives make it
 duplicate or drop frames on purpose, and a stolen cell may complete on
-two workers at once — the broker's settled-set dedup is the component
+two workers at once — the lease book's exactly-once gate is the component
 under test, so the worker never tries to be clever about it.
 
 Liveness is a side thread beating every ``heartbeat_interval_s`` (the
@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 
 from ...errors import ProtocolError, ReproError
 from .. import executor as _exec
-from ..campaign import CellFailure, _execute_cell, _outcome_to_payload
+from ..campaign import _execute_cell, _failure_from, _outcome_to_payload
 from ..cellcache import CellCache
 from .protocol import decode_array, decode_recipe, recv_msg, send_msg
 
@@ -220,9 +220,7 @@ def _run_cell(address: Tuple[str, int], assign: dict,
                                     target, count, clean=state.clean)
         except ReproError as exc:
             report.failures_delivered += 1
-            failure = CellFailure(target_layer=target, n_strikes=count,
-                                  error_type=type(exc).__name__,
-                                  message=str(exc), kind="error")
+            failure = _failure_from(target, count, exc)
             result = {"kind": "failure", "payload": vars(failure).copy()}
         else:
             report.executed += 1

@@ -1,58 +1,54 @@
-"""Self-healing campaign supervision: leases, retries, quarantine.
+"""One lease book under two transports: the campaign failure policy.
 
-Every ``workers>1`` campaign runs here.  A fail-fast pool — one dead
-worker aborts the run and waits for a human ``--resume`` — is the
-wrong posture for DeepStrike's threat model: campaigns are long fleets
-of independent cells running in an environment the attack itself
-destabilizes.  So the pool is supervised, over the worker entry points
-of :mod:`repro.core.executor`, and keeps the campaign alive on its own:
+``run_campaign`` runs pending cells serially, on a process pool
+(``workers>1``) or through the socket broker (``service=``,
+:mod:`repro.core.service.broker`).  The failure policy of the two
+fault-tolerant transports exists once, here:
 
-* **Lease-based dispatch.**  Every in-flight cell carries a lease
-  (``SupervisorConfig.cell_timeout_s``).  Cells are dispatched
-  incrementally — never more outstanding than the pool has workers — so
-  a lease measures *execution* time, not queue time; a cell still
-  running at its deadline is presumed hung, its pool is torn down, and
-  the cell is retried.
-* **Bounded retry with exponential backoff + jitter.**  A pool death
-  loses only the in-flight cells; the supervisor rebuilds the pool and
-  re-dispatches exactly those, up to ``max_retries`` per cell, sleeping
-  a jittered exponential backoff between incidents.
-* **Poison quarantine.**  Cells present during a crash become
-  *suspects* and are re-run in isolation (one outstanding cell on a
-  one-worker pool), which makes the next crash unambiguous.  A cell
-  blamed for ``quarantine_after`` worker-fatal incidents is recorded as
-  ``CellFailure(kind="quarantined")`` in the v2 checkpoint and the
-  campaign moves on — one poison cell cannot sink the grid.
-* **Graceful degradation.**  ``degrade_after`` pool deaths at a given
-  size halve the worker count; after ``serial_fallback_after`` total
-  deaths the supervisor abandons process pools entirely and finishes
-  the remaining cells with in-process serial execution.  The ladder
-  ends degraded, never dead.
+* :class:`_LeaseBook` is the pure lease state machine and the only code
+  that decides a leased cell's fate: granting, settling exactly once,
+  lease expiry, a lost worker with or without blame, re-running alone
+  the cells one crash blamed together, the jittered exponential hold
+  before a reclaimed cell re-dispatches, and the quarantine or timeout
+  verdict once a cell's retry budget is spent.  It reads time only
+  through :data:`_monotonic`, the one clock hook of both transports.
+* :class:`_Driver` owns everything around the book: the ``before_cell``
+  prelude, the merge into ``outcomes``/``failures`` with a checkpoint
+  after every settle, the verdict records, :class:`SupervisorStats`, and
+  :meth:`_Driver.run_in_process` — the one in-process cell loop behind
+  the serial path and both transports' last rung.
+* The pool transport (:func:`run_supervised`) only reports events to
+  the book: a ``BrokenProcessPool`` loses every lease the pool held,
+  with blame; an expired lease tears the pool down, losing the other
+  in-flight leases without blame.  It wakes on ``wait(FIRST_COMPLETED)``
+  bounded by the book's next deadline, and keeps its degradation
+  ladder: ``degrade_after`` pool deaths at one size halve the workers,
+  ``serial_fallback_after`` deaths in all finish the campaign in-process.
 
-The byte-parity contract survives supervision: retries re-derive the
-same per-cell RNG stream, so a campaign that crashed, hung, healed, and
-degraded merges into checkpoint JSON byte-identical to an undisturbed
-serial run (minus any quarantined cells' failure records) —
-``tests/core/test_supervisor.py`` enforces it.  Checkpoints and the
-worker entry points are shared with :mod:`repro.core.executor` (and
-looked up through that module at call time, so test patch points keep
-working under supervision).
+Retries re-derive the same per-cell RNG stream, so a campaign that
+crashed, hung, healed and degraded merges into checkpoint JSON
+byte-identical to an undisturbed serial run (minus quarantined cells'
+failure records) — ``tests/core/test_supervisor.py`` enforces it.
+Pools are built through :mod:`repro.core.executor` and checkpoints
+written through :mod:`repro.core.campaign`, both looked up at call time
+so tests can patch them.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import threading
 import time
-from collections import defaultdict, deque
+from collections import defaultdict
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import SupervisorConfig
 from ..errors import ReproError
+from . import campaign as _campaign
 from . import executor as _exec
 from .campaign import (
     CampaignResult,
@@ -60,350 +56,474 @@ from .campaign import (
     CellFailure,
     _assemble,
     _execute_cell,
+    _failure_from,
     _to_json,
 )
 from .evaluation import AttackOutcome
 
 __all__ = ["SupervisorStats", "run_supervised"]
 
-#: Lease deadlines are measured on this clock — monotonic, so a frozen
-#: or backwards-jumping *wall* clock can never expire (or immortalize)
-#: a lease.  Module-level indirection so tests can substitute a fake
-#: clock and drive the lease machinery deterministically
-#: (``tests/core/test_supervisor.py``).
+#: The one clock of the lease machinery — monotonic, so a frozen or
+#: jumping *wall* clock can never expire (or immortalize) a lease.
+#: Module-level so tests can substitute a fake clock for both transports.
 _monotonic = time.monotonic
 
 Cell = Tuple[str, int]
+Verdicts = List[Tuple[Cell, CellFailure]]
 
-#: Seed salt for the backoff-jitter stream (decorrelation only — jitter
+#: Seed salt for the hold-jitter stream (decorrelation only — jitter
 #: never touches cell RNG streams, so parity is unaffected).
 _JITTER_SALT = 0x5EEDFACE
 
 
 @dataclass
 class SupervisorStats:
-    """Observable counters for one supervised (or serial) campaign run.
+    """Counters of one campaign run, on any path (serial, pool, broker).
 
-    ``dispatched`` counts cells handed to a worker — including retries,
-    excluding cache hits — which is how warm-cache runs prove they
-    recomputed nothing (``dispatched == 0``).
+    ``dispatched`` counts cells handed to an executor — retries and
+    steals included, cache hits excluded — which is how warm-cache runs
+    prove they recomputed nothing (``dispatched == 0``).  ``retries``
+    counts the dispatches of a cell that had been granted before, and
+    ``completed`` rises once per settled outcome, in this process.
     """
 
     dispatched: int = 0
     completed: int = 0
     cache_hits: int = 0
     retries: int = 0
-    worker_crashes: int = 0   # pool-death incidents
-    lease_expiries: int = 0   # cells cancelled at their deadline
+    worker_crashes: int = 0   # pool deaths and missed-heartbeat evictions
+    lease_expiries: int = 0   # leases reclaimed at their deadline
     quarantined: int = 0
-    exhausted: int = 0        # cells that ran out of retries
-    degradations: int = 0     # worker-count halvings
+    exhausted: int = 0        # cells timed out once their budget ran out
+    degradations: int = 0     # pool worker-count halvings
     serial_fallback: bool = False
-    backoff_s: float = 0.0    # total incident backoff slept
+    backoff_s: float = 0.0    # total hold before re-dispatch
+    workers_joined: int = 0   # broker only from here on
+    steals: int = 0           # second leases granted to idle workers
+    duplicates_dropped: int = 0  # deliveries refused by the exactly-once gate
 
     def describe(self) -> Dict[str, object]:
-        return {k: getattr(self, k) for k in (
-            "dispatched", "completed", "cache_hits", "retries",
-            "worker_crashes", "lease_expiries", "quarantined", "exhausted",
-            "degradations", "serial_fallback", "backoff_s")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
-class _Incident:
-    """One pool-level failure: what died and who was involved."""
+class _Lease:
+    """One grant of one cell to one worker."""
 
-    kind: str            # "crash" | "lease"
-    suspects: List[Cell]  # cells plausibly responsible (were in flight)
-    lost: List[Cell]      # blameless cells whose work was discarded
+    worker: str
+    granted: float              # monotonic grant time (steal-eligibility age)
+    deadline: Optional[float]   # None: the lease never expires
 
 
-class _Supervisor:
-    """One campaign's supervision state machine (see module docstring)."""
+class _LeaseBook:
+    """The lease state machine (see the module docstring).
 
-    def __init__(self, recipe, images: np.ndarray, labels: np.ndarray,
-                 spec: CampaignSpec, clean: float,
+    A pending cell is *queued* (perhaps held until ``ready_at``),
+    *leased* to one or more workers, *settled* by its first delivery, or
+    *convicted* with a quarantine/timeout verdict.  Blames (worker-fatal
+    losses) and expiries spend the cell's retry budget; a blameless loss
+    does not.  Methods are unsynchronized — :class:`_Driver` serializes
+    access under its lock.
+    """
+
+    def __init__(self, cells: List[Cell], policy: SupervisorConfig,
+                 seed: int, steal_after_s: Optional[float] = None) -> None:
+        self.policy = policy
+        self.steal_after_s = steal_after_s
+        self.order = {cell: i for i, cell in enumerate(cells)}
+        self.queue: List[Cell] = list(cells)
+        self.ready_at: Dict[Cell, float] = {}
+        self.leases: Dict[Cell, List[_Lease]] = {}
+        self.grants: Dict[Cell, int] = defaultdict(int)
+        self.blames: Dict[Cell, int] = defaultdict(int)
+        self.expiries: Dict[Cell, int] = defaultdict(int)
+        self.suspects: set = set()   # blamed together: each re-runs alone
+        self.settled: set = set()
+        self.verdicts: Dict[Cell, CellFailure] = {}
+        self.incidents = 0
+        self.held_s = 0.0
+        self._rng = np.random.default_rng(seed ^ _JITTER_SALT)
+
+    def done(self) -> bool:
+        return len(self.settled) + len(self.verdicts) == len(self.order)
+
+    def isolating(self) -> bool:
+        return bool(self.suspects)
+
+    # -- granting -------------------------------------------------------------
+
+    def grant(self, worker: str) -> Optional[Tuple[Cell, int, bool]]:
+        """Lease the next cell to ``worker`` as ``(cell, attempt,
+        stolen)``, or None when nothing may run on it now.
+
+        Suspects come first and run alone: one is granted only while no
+        lease is out, and nothing else while it runs.  Then the queue in
+        canonical order, skipping held cells; with nothing grantable, a
+        worker may steal the oldest lease of another worker aged past
+        ``steal_after_s``.  ``attempt`` counts the cell's earlier grants.
+        """
+        now = _monotonic()
+        if self.suspects and self.leases:
+            return None
+        ready = [cell for cell in self.queue
+                 if (cell in self.suspects or not self.suspects)
+                 and self.ready_at.get(cell, now) <= now]
+        cell = ready[0] if ready else self._stale(worker, now)
+        if cell is None:
+            return None
+        if ready:
+            self.queue.remove(cell)
+            self.ready_at.pop(cell, None)
+        attempt = self.grants[cell]
+        self.grants[cell] += 1
+        timeout = self.policy.cell_timeout_s
+        self.leases.setdefault(cell, []).append(
+            _Lease(worker, now, now + timeout if timeout else None))
+        return cell, attempt, not ready
+
+    def _stale(self, worker: str, now: float) -> Optional[Cell]:
+        if self.steal_after_s is None:
+            return None
+        held = [(min(lease.granted for lease in leases), cell)
+                for cell, leases in self.leases.items()
+                if worker not in {lease.worker for lease in leases}]
+        stale = [pair for pair in held if now - pair[0] >= self.steal_after_s]
+        return min(stale)[1] if stale else None
+
+    # -- settling -------------------------------------------------------------
+
+    def deliver(self, cell: Cell) -> bool:
+        """The exactly-once gate: True only for the delivery that settles
+        a pending cell of this campaign; a duplicate, a convicted cell or
+        a cell foreign to the campaign gets False and changes nothing."""
+        if cell not in self.order or cell in self.settled \
+                or cell in self.verdicts:
+            return False
+        self.settled.add(cell)
+        self.leases.pop(cell, None)
+        self.ready_at.pop(cell, None)
+        self.suspects.discard(cell)
+        if cell in self.queue:   # reclaimed, then the old result landed
+            self.queue.remove(cell)
+        return True
+
+    # -- losing leases --------------------------------------------------------
+
+    def expire(self) -> Tuple[int, Verdicts]:
+        """Reclaim every lease past its deadline: ``(leases expired,
+        new verdicts)``."""
+        now = _monotonic()
+        count, lost = self._drop(
+            lambda lease: lease.deadline is not None and now > lease.deadline,
+            self.expiries)
+        return count, self._reclaim(lost, isolate=False)
+
+    def lose(self, worker: str, *, blame: bool) -> Verdicts:
+        """Reclaim every lease ``worker`` held.  With ``blame`` (its
+        process died or its heartbeat stopped) each cell is charged a
+        worker-fatal attempt, and cells blamed together re-run alone;
+        without (torn down for another cell's sake, or departed) they
+        re-queue with their budget intact."""
+        count, lost = self._drop(lambda lease: lease.worker == worker,
+                                 self.blames if blame else None)
+        if blame:
+            return self._reclaim(lost, isolate=count > 1)
+        self._requeue(lost, 0.0)
+        return []
+
+    def _drop(self, doomed: Callable[[_Lease], bool],
+              charge: Optional[Dict[Cell, int]]) -> Tuple[int, List[Cell]]:
+        """Remove the leases ``doomed`` picks, charging each to its cell;
+        returns their count and the cells left with no lease."""
+        count, lost = 0, []
+        for cell, leases in list(self.leases.items()):
+            keep = [lease for lease in leases if not doomed(lease)]
+            dropped = len(leases) - len(keep)
+            count += dropped
+            if charge is not None:
+                charge[cell] += dropped
+            if keep:
+                self.leases[cell] = keep
+            elif dropped:
+                del self.leases[cell]
+                lost.append(cell)
+        return count, lost
+
+    def _reclaim(self, cells: List[Cell], *, isolate: bool) -> Verdicts:
+        """One incident: convict the cells whose budget is spent, hold the
+        rest back before re-dispatch."""
+        if not cells:
+            return []
+        self.incidents += 1
+        verdicts = [(cell, failure) for cell in cells
+                    if (failure := self._verdict(cell)) is not None]
+        self.verdicts.update(verdicts)
+        self.suspects.difference_update(self.verdicts)
+        survivors = [cell for cell in cells if cell not in self.verdicts]
+        if isolate:
+            self.suspects.update(survivors)
+        self._requeue(survivors, self._hold())
+        return verdicts
+
+    def _verdict(self, cell: Cell) -> Optional[CellFailure]:
+        """The one quarantine/timeout rule: ``quarantine_after`` blames
+        quarantine a cell; past ``max_retries`` charged attempts it times
+        out when expiries dominate and is quarantined otherwise."""
+        blames, expiries = self.blames[cell], self.expiries[cell]
+        if blames >= self.policy.quarantine_after:
+            message = f"quarantined after {blames} worker-fatal attempt(s)"
+        elif blames + expiries <= self.policy.max_retries:
+            return None
+        elif expiries >= blames:
+            return CellFailure(cell[0], cell[1], "CellLeaseExpiredError",
+                               f"lease expired on {expiries} of "
+                               f"{blames + expiries} attempt(s)", "timeout")
+        else:
+            message = (f"retry budget exhausted after {blames} "
+                       f"worker-fatal attempt(s)")
+        return CellFailure(cell[0], cell[1], "WorkerCrashError", message,
+                           "quarantined")
+
+    def _hold(self) -> float:
+        """The jittered exponential backoff of the latest incident."""
+        p = self.policy
+        delay = min(p.backoff_base_s * p.backoff_factor ** (self.incidents - 1),
+                    p.backoff_max_s)
+        if p.backoff_jitter:
+            delay *= 1.0 + p.backoff_jitter * (self._rng.random() * 2.0 - 1.0)
+        self.held_s += delay
+        return delay
+
+    def _requeue(self, cells: List[Cell], hold: float) -> None:
+        if hold:
+            self.ready_at.update(dict.fromkeys(cells, _monotonic() + hold))
+        self.queue = sorted(self.queue + cells, key=self.order.__getitem__)
+
+    def next_event(self) -> Optional[float]:
+        """Seconds until the next lease deadline or hold release (None
+        when no timed event is pending)."""
+        times = [lease.deadline for leases in self.leases.values()
+                 for lease in leases if lease.deadline is not None]
+        times.extend(self.ready_at.values())
+        return max(0.0, min(times) - _monotonic()) if times else None
+
+
+class _Driver:
+    """One campaign around its lease book (see the module docstring).
+
+    ``outcomes``/``failures`` arrive pre-populated on a resumed run and
+    are merged in place.  Every method that touches the book holds
+    ``lock``, so the broker's connection threads may call them too.
+    """
+
+    def __init__(self, spec: CampaignSpec, images: np.ndarray,
+                 labels: np.ndarray, clean: float,
                  outcomes: Dict[Cell, AttackOutcome],
-                 failures: Dict[Cell, CellFailure],
-                 *, workers: int, config: SupervisorConfig,
-                 checkpoint_path=None,
+                 failures: Dict[Cell, CellFailure], *,
+                 policy: SupervisorConfig, checkpoint_path=None,
                  fault_hook: Optional[Callable] = None,
-                 stats: Optional[SupervisorStats] = None) -> None:
-        self.recipe = recipe
+                 stats: Optional[SupervisorStats] = None,
+                 steal_after_s: Optional[float] = None) -> None:
+        policy.validate()
+        self.spec = spec
         self.images = images
         self.labels = labels
-        self.spec = spec
         self.clean = clean
         self.outcomes = outcomes
         self.failures = failures
         self.checkpoint_path = checkpoint_path
         self.fault_hook = fault_hook
         self.stats = stats if stats is not None else SupervisorStats()
-        self.cfg = config
-        self.n_workers = max(1, min(workers,
-                                    recipe.config.executor.worker_cap))
-        self.attempts: Dict[Cell, int] = defaultdict(int)
-        self.blames: Dict[Cell, int] = defaultdict(int)
-        self.expiries: Dict[Cell, int] = defaultdict(int)
-        self.total_incidents = 0
-        self.incidents_at_size = 0
-        self._jitter_rng = np.random.default_rng(spec.seed ^ _JITTER_SALT)
+        self.lock = threading.RLock()
+        pending = [c for c in spec.cells()
+                   if c not in outcomes and c not in failures]
+        self.book = _LeaseBook(pending, policy, spec.seed, steal_after_s)
 
-    # -- shared plumbing ------------------------------------------------------
+    def result(self) -> CampaignResult:
+        self.stats.backoff_s += self.book.held_s
+        return _assemble(self.spec, self.clean, self.outcomes, self.failures)
 
     def _checkpoint(self) -> None:
         if self.checkpoint_path is not None:
-            result = _assemble(self.spec, self.clean, self.outcomes,
-                               self.failures)
-            # Looked up through the executor module so the parity
-            # suite's patched writer sees supervised checkpoints too.
-            _exec._atomic_write_text(self.checkpoint_path,
-                                     _to_json(result, complete=False))
+            _campaign._atomic_write_text(
+                self.checkpoint_path,
+                _to_json(_assemble(self.spec, self.clean, self.outcomes,
+                                   self.failures), complete=False))
 
-    def _settle(self, cell: Cell, kind: str, payload) -> None:
-        if kind == "outcome":
-            self.outcomes[cell] = payload
-            self.stats.completed += 1
-        else:
-            self.failures[cell] = payload
-        self._checkpoint()
-
-    def _fail(self, cell: Cell, error_type: str, message: str,
-              kind: str) -> None:
-        self.failures[cell] = CellFailure(
-            target_layer=cell[0], n_strikes=cell[1],
-            error_type=error_type, message=message, kind=kind,
-        )
-        self._checkpoint()
-
-    def _backoff(self) -> None:
-        cfg = self.cfg
-        delay = min(cfg.backoff_base_s *
-                    cfg.backoff_factor ** max(0, self.total_incidents - 1),
-                    cfg.backoff_max_s)
-        if cfg.backoff_jitter:
-            delay *= 1.0 + cfg.backoff_jitter * \
-                (self._jitter_rng.random() * 2.0 - 1.0)
-        self.stats.backoff_s += delay
-        time.sleep(delay)
-
-    # -- one pool round -------------------------------------------------------
-
-    def _dispatch_round(self, cells: List[Cell],
-                        size: int) -> Optional[_Incident]:
-        """Run ``cells`` on one fresh pool of ``size`` workers.
-
-        Dispatch is incremental (outstanding <= size) so every
-        submitted cell is actually executing and its lease clock is
-        honest.  Returns None when every cell settled, or the first
-        :class:`_Incident`; cells already settled by then stay settled.
-        """
-        cfg = self.cfg
-        ctx = mp.get_context(_exec._resolve_start_method(
-            self.recipe.config.executor.mp_start_method))
-        # Built through the executor module: one pool construction patch
-        # point for the whole parallel layer.
-        pool = _exec.ProcessPoolExecutor(
-            max_workers=size, mp_context=ctx,
-            initializer=_exec._init_worker,
-            initargs=(self.recipe, self.images, self.labels, self.clean))
-        queue = deque(cells)
-        futures: Dict[object, Cell] = {}
-        deadlines: Dict[object, Optional[float]] = {}
-        incident: Optional[_Incident] = None
-        try:
-            def submit_next() -> None:
-                cell = queue.popleft()
-                fault = None
-                if self.fault_hook is not None:
-                    fault = self.fault_hook(cell[0], cell[1],
-                                            self.attempts[cell])
-                if self.attempts[cell]:
-                    self.stats.retries += 1
-                self.stats.dispatched += 1
-                future = pool.submit(_exec._worker_cell, cell[0], cell[1],
-                                     self.spec.seed, fault)
-                futures[future] = cell
-                deadlines[future] = (_monotonic() + cfg.cell_timeout_s
-                                     if cfg.cell_timeout_s else None)
-
-            while queue and len(futures) < size:
-                submit_next()
-            while futures:
-                poll = cfg.poll_interval_s if cfg.cell_timeout_s else None
-                done, _ = wait(set(futures), timeout=poll,
-                               return_when=FIRST_COMPLETED)
-                crashed_cells: List[Cell] = []
-                for future in done:
-                    cell = futures.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        kind, payload = future.result()
-                    except BrokenProcessPool:
-                        # A broken pool fails every outstanding future
-                        # at once; collect rather than settle.
-                        crashed_cells.append(cell)
-                        continue
-                    self._settle(cell, kind, payload)
-                if crashed_cells:
-                    # Everything in flight when the pool died is a
-                    # plausible culprit and gets re-run in isolation.
-                    # The undispatched queue is blameless.
-                    incident = _Incident(
-                        "crash",
-                        suspects=crashed_cells + [futures[f]
-                                                  for f in futures],
-                        lost=list(queue))
-                    return incident
-                if cfg.cell_timeout_s:
-                    now = _monotonic()
-                    expired = [f for f in list(futures)
-                               if deadlines.get(f) is not None
-                               and now > deadlines[f]]
-                    if expired:
-                        exp_cells = [futures[f] for f in expired]
-                        others = [futures[f] for f in futures
-                                  if f not in expired]
-                        incident = _Incident("lease", suspects=exp_cells,
-                                             lost=others + list(queue))
-                        return incident
-                while queue and len(futures) < size:
-                    submit_next()
-            return None
-        except BaseException:
-            # KeyboardInterrupt and friends: tear down hard (a hung
-            # worker must not block the interrupt) and re-raise with
-            # the last checkpoint valid on disk.
-            incident = incident or _Incident("crash", suspects=[], lost=[])
-            raise
-        finally:
-            if incident is None:
-                pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                self._hard_shutdown(pool)
-
-    @staticmethod
-    def _hard_shutdown(pool) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
+    def prelude(self, before_cell: Optional[Callable[[str, int], None]]
+                ) -> None:
+        """Fire ``before_cell`` once per pending cell, in canonical order,
+        before any dispatch (so stateful chaos hooks decide the same at
+        every worker count); a ``ReproError`` fails the cell."""
+        if before_cell is None:
+            return
+        for cell in list(self.book.queue):
             try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-
-    # -- incident bookkeeping -------------------------------------------------
-
-    def _record_incident(self, incident: _Incident) -> None:
-        self.total_incidents += 1
-        self.incidents_at_size += 1
-        if incident.kind == "crash":
-            self.stats.worker_crashes += 1
-        else:
-            self.stats.lease_expiries += len(incident.suspects)
-        for cell in incident.suspects:
-            self.attempts[cell] += 1
-            if incident.kind == "crash":
-                self.blames[cell] += 1
-            else:
-                self.expiries[cell] += 1
-        if self.incidents_at_size >= self.cfg.degrade_after \
-                and self.n_workers > 1:
-            self.n_workers = max(1, self.n_workers // 2)
-            self.incidents_at_size = 0
-            self.stats.degradations += 1
-        self._backoff()
-
-    def _triage(self, cells: List[Cell]) -> List[Cell]:
-        """Quarantine/exhaust cells that are out of budget; return the
-        ones still worth dispatching."""
-        alive = []
-        for cell in cells:
-            if self.blames[cell] >= self.cfg.quarantine_after:
-                self.stats.quarantined += 1
-                self._fail(
-                    cell, "WorkerCrashError",
-                    f"quarantined after {self.blames[cell]} worker-fatal "
-                    f"attempt(s)", kind="quarantined")
-            elif self.attempts[cell] > self.cfg.max_retries:
-                self.stats.exhausted += 1
-                if self.expiries[cell] >= self.blames[cell]:
-                    self._fail(
-                        cell, "CellLeaseExpiredError",
-                        f"lease expired on {self.expiries[cell]} of "
-                        f"{self.attempts[cell]} attempt(s)", kind="timeout")
-                else:
-                    self.stats.quarantined += 1
-                    self._fail(
-                        cell, "WorkerCrashError",
-                        f"retry budget exhausted after {self.blames[cell]} "
-                        f"worker-fatal attempt(s)", kind="quarantined")
-            else:
-                alive.append(cell)
-        return alive
-
-    # -- the ladder's last rung -----------------------------------------------
-
-    def _run_in_process(self, cells: List[Cell]) -> None:
-        """Finish the campaign serially in this process (no pools left
-        to die).  Chaos fault directives are ignored here — there is no
-        worker to kill — but in-cell ``ReproError`` isolation holds."""
-        self.stats.serial_fallback = True
-        state = _exec._build_state(self.recipe, self.images, self.labels,
-                                   self.clean)
-        for cell in cells:
-            self.stats.dispatched += 1
-            if self.attempts[cell]:
-                self.stats.retries += 1
-            try:
-                outcome = _execute_cell(
-                    state.attack, state.blind_box, state.images,
-                    state.labels, self.spec.seed, cell[0], cell[1],
-                    clean=state.clean)
+                before_cell(*cell)
             except ReproError as exc:
-                self._fail(cell, type(exc).__name__, str(exc), kind="error")
-            else:
-                self._settle(cell, "outcome", outcome)
+                self.settle(cell, "failure", _failure_from(*cell, exc))
 
-    # -- main loop ------------------------------------------------------------
+    # -- events ---------------------------------------------------------------
 
-    def run(self) -> CampaignResult:
-        healthy = [c for c in self.spec.cells()
-                   if c not in self.outcomes and c not in self.failures]
-        suspects: List[Cell] = []
-        while healthy or suspects:
-            healthy = [c for c in healthy if c not in self.outcomes]
-            suspects = [c for c in suspects if c not in self.outcomes]
-            if self.total_incidents >= self.cfg.serial_fallback_after:
-                remaining = [c for c in self.spec.cells()
-                             if c in suspects or c in healthy]
-                self._run_in_process(self._triage(remaining))
-                break
-            if suspects:
-                suspects = self._triage(suspects)
-                if not suspects:
-                    continue
-                # Isolation: one outstanding cell on a one-worker pool,
-                # so the next incident is unambiguously attributed.
-                incident = self._dispatch_round(suspects, 1)
-            elif healthy:
-                incident = self._dispatch_round(healthy, self.n_workers)
+    def grant(self, worker: str) -> Optional[Tuple[Cell, int, object]]:
+        """Grant ``worker`` its next cell and count the dispatch; returns
+        ``(cell, attempt, fault directive)`` or None."""
+        with self.lock:
+            granted = self.book.grant(worker)
+            if granted is None:
+                return None
+            cell, attempt, stolen = granted
+            self._dispatched(attempt)
+            self.stats.steals += stolen
+            fault = (self.fault_hook(cell[0], cell[1], attempt)
+                     if self.fault_hook is not None else None)
+        return cell, attempt, fault
+
+    def _dispatched(self, attempt: int) -> None:
+        self.stats.dispatched += 1
+        self.stats.retries += attempt > 0
+
+    def settle(self, cell: Cell, kind: str, payload) -> bool:
+        """Merge a delivery through the exactly-once gate; False (counted
+        as a dropped duplicate) when it does not settle the cell."""
+        with self.lock:
+            if not self.book.deliver(cell):
+                self.stats.duplicates_dropped += 1
+                return False
+            if kind == "outcome":
+                self.outcomes[cell] = payload
+                self.stats.completed += 1
             else:
-                break
-            if incident is None:
-                if suspects:
-                    suspects = []
-                else:
-                    healthy = []
+                self.failures[cell] = payload
+            self._checkpoint()
+        return True
+
+    def expire(self) -> int:
+        with self.lock:
+            count, verdicts = self.book.expire()
+            self.stats.lease_expiries += count
+            self._convict(verdicts)
+        return count
+
+    def lose(self, worker: str, *, blame: bool) -> None:
+        with self.lock:
+            self.stats.worker_crashes += blame
+            self._convict(self.book.lose(worker, blame=blame))
+
+    def _convict(self, verdicts: Verdicts) -> None:
+        for cell, failure in verdicts:
+            self.failures[cell] = failure
+            if failure.kind == "timeout":
+                self.stats.exhausted += 1
+            else:
+                self.stats.quarantined += 1
+            self._checkpoint()
+
+    # -- the in-process cell loop ---------------------------------------------
+
+    def run_in_process(self, attack, blind_box: dict,
+                       before_cell: Optional[Callable] = None) -> None:
+        """Run the book's cells in this process until it is done: the
+        serial path (``before_cell`` fires right before each cell) and
+        both transports' last rung (chaos directives are ignored — there
+        is no worker to kill — but in-cell ``ReproError``s still fail
+        only their cell).  A ``KeyboardInterrupt`` propagates with the
+        last checkpoint valid on disk."""
+        while True:
+            with self.lock:
+                if self.book.done():
+                    return
+                granted = self.book.grant("in-process")
+                wait_s = None if granted else self.book.next_event()
+            if granted is None:   # reclaimed cells still on hold
+                time.sleep(wait_s or 0.0)
                 continue
-            self._record_incident(incident)
-            involved = set(incident.suspects) | set(incident.lost)
-            if suspects:
-                suspects = [c for c in suspects if c in involved]
+            cell, attempt, _ = granted
+            try:
+                if before_cell is not None:
+                    before_cell(*cell)
+                with self.lock:
+                    self._dispatched(attempt)
+                outcome = _execute_cell(attack, blind_box, self.images,
+                                        self.labels, self.spec.seed,
+                                        cell[0], cell[1], clean=self.clean)
+            except ReproError as exc:
+                self.settle(cell, "failure", _failure_from(*cell, exc))
             else:
-                healthy = [c for c in incident.lost]
-                suspects = list(incident.suspects)
-        return _assemble(self.spec, self.clean, self.outcomes, self.failures)
+                self.settle(cell, "outcome", outcome)
+
+    def fall_back(self, recipe) -> None:
+        """The last rung: no pool or worker left, finish in-process."""
+        self.stats.serial_fallback = True
+        state = _exec._build_state(recipe, self.images, self.labels,
+                                   self.clean)
+        self.run_in_process(state.attack, state.blind_box)
+
+
+# ---------------------------------------------------------------------------
+# The pool transport
+# ---------------------------------------------------------------------------
+
+
+def _hard_shutdown(pool) -> None:
+    """Tear a pool down without waiting on hung or dead workers."""
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            proc.terminate()
+        except Exception:  # pragma: no cover - teardown best effort
+            pass
+
+
+def _pool_round(driver: _Driver, recipe, size: int, name: str) -> bool:
+    """Serve the book from one fresh pool of ``size`` workers until it
+    drains, or until isolation starts or ends; True if the pool died.
+
+    Grants are incremental (never more cells out than workers) so a
+    lease times execution, not queueing.
+    """
+    book = driver.book
+    pool = _exec.ProcessPoolExecutor(
+        max_workers=size, mp_context=_exec._mp_context(recipe),
+        initializer=_exec._init_worker,
+        initargs=(recipe, driver.images, driver.labels, driver.clean))
+    isolating = book.isolating()
+    futures: Dict[object, Cell] = {}
+    died = True
+    try:
+        while True:
+            while len(futures) < size and book.isolating() == isolating:
+                granted = driver.grant(name)
+                if granted is None:
+                    break
+                cell, _, fault = granted
+                futures[pool.submit(_exec._worker_cell, cell[0], cell[1],
+                                    driver.spec.seed, fault)] = cell
+            if not futures:
+                if book.done() or book.isolating() != isolating:
+                    died = False
+                    return False
+                time.sleep(book.next_event() or 0.0)   # reclaimed cells on hold
+                continue
+            done, _ = wait(futures, timeout=book.next_event(),
+                           return_when=FIRST_COMPLETED)
+            crashed = [f for f in done
+                       if isinstance(f.exception(), BrokenProcessPool)]
+            for future in done:
+                cell = futures.pop(future)
+                if future not in crashed:
+                    driver.settle(cell, *future.result())
+            if crashed:   # settled results first, then every lease left
+                driver.lose(name, blame=True)
+                return True
+            if driver.expire():
+                driver.lose(name, blame=False)
+                return True
+    finally:
+        if died:   # a dead pool, an expired lease, or an interrupt
+            _hard_shutdown(pool)
+        else:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
@@ -412,37 +532,38 @@ def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
                    failures: Dict[Cell, CellFailure],
                    *,
                    workers: int,
-                   config: Optional[SupervisorConfig] = None,
                    checkpoint_path=None,
                    before_cell: Optional[Callable[[str, int], None]] = None,
                    fault_hook: Optional[Callable] = None,
                    stats: Optional[SupervisorStats] = None,
                    ) -> CampaignResult:
-    """Run the pending cells of ``spec`` under self-healing supervision.
+    """Run the pending cells of ``spec`` on supervised process pools,
+    under the lease policy ``recipe.config.supervisor``.
 
     Called by :func:`~repro.core.campaign.run_campaign` after the shared
     prelude (resume loading, spec resolution, clean-accuracy
-    measurement); ``outcomes``/``failures`` arrive pre-populated from
-    the checkpoint on a resumed run and are mutated in place.
-    ``before_cell`` keeps its pinned semantics — fired once per cell,
-    in the submitting process, in canonical order, *before* any
-    dispatch — so stateful chaos hooks make identical decisions at
-    every worker count, retries included.
+    measurement).  ``fault_hook(target, count, attempt)`` returns the
+    chaos directive a worker honours for that grant.
     """
-    cfg = config if config is not None else recipe.config.supervisor
-    cfg.validate()
-    supervisor = _Supervisor(recipe, images, labels, spec, clean,
-                             outcomes, failures, workers=workers,
-                             config=cfg, checkpoint_path=checkpoint_path,
-                             fault_hook=fault_hook, stats=stats)
-    pending = [cell for cell in spec.cells() if cell not in outcomes]
-    for target, count in pending:
-        if before_cell is not None:
-            try:
-                before_cell(target, count)
-            except ReproError as exc:
-                supervisor._fail((target, count), type(exc).__name__,
-                                 str(exc), kind="error")
-    if not [c for c in pending if c not in failures]:
-        return _assemble(spec, clean, outcomes, failures)
-    return supervisor.run()
+    driver = _Driver(spec, images, labels, clean, outcomes, failures,
+                     policy=recipe.config.supervisor,
+                     checkpoint_path=checkpoint_path,
+                     fault_hook=fault_hook, stats=stats)
+    driver.prelude(before_cell)
+    policy = recipe.config.supervisor
+    size = max(1, min(workers, recipe.config.executor.worker_cap))
+    deaths = at_size = 0   # the degradation ladder
+    while not driver.book.done():
+        if deaths >= policy.serial_fallback_after:
+            driver.fall_back(recipe)
+            break
+        if not _pool_round(driver, recipe,
+                           1 if driver.book.isolating() else size,
+                           f"pool-{deaths}"):
+            continue
+        deaths += 1
+        at_size += 1
+        if at_size >= policy.degrade_after and size > 1:
+            size, at_size = size // 2, 0
+            driver.stats.degradations += 1
+    return driver.result()

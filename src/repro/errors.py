@@ -104,10 +104,10 @@ class WorkerCrashError(ReproError):
     An in-cell :class:`ReproError` is recorded as a ``CellFailure`` and
     the campaign survives it; a crashed worker (segfault, OOM kill,
     ``os._exit``) means results were lost in flight and the pool is
-    broken.  The self-healing supervisor (:mod:`repro.core.supervisor`)
-    and the campaign broker rebuild or re-lease and re-dispatch only the
-    lost cells; a cell blamed for repeated worker deaths is recorded as
-    a ``CellFailure`` with this error type and ``kind="quarantined"``.
+    broken.  The lease book both campaign transports share
+    (:mod:`repro.core.supervisor`) re-dispatches only the lost cells; a
+    cell blamed for repeated worker deaths is recorded as a
+    ``CellFailure`` with this error type and ``kind="quarantined"``.
     """
 
     def __init__(self, message: str, target_layer: str = "",
@@ -120,10 +120,9 @@ class WorkerCrashError(ReproError):
 class CellLeaseExpiredError(ReproError):
     """A campaign cell overran its lease deadline and was cancelled.
 
-    The supervisor dispatches every cell under a lease
+    Both campaign transports grant every cell under a lease
     (``SupervisorConfig.cell_timeout_s``); a cell still running at its
-    deadline is presumed hung, its worker is torn down, and the cell is
-    retried.  A cell that *keeps* timing out until its retry budget runs
+    deadline is presumed hung and reclaimed, and the cell is retried.  A cell that *keeps* timing out until its retry budget runs
     out is recorded as a ``CellFailure`` with this error type and
     ``kind="timeout"``.
     """

@@ -1,10 +1,10 @@
 """Clock-discipline rule.
 
-Lease deadlines, heartbeat eviction, and backoff schedules in the
-supervisor and the campaign-service broker are all driven through
-*injectable* clocks — ``repro.core.supervisor._monotonic`` and the
-``clock=`` constructor parameters — so tests can freeze or jump time
-and pin the lease machinery deterministically
+Lease deadlines, holds before re-dispatch, and heartbeat eviction —
+the lease book and both of its transports, the process pool and the
+socket broker — read time through one injectable hook,
+``repro.core.supervisor._monotonic``, looked up at call time, so tests
+can freeze or jump time and pin the lease machinery deterministically
 (``tests/core/test_supervisor.py::TestClockDiscipline``).  A bare
 ``time.monotonic()`` call in those modules silently bypasses the
 injection point: the code works until a test needs to control time, or
@@ -13,10 +13,9 @@ byte-identically.
 
 ``REPRO-CLK001`` therefore forbids *calls* to ambient clock sources in
 ``repro/core`` and ``repro/defense``.  References without a call stay
-legal — ``_monotonic = time.monotonic`` and
-``clock: Callable[[], float] = time.monotonic`` are exactly how the
-injection points are built.  ``time.sleep`` is not a clock read and is
-allowed.
+legal — ``_monotonic = time.monotonic`` is exactly how the injection
+point is built (a ``clock=`` parameter defaulting to ``time.monotonic``
+would be too).  ``time.sleep`` is not a clock read and is allowed.
 """
 
 from __future__ import annotations
@@ -44,9 +43,10 @@ _FORBIDDEN = frozenset({
 class ClockDisciplineRule(Rule):
     rule_id = "REPRO-CLK001"
     title = "clocks arrive through injection points"
-    contract = ("Deterministic modules read time only through injectable "
-                "hooks (supervisor._monotonic, broker clock=), never by "
-                "calling time.*/datetime.* directly.")
+    contract = ("Deterministic modules read time only through the "
+                "injectable hook (supervisor._monotonic, used by the pool "
+                "and the broker alike), never by calling "
+                "time.*/datetime.* directly.")
     hint = ("take the clock through the module's injection point "
             "(_monotonic / clock= parameter) so tests can freeze or "
             "jump time; assigning time.monotonic as a *default* is the "

@@ -238,6 +238,33 @@ class TestContentAddressing:
                                attack.engine.model, images[:8],
                                labels[:8]) != base
 
+    def test_scheduling_sections_keep_the_address(self, victim):
+        """Lease policy and socket settings decide where and when a cell
+        runs, never its outcome: tuning them keeps every address, while
+        an outcome-bearing knob still moves it."""
+        attack = fresh_attack(victim)
+        images = victim.dataset.test_images[:16]
+        labels = victim.dataset.test_labels[:16]
+        config = attack.config
+
+        def digest(cfg):
+            return campaign_digest(cfg, attack.bank_cells,
+                                   attack.engine.model, images, labels)
+
+        base = digest(config)
+        for section, field, value in (("supervisor", "cell_timeout_s", 7.0),
+                                      ("supervisor", "max_retries", 9),
+                                      ("service", "port", 9001),
+                                      ("executor", "worker_cap", 3)):
+            tweaked = dataclasses.replace(config, **{section: (
+                dataclasses.replace(getattr(config, section),
+                                    **{field: value}))})
+            assert digest(tweaked) == base, (section, field)
+        striker = dataclasses.replace(
+            config, striker=dataclasses.replace(config.striker,
+                                                loops_per_cell=3))
+        assert digest(striker) != base
+
     def test_backend_and_dtype_policy_move_the_address(self, victim):
         """The execution mode is part of the content address: fp32 (or
         an alternate backend) is tolerance-tier, so its outcomes must

@@ -15,6 +15,7 @@ import pytest
 
 from repro.chaos import ChaosInjector, chaos_preset
 from repro.core import CampaignSpec, DeepStrike, run_campaign
+from repro.core import campaign as campaign_mod
 from repro.core import executor as executor_mod
 from repro.core.campaign import _to_json
 from repro.core.executor import WorkerRecipe
@@ -91,7 +92,7 @@ class TestResumeParity:
         final bytes equal the uninterrupted serial run."""
         ckpt = tmp_path / "ckpt.json"
         writes = []
-        orig = executor_mod._atomic_write_text
+        orig = campaign_mod._atomic_write_text
 
         def interrupting_write(path, text):
             orig(path, text)
@@ -99,11 +100,12 @@ class TestResumeParity:
             if len(writes) == 2:
                 raise KeyboardInterrupt  # what SIGINT raises
 
-        monkeypatch.setattr(executor_mod, "_atomic_write_text",
+        # The one checkpoint writer every path looks up at call time.
+        monkeypatch.setattr(campaign_mod, "_atomic_write_text",
                             interrupting_write)
         with pytest.raises(KeyboardInterrupt):
             run(victim, small_spec, workers=2, checkpoint_path=ckpt)
-        monkeypatch.setattr(executor_mod, "_atomic_write_text", orig)
+        monkeypatch.setattr(campaign_mod, "_atomic_write_text", orig)
         assert ckpt.exists()  # the checkpoint survived the interrupt
 
         resumed = run(victim, small_spec, workers=2, checkpoint_path=ckpt,

@@ -3,10 +3,10 @@
 The broker's promise is the supervisor's, extended across a socket: a
 campaign whose workers are killed, partitioned, or duplicated must
 still converge — with no manual intervention — to JSON byte-identical
-to a clean serial run.  The pure lease state machine (`_LeaseBook`) is
-driven here with a fake monotonic clock, the wire protocol with
-socketpairs, and the whole service end-to-end with real broker-spawned
-worker processes.
+to a clean serial run.  The shared lease book (`_LeaseBook`) and the
+broker's heartbeat and frame handling are driven here with a fake
+monotonic clock, the wire protocol with socketpairs, and the whole
+service end-to-end with real broker-spawned worker processes.
 """
 
 import json
@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 from repro.chaos import CHAOS_PRESETS, ChaosInjector, ChaosSpec
-from repro.config import ServiceConfig
+from repro.config import ServiceConfig, SupervisorConfig
 from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core.campaign import _to_json
 from repro.core.cellcache import CellCache
 from repro.core.executor import WorkerRecipe
-from repro.core.service import ServiceStats, parse_address
-from repro.core.service.broker import _LeaseBook
+from repro.core.service import CampaignBroker, parse_address
 from repro.core.service.protocol import (
     MAX_FRAME_BYTES,
     decode_array,
@@ -34,6 +33,7 @@ from repro.core.service.protocol import (
     recv_msg,
     send_msg,
 )
+from repro.core.supervisor import SupervisorStats, _Driver
 from repro.errors import ProtocolError
 
 pytestmark = pytest.mark.skipif(
@@ -76,9 +76,8 @@ def serial_json(victim, spec3):
 def service_config(**overrides):
     """A ServiceConfig tuned for tests: fast heartbeats, short grace."""
     defaults = dict(local_workers=2, heartbeat_interval_s=0.1,
-                    heartbeat_timeout_s=0.8, lease_timeout_s=60.0,
-                    steal_after_s=30.0, no_worker_grace_s=20.0,
-                    redispatch_jitter_s=0.05)
+                    heartbeat_timeout_s=0.8, steal_after_s=30.0,
+                    no_worker_grace_s=20.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -163,137 +162,173 @@ class TestProtocol:
 
 
 # ---------------------------------------------------------------------------
-# The lease state machine, on a fake clock
+# The shared lease book and the broker's side of it, on a fake clock
 # ---------------------------------------------------------------------------
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 100.0
-
-    def __call__(self) -> float:
-        return self.t
-
-
-def book(cells=(("pool1", 40), ("pool1", 80)), **overrides):
-    defaults = dict(heartbeat_timeout_s=2.0, lease_timeout_s=10.0,
-                    steal_after_s=5.0, redispatch_jitter_s=0.0,
-                    max_retries=3, quarantine_after=2)
-    defaults.update(overrides)
-    clock = FakeClock()
-    return _LeaseBook(list(cells), ServiceConfig(**defaults), seed=5,
-                      clock=clock), clock
+def broker_over():
+    """An unstarted broker leasing pool1@40 and pool1@80 (no sockets:
+    tests call its message handler and sweep directly)."""
+    spec = CampaignSpec(sweeps=(("pool1", (40, 80)),), eval_images=4, seed=5)
+    service = ServiceConfig(heartbeat_timeout_s=2.0, steal_after_s=5.0)
+    driver = _Driver(spec, np.zeros((4, 1, 28, 28)), np.zeros(4, dtype=int),
+                     1.0, {}, {}, policy=SupervisorConfig(),
+                     steal_after_s=service.steal_after_s)
+    return CampaignBroker(WorkerRecipe(), driver, config=service)
 
 
 class TestLeaseBook:
-    def test_grants_in_canonical_order_then_waits(self):
-        b, _ = book()
-        b.register("w")
+    def test_grants_in_canonical_order_then_waits(self, lease_book):
+        b = lease_book()
         assert b.grant("w") == (("pool1", 40), 0, False)
         assert b.grant("w") == (("pool1", 80), 0, False)
         assert b.grant("w") is None
 
-    def test_delivery_dedup_is_exactly_once(self):
-        b, _ = book()
-        b.register("w")
+    def test_delivery_dedup_is_exactly_once(self, lease_book):
+        b = lease_book()
         cell, _, _ = b.grant("w")
         assert b.deliver(cell) is True
         assert b.deliver(cell) is False  # duplicate dropped
         assert not b.done()
 
-    def test_missed_heartbeats_evict_and_requeue_with_blame(self):
-        b, clock = book()
-        b.register("w")
-        cell, _, _ = b.grant("w")
-        clock.t += 2.5  # past heartbeat_timeout_s
-        evicted, expiries, verdicts = b.sweep()
-        assert evicted == ["w"] and expiries == 0 and verdicts == []
-        assert b.blames[cell] == 1
-        assert cell in b.queue  # reclaimed for re-dispatch
+    def test_foreign_cell_cannot_settle_or_finish_the_campaign(
+            self, lease_book):
+        """Only a cell pending in this campaign passes the gate: a
+        delivery for any other cell changes nothing."""
+        b = lease_book()
+        b.grant("w")
+        assert b.deliver(("pool1", 999)) is False
+        assert b.deliver(("pool1", 40)) is True
+        assert not b.done()              # pool1@80 never ran
 
-    def test_frozen_clock_never_expires_a_lease(self):
-        b, clock = book(lease_timeout_s=0.001)
-        b.register("w")
+    def test_missed_heartbeats_evict_and_requeue_with_blame(self, clock):
+        """The broker times heartbeats on the shared clock hook; a silent
+        worker loses its lease with blame, like a pool death."""
+        broker = broker_over()
+        broker._handle({"type": "hello", "worker": "w"})
+        reply = broker._handle({"type": "lease", "worker": "w"})
+        cell = (reply["target"], reply["count"])
+        clock.t += 2.5  # past heartbeat_timeout_s
+        broker._sweep()
+        book = broker.driver.book
+        assert broker.beats == {}
+        assert book.blames[cell] == 1 and book.expiries[cell] == 0
+        assert cell in book.queue  # reclaimed for re-dispatch
+        assert broker.driver.stats.worker_crashes == 1
+
+    def test_frozen_clock_never_expires_a_lease(self, lease_book):
+        b = lease_book(cell_timeout_s=0.001)
         b.grant("w")
         for _ in range(50):  # clock frozen: sweep forever, nothing expires
-            b.beat("w")
-            assert b.sweep() == ([], 0, [])
+            assert b.expire() == (0, [])
 
-    def test_jumped_clock_expires_the_lease(self):
-        b, clock = book()
-        b.register("w")
+    def test_jumped_clock_expires_the_lease(self, lease_book, clock):
+        b = lease_book()
         cell, _, _ = b.grant("w")
         clock.t += 11.0
-        b.beat("w")  # still alive, just slow
-        evicted, expiries, verdicts = b.sweep()
-        assert evicted == [] and expiries == 1 and verdicts == []
+        assert b.expire() == (1, [])
         assert b.expiries[cell] == 1 and cell in b.queue
 
-    def test_redispatch_jitter_holds_the_cell_briefly(self):
-        b, clock = book(cells=[("pool1", 40)], redispatch_jitter_s=5.0)
-        b.register("w")
+    def test_redispatch_jitter_holds_the_cell_briefly(self, lease_book,
+                                                      clock):
+        """A reclaimed cell waits out the incident's jittered backoff."""
+        b = lease_book(cells=[("pool1", 40)], backoff_base_s=5.0,
+                       backoff_max_s=5.0, backoff_jitter=0.2)
         cell, _, _ = b.grant("w")
         clock.t += 11.0
-        b.beat("w")
-        b.sweep()
+        b.expire()
         held = b.ready_at[cell]
-        assert clock.t < held <= clock.t + 5.0
+        assert clock.t + 4.0 <= held <= clock.t + 6.0
         assert b.grant("w") is None        # not ready yet
         clock.t = held
         assert b.grant("w") == (cell, 1, False)
 
-    def test_idle_worker_steals_only_stale_leases_of_others(self):
-        b, clock = book(cells=[("pool1", 40)])
-        b.register("a")
-        b.register("b")
+    def test_idle_worker_steals_only_stale_leases_of_others(self, lease_book,
+                                                            clock):
+        b = lease_book(cells=[("pool1", 40)], steal_after_s=5.0)
         cell, _, _ = b.grant("a")
         assert b.grant("b") is None       # lease too young to steal
         clock.t += 6.0                    # past steal_after_s
-        b.beat("a")
         assert b.grant("b") == (cell, 1, True)
         assert b.grant("a") is None       # a already holds it: no re-steal
         assert b.grant("b") is None       # so does b now
         assert b.deliver(cell) is True    # first result wins
         assert b.deliver(cell) is False   # the loser is deduplicated
 
-    def test_repeated_eviction_quarantines_the_cell(self):
-        b, clock = book(cells=[("pool1", 40)], quarantine_after=2)
-        for round_no in range(2):
-            b.register("w")
+    def test_repeated_eviction_quarantines_the_cell(self, lease_book, clock):
+        b = lease_book(cells=[("pool1", 40)], quarantine_after=2)
+        for _ in range(2):
+            clock.t += 3.0                # past any hold
             b.grant("w")
-            clock.t += 3.0
-            _, _, verdicts = b.sweep()
-        assert len(verdicts) == 1
+            verdicts = b.lose("w", blame=True)
         (cell, failure), = verdicts
         assert failure.kind == "quarantined"
+        assert failure.message == "quarantined after 2 worker-fatal attempt(s)"
         assert b.done()
 
-    def test_chronic_expiry_exhausts_into_timeout(self):
-        b, clock = book(cells=[("pool1", 40)], max_retries=1,
-                        quarantine_after=99)
+    def test_chronic_expiry_exhausts_into_timeout(self, lease_book, clock):
+        b = lease_book(cells=[("pool1", 40)], max_retries=1,
+                       quarantine_after=99)
         verdicts = []
         for _ in range(3):
-            b.register("w")
             b.grant("w")
             clock.t += 11.0
-            b.beat("w")
-            _, _, verdicts = b.sweep()
+            _, verdicts = b.expire()
             if verdicts:
                 break
         (cell, failure), = verdicts
         assert failure.kind == "timeout"
         assert failure.error_type == "CellLeaseExpiredError"
 
-    def test_late_result_for_requeued_cell_still_counts_once(self):
-        b, clock = book(cells=[("pool1", 40)])
-        b.register("w")
+    def test_late_result_for_requeued_cell_still_counts_once(self,
+                                                             lease_book):
+        b = lease_book(cells=[("pool1", 40)])
         cell, _, _ = b.grant("w")
-        clock.t += 3.0
-        b.sweep()                       # w evicted, cell requeued
+        b.lose("w", blame=True)         # w evicted, cell requeued
         assert cell in b.queue
         assert b.deliver(cell) is True  # the "dead" worker's result lands
         assert cell not in b.queue      # and the requeue is cancelled
         assert b.done()
+
+
+class TestResultFrames:
+    """The broker decodes and checks a result frame before the book's
+    exactly-once gate: a bad frame gets an error reply, counts nothing,
+    and leaves the cell leased."""
+
+    def leased(self):
+        broker = broker_over()
+        broker._handle({"type": "hello", "worker": "w"})
+        reply = broker._handle({"type": "lease", "worker": "w"})
+        return broker, (reply["target"], reply["count"])
+
+    def assert_nothing_counted(self, broker, cell):
+        driver = broker.driver
+        assert cell in driver.book.leases
+        assert not driver.book.settled and not driver.book.done()
+        assert driver.outcomes == {} and driver.failures == {}
+        assert driver.stats.completed == 0
+        assert driver.stats.duplicates_dropped == 0
+
+    def test_undecodable_payload_is_refused_before_settling(self, clock):
+        broker, cell = self.leased()
+        reply = broker._handle({"type": "result", "worker": "w",
+                                "target": cell[0], "count": cell[1],
+                                "kind": "failure", "payload": {"bogus": 1}})
+        assert reply["type"] == "error"
+        self.assert_nothing_counted(broker, cell)
+
+    def test_foreign_cell_is_refused(self, clock):
+        broker, cell = self.leased()
+        reply = broker._handle({"type": "result", "worker": "w",
+                                "target": "pool1", "count": 999,
+                                "kind": "failure",
+                                "payload": {"target_layer": "pool1",
+                                            "n_strikes": 999,
+                                            "error_type": "ConfigError",
+                                            "message": "x"}})
+        assert reply["type"] == "error"
+        self.assert_nothing_counted(broker, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +404,14 @@ class TestDistributedParity:
                 return {"duplicate": True}
             return None
 
-        stats = ServiceStats()
+        stats = SupervisorStats()
         ckpt = tmp_path / "ckpt.json"
         result = run(victim, spec3, checkpoint_path=ckpt,
-                     service=service_config(lease_timeout_s=4.0),
+                     service=service_config(),
+                     supervisor=SupervisorConfig(cell_timeout_s=4.0),
                      fault_hook=fault, shard_hook=shard, stats=stats)
         assert _to_json(result, complete=True) == serial_json
-        assert stats.workers_evicted >= 1      # the kill
+        assert stats.worker_crashes >= 1       # the kill
         assert stats.lease_expiries >= 1       # the dropped result
         assert stats.duplicates_dropped >= 1   # the double delivery
         assert stats.retries >= 2
@@ -387,13 +423,13 @@ class TestDistributedParity:
         """Acceptance: a rerun against the shared cache re-executes
         nothing — every cell is served from disk, byte parity holds."""
         cache_dir = tmp_path / "cells"
-        first = ServiceStats()
+        first = SupervisorStats()
         result = run(victim, spec3, service=service_config(),
                      cache=cache_dir, stats=first)
         assert _to_json(result, complete=True) == serial_json
         assert first.dispatched == len(spec3.cells())
 
-        warm = ServiceStats()
+        warm = SupervisorStats()
         result = run(victim, spec3, service=service_config(),
                      cache=cache_dir, stats=warm)
         assert _to_json(result, complete=True) == serial_json
@@ -417,7 +453,7 @@ class TestDistributedParity:
         clean = float((attack.clean_predictions(images) == labels).mean())
         digest = campaign_digest(attack.config, attack.bank_cells,
                                  attack.engine.model, images, labels)
-        stats = ServiceStats()
+        stats = SupervisorStats()
         result = run_service(WorkerRecipe.from_attack(attack), images,
                              labels, spec3, clean, {}, {},
                              config=service_config(), stats=stats,
@@ -430,7 +466,7 @@ class TestDistributedParity:
             self, victim, spec3, serial_json):
         """A broker nobody ever joins must not hang: past the grace
         period it finishes the campaign itself, serially, with parity."""
-        stats = ServiceStats()
+        stats = SupervisorStats()
         result = run(victim, spec3,
                      service=service_config(local_workers=0,
                                             no_worker_grace_s=0.5),
@@ -449,10 +485,10 @@ class TestDistributedParity:
                 return ("hang", 8.0)
             return None
 
-        stats = ServiceStats()
+        stats = SupervisorStats()
         result = run(victim, spec3,
-                     service=service_config(steal_after_s=1.0,
-                                            lease_timeout_s=120.0),
+                     service=service_config(steal_after_s=1.0),
+                     supervisor=SupervisorConfig(cell_timeout_s=120.0),
                      fault_hook=fault, stats=stats)
         assert _to_json(result, complete=True) == serial_json
         assert stats.steals >= 1
@@ -466,9 +502,9 @@ class TestDistributedParity:
             worker_kill_prob=0.3, worker_disconnect_prob=0.3,
             result_duplicate_prob=0.5, result_delay_prob=0.3,
             result_delay_s=0.05, seed=11))
-        stats = ServiceStats()
-        result = run(victim, spec3,
-                     service=service_config(lease_timeout_s=4.0),
+        stats = SupervisorStats()
+        result = run(victim, spec3, service=service_config(),
+                     supervisor=SupervisorConfig(cell_timeout_s=4.0),
                      before_cell=injector.campaign_cell_hook,
                      fault_hook=injector.cell_fault,
                      shard_hook=injector.shard_fault, stats=stats)

@@ -18,7 +18,7 @@ from repro.chaos import ChaosInjector, ChaosSpec
 from repro.config import SupervisorConfig
 from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core.campaign import _to_json
-from repro.core.supervisor import SupervisorStats
+from repro.core.supervisor import SupervisorStats, _Driver
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -131,43 +131,136 @@ class TestQuarantine:
         assert done == set(small_spec.cells()) - {poison}
 
 
+def driver_over(cells, stats=None, **policy):
+    """A driver leasing ``cells`` on the fake clock, reported to by hand
+    the way the pool transport reports (1 s holds, no jitter)."""
+    spec = CampaignSpec(sweeps=(("pool1", tuple(c for _, c in cells)),),
+                        eval_images=4, seed=5)
+    defaults = dict(cell_timeout_s=5.0, backoff_base_s=1.0,
+                    backoff_max_s=1.0, backoff_jitter=0.0)
+    defaults.update(policy)
+    return _Driver(spec, np.zeros((4, 1, 28, 28)), np.zeros(4, dtype=int),
+                   1.0, {}, {}, policy=SupervisorConfig(**defaults),
+                   stats=stats)
+
+
+OUTCOME = object()   # settled payloads are opaque to the driver
+
+
 class TestLeases:
-    def test_hanging_cell_cancelled_and_retried(self, victim, small_spec,
-                                                serial_json):
-        """A cell stalling past its lease is torn down and re-run; the
-        retry completes and parity holds."""
-        hung = ("pool1", 40)
+    """Lease expiry on the fake clock, reported the way the pool reports
+    it (``TestAcceptance`` is the real-process proof that a hung pool is
+    torn down and retried)."""
 
-        def hang_once(target, count, attempt):
-            if (target, count) == hung and attempt == 0:
-                return ("hang", 120.0)
-            return None
-
+    def test_hanging_cell_cancelled_and_retried(self, clock):
+        """A cell stalling past its lease is reclaimed, its pool-mate is
+        re-queued without blame, and the retry completes."""
         stats = SupervisorStats()
-        result = run(victim, small_spec, workers=2, fault_hook=hang_once,
-                     supervisor=SupervisorConfig(cell_timeout_s=5.0),
-                     stats=stats)
-        assert _to_json(result, complete=True) == serial_json
-        assert stats.lease_expiries >= 1
-        assert stats.retries >= 1
+        driver = driver_over([("pool1", 40), ("pool1", 80), ("pool1", 120)],
+                             stats)
+        hung = driver.grant("pool-0")[0]                 # lease ends at 105
+        driver.settle(driver.grant("pool-0")[0], "outcome", OUTCOME)
+        clock.t += 1.0
+        mate = driver.grant("pool-0")[0]                 # lease ends at 106
+        clock.t += 4.5
+        assert driver.expire() == 1
+        driver.lose("pool-0", blame=False)   # the teardown takes the mate
+        book = driver.book
+        assert book.expiries[hung] == 1 and book.blames[mate] == 0
+        assert driver.grant("pool-1")[:2] == (mate, 1)   # blameless: no hold
+        assert driver.grant("pool-1") is None            # hung is held
+        clock.t += 1.0
+        assert driver.grant("pool-1")[:2] == (hung, 1)
+        assert driver.settle(mate, "outcome", OUTCOME)
+        assert driver.settle(hung, "outcome", OUTCOME)
+        assert book.done()
+        assert stats.lease_expiries == 1 and stats.retries == 2
+        assert stats.completed == 3 and stats.worker_crashes == 0
 
-    def test_chronic_hang_exhausts_into_timeout_failure(
-            self, victim, small_spec):
+    def test_chronic_hang_exhausts_into_timeout_failure(self, clock):
         """A cell that hangs on every attempt burns its retry budget and
         is recorded as kind="timeout" — the campaign still finishes."""
-        hung = ("pool1", 40)
+        stats = SupervisorStats()
+        driver = driver_over([("pool1", 40), ("pool1", 80)], stats,
+                             max_retries=1)
+        hung = driver.grant("pool-0")[0]
+        driver.settle(driver.grant("pool-0")[0], "outcome", OUTCOME)
+        for _ in range(2):
+            clock.t += 5.5
+            assert driver.expire() == 1
+            clock.t += 1.0
+            if not driver.book.done():
+                assert driver.grant("pool-1")[0] == hung
+        failure = driver.failures[hung]
+        assert (failure.kind, failure.error_type) == \
+            ("timeout", "CellLeaseExpiredError")
+        assert driver.book.done()
+        assert stats.exhausted == 1 and stats.lease_expiries == 2
 
-        def always_hang(target, count, attempt):
-            return ("hang", 120.0) if (target, count) == hung else None
 
-        result = run(victim, small_spec, workers=2, fault_hook=always_hang,
-                     supervisor=SupervisorConfig(cell_timeout_s=4.0,
-                                                 max_retries=1))
-        assert [(f.kind, f.error_type) for f in result.failures] == \
-            [("timeout", "CellLeaseExpiredError")]
-        done = {(s.target_layer, o.n_strikes)
-                for s in result.sweeps for o in s.outcomes}
-        assert done == set(small_spec.cells()) - {hung}
+class TestPoolLeaseEvents:
+    """The pool transport's events on the shared book (fake clock)."""
+
+    def test_crash_blames_every_in_flight_lease(self, lease_book):
+        b = lease_book(cells=[("pool1", 40), ("pool1", 80), ("pool1", 120)])
+        flying = [b.grant("pool-0")[0] for _ in range(2)]
+        assert b.lose("pool-0", blame=True) == []
+        assert [b.blames[c] for c in flying] == [1, 1]
+        assert b.leases == {} and b.incidents == 1
+        assert b.blames[("pool1", 120)] == 0       # never dispatched
+        assert ("pool1", 120) not in b.ready_at    # and not held back
+
+    def test_blameless_teardown_spends_no_retry_budget(self, lease_book,
+                                                       clock):
+        """With no retry budget at all, a cell torn down for another
+        cell's sake still re-queues — immediately, not convicted."""
+        b = lease_book(max_retries=0, quarantine_after=99)
+        hung = b.grant("pool-0")[0]          # lease ends at 110
+        clock.t += 5.0
+        mate = b.grant("pool-0")[0]          # lease ends at 115
+        clock.t += 6.0
+        _, verdicts = b.expire()
+        assert [cell for cell, _ in verdicts] == [hung]   # budget 0: out
+        assert b.lose("pool-0", blame=False) == []
+        assert mate in b.queue and mate not in b.ready_at
+        assert (b.blames[mate], b.expiries[mate]) == (0, 0)
+        assert b.grant("pool-1") == (mate, 1, False)
+
+    def test_cells_blamed_together_rerun_alone(self, lease_book, clock):
+        b = lease_book(cells=[("pool1", 40), ("pool1", 80), ("pool1", 120)],
+                       quarantine_after=3)
+        first, second = b.grant("pool-0")[0], b.grant("pool-0")[0]
+        b.lose("pool-0", blame=True)
+        assert b.isolating() and b.suspects == {first, second}
+        clock.t += 1.0                               # past the hold
+        assert b.grant("pool-1")[0] == first
+        assert b.grant("pool-1") is None             # alone: nothing beside
+        b.deliver(first)
+        assert b.grant("pool-2")[0] == second        # still before the queue
+        assert b.lose("pool-2", blame=True) == []    # crashes again, alone
+        assert b.suspects == {second}                # and still runs alone
+        clock.t += 1.0
+        assert b.grant("pool-3")[0] == second
+        b.deliver(second)
+        assert not b.isolating()
+        assert b.grant("pool-4")[0] == ("pool1", 120)
+
+    def test_in_process_rung_counts_grants_like_the_transports(
+            self, clock, monkeypatch):
+        """The fallback loop counts a re-grant as a retry, as the pool
+        and the broker do."""
+        from repro.core import supervisor as sup_mod
+
+        monkeypatch.setattr(sup_mod, "_execute_cell",
+                            lambda *args, **kwargs: OUTCOME)
+        stats = SupervisorStats()
+        driver = driver_over([("pool1", 40), ("pool1", 80)], stats)
+        driver.grant("pool-0")
+        driver.lose("pool-0", blame=True)
+        clock.t += 1.0
+        driver.run_in_process(None, {})
+        assert driver.book.done()
+        assert (stats.dispatched, stats.retries, stats.completed) == (3, 1, 2)
 
 
 class TestDegradation:
@@ -194,27 +287,36 @@ class TestDegradation:
 
 
 class TestDegradationLadderBoundary:
-    def test_halving_stops_at_one_worker(self):
-        """The ladder's boundary arithmetic: 4 -> 2 -> 1, then incidents
-        at size 1 must not halve below the floor (and must not count as
-        degradations)."""
-        from repro.core.executor import WorkerRecipe
-        from repro.core.supervisor import _Incident, _Supervisor
+    def test_halving_stops_at_one_worker(self, monkeypatch):
+        """The ladder's boundary arithmetic: 4 -> 2 -> 1, then pool
+        deaths at size 1 must not halve below the floor (and must not
+        count as degradations); the fifth death ends pooling."""
+        import dataclasses
 
+        from repro.config import default_config
+        from repro.core import supervisor as sup_mod
+        from repro.core.executor import WorkerRecipe
+        from repro.core.supervisor import run_supervised
+
+        sizes, rungs = [], []
+        monkeypatch.setattr(sup_mod, "_pool_round",
+                            lambda driver, recipe, size, name:
+                            sizes.append(size) or True)
+        monkeypatch.setattr(sup_mod._Driver, "fall_back",
+                            lambda driver, recipe: rungs.append("serial"))
+        config = dataclasses.replace(
+            default_config(),
+            supervisor=SupervisorConfig(degrade_after=1,
+                                        serial_fallback_after=5))
         spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
                             seed=0)
-        sup = _Supervisor(
-            WorkerRecipe(), np.zeros((4, 8, 8)), np.zeros(4, dtype=int),
-            spec, 1.0, {}, {}, workers=4,
-            config=SupervisorConfig(degrade_after=1, backoff_base_s=1e-4,
-                                    backoff_max_s=1e-4,
-                                    backoff_jitter=0.0))
-        sizes = [sup.n_workers]
-        for _ in range(4):
-            sup._record_incident(_Incident("crash", [], []))
-            sizes.append(sup.n_workers)
+        stats = SupervisorStats()
+        run_supervised(WorkerRecipe(config=config), np.zeros((4, 8, 8)),
+                       np.zeros(4, dtype=int), spec, 1.0, {}, {},
+                       workers=4, stats=stats)
         assert sizes == [4, 2, 1, 1, 1]
-        assert sup.stats.degradations == 2
+        assert stats.degradations == 2
+        assert rungs == ["serial"]
 
     def test_two_workers_degrade_once_then_serial(self, victim, small_spec,
                                                   serial_json):
@@ -237,10 +339,11 @@ class TestDegradationLadderBoundary:
 
 
 class TestClockDiscipline:
-    """Lease deadlines live on the injectable monotonic clock
-    (``supervisor._monotonic``) — wall time never enters the lease
-    machinery, so a frozen or jumping system clock cannot expire (or
-    immortalize) a healthy cell."""
+    """Lease deadlines live on the one injectable monotonic clock hook
+    (``supervisor._monotonic``, read by the book, the pool and the
+    broker alike) — wall time never enters the lease machinery, so a
+    frozen or jumping system clock cannot expire (or immortalize) a
+    healthy cell."""
 
     def test_frozen_clock_never_expires_leases(self, victim, small_spec,
                                                serial_json, monkeypatch):

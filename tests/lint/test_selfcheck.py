@@ -61,8 +61,9 @@ class TestMutations:
 
     def test_removing_clock_injection_fails_lint(self, package_copy,
                                                  capsys):
-        """Un-wire the supervisor's injectable clock: direct
-        ``time.monotonic()`` calls must trip REPRO-CLK001."""
+        """Un-wire the one injectable clock hook the lease book, the
+        pool and the broker share: direct ``time.monotonic()`` calls
+        must trip REPRO-CLK001."""
         supervisor = package_copy / "core" / "supervisor.py"
         source = supervisor.read_text()
         assert "_monotonic()" in source

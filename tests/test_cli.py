@@ -167,6 +167,34 @@ class TestCommands:
         for failure in payload["failures"]:
             assert failure["error_type"] == "ChaosError"
 
+    def test_broker_campaign_honours_policy_flags(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """--max-retries/--cell-timeout reach the broker's lease book,
+        not only the process pool."""
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("local worker daemons are started with fork")
+        from repro.core.service import broker as broker_mod
+
+        policies = []
+        real_init = broker_mod.CampaignBroker.__init__
+
+        def spy(self, recipe, driver, **kwargs):
+            policies.append(driver.book.policy)
+            real_init(self, recipe, driver, **kwargs)
+
+        monkeypatch.setattr(broker_mod.CampaignBroker, "__init__", spy)
+        target = tmp_path / "served.json"
+        assert main(["campaign", "--broker", "127.0.0.1:0",
+                     "--local-workers", "1", "--images", "8",
+                     "--sweep", "pool1=40", "--max-retries", "7",
+                     "--cell-timeout", "33", "-o", str(target)]) == 0
+        assert "broker bound at" in capsys.readouterr().out
+        (policy,) = policies
+        assert (policy.max_retries, policy.cell_timeout_s) == (7, 33.0)
+        assert target.exists()
+
     def test_defend_round_trip(self, tmp_path, capsys):
         import json
 
