@@ -38,7 +38,6 @@ from ..dsp.faults import FaultType, TimingFaultModel
 from ..units import ns
 from .mapper import LayerPlan, map_model
 from .schedule import AcceleratorSchedule
-from .xp import get_backend
 
 __all__ = ["StruckCycles", "AcceleratorEngine"]
 
@@ -116,14 +115,11 @@ class AcceleratorEngine:
             self.rng,
         )
         self._plan_by_name: Dict[str, LayerPlan] = {p.name: p for p in self.plans}
-        # Array backend (repro.accel.xp) and dtype policy.  The exact
-        # fixed-point path always runs plain numpy — its byte-parity
-        # contract is stated in numpy semantics — while the fp32 fast
-        # path routes its big matmuls through the backend.
-        self.backend = get_backend(self.config.backend)
+        # Dtype policy: "fxp" is the exact int64 reference, "fp32" runs
+        # the big matmuls as float32 sgemm.
         self.dtype_policy = self.config.dtype_policy
-        # Per-stage float32 weight/bias twins for the fp32 fast path
-        # (weights live on the backend device), built lazily.
+        # Per-stage float32 weight/bias twins for the fp32 fast path,
+        # built lazily.
         self._fp32_cache: Dict[str, tuple] = {}
         # Reusable draw buffers for the batched uniform matrices: the
         # same (images, ops) shapes recur every batch of a campaign
@@ -201,14 +197,12 @@ class AcceleratorEngine:
         return codes
 
     def _fp32_params(self, stage) -> tuple:
-        """Float32 weight/bias twins of a MAC stage, weights resident on
-        the array backend (identity placement for numpy)."""
+        """Float32 weight/bias twins of a MAC stage."""
         cached = self._fp32_cache.get(stage.name)
         if cached is None:
             w32 = stage.w_codes.reshape(
                 stage.w_codes.shape[0], -1).astype(np.float32)
-            cached = (self.backend.asarray(w32),
-                      stage.b_codes.astype(np.float32))
+            cached = (w32, stage.b_codes.astype(np.float32))
             self._fp32_cache[stage.name] = cached
         return cached
 
@@ -217,27 +211,25 @@ class AcceleratorEngine:
 
         ``dtype_policy="fxp"`` is the exact int64 reference
         (``stage.forward_codes``, the byte-parity tier).  ``"fp32"``
-        runs conv/dense MACs as float32 sgemm on the array backend and
-        the tanh lookup in float32 — every intermediate code is still an
-        integer *value*, but rounding at the float32 tanh boundary may
-        differ from the float64 reference by one code, so this tier is
-        pinned by differential tolerance tests
+        runs conv/dense MACs as float32 sgemm and the tanh lookup in
+        float32 — every intermediate code is still an integer *value*,
+        but rounding at the float32 tanh boundary may differ from the
+        float64 reference by one code, so this tier is pinned by
+        differential tolerance tests
         (``tests/accel/test_backend_parity.py``), not bytes.
         """
         if self.dtype_policy != "fp32":
             return stage.forward_codes(codes)
         kind = stage.kind
         if kind == "conv":
-            w_dev, b32 = self._fp32_params(stage)
+            w32, b32 = self._fp32_params(stage)
             cols, out_h, out_w = self._unfold(stage, codes)
-            acc = self.backend.asnumpy(
-                self.backend.asarray(cols) @ w_dev.T) + b32
+            acc = cols @ w32.T + b32
             return acc.reshape(codes.shape[0], out_h, out_w,
                                -1).transpose(0, 3, 1, 2)
         if kind == "dense":
-            w_dev, b32 = self._fp32_params(stage)
-            return self.backend.asnumpy(
-                self.backend.asarray(codes) @ w_dev.T) + b32
+            w32, b32 = self._fp32_params(stage)
+            return codes @ w32.T + b32
         if kind == "tanh":
             fmt = stage.act_format
             real = codes.astype(np.float32, copy=False) * np.float32(

@@ -26,6 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from .analysis import bar_chart, fixed_table, markdown_table
+from .errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -97,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shard campaign cells across N worker "
                                "processes (byte-identical to the serial "
                                "run; default 1)")
-    campaign.add_argument("--backend", default=None, metavar="NAME",
-                          help="array backend for the engine hot paths "
-                               "(default numpy; others registered as "
-                               "repro.array_backends entry points)")
     campaign.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                           metavar="POLICY",
                           help="dtype policy: fxp is the exact fixed-point "
@@ -211,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed cell cache shared with "
                              "campaign runs; warm cells are merged "
                              "without recomputation")
-    defend.add_argument("--backend", default=None, metavar="NAME",
-                        help="array backend for the defended engines "
-                             "(as campaign --backend)")
     defend.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                         help="dtype policy (fxp = bit-exact reference, "
                              "fp32 = fast tier)")
@@ -233,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser("lint",
                           help="AST contract linter: determinism, clock, "
                                "durability, exception, wire-protocol, and "
-                               "backend-purity rules")
+                               "numpy-only rules")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package)")
@@ -472,15 +466,11 @@ def _cmd_campaign(args) -> int:
         import dataclasses
 
         config = None
-        if args.backend is not None or args.dtype is not None:
+        if args.dtype is not None:
             from .config import default_config
 
-            overrides = {}
-            if args.backend is not None:
-                overrides["backend"] = args.backend
-            if args.dtype is not None:
-                overrides["dtype_policy"] = args.dtype
-            config = dataclasses.replace(default_config(), **overrides)
+            config = dataclasses.replace(default_config(),
+                                         dtype_policy=args.dtype)
         victim, _, attack, _ = _sensor_and_attack(args.seed, 5500,
                                                   config=config)
         if args.sweep:
@@ -561,7 +551,7 @@ def _cmd_serve(args) -> int:
     args.broker = f"{args.host}:{args.port}"
     for name, value in (("show", None), ("workers", 1),
                         ("max_retries", None), ("cell_timeout", None),
-                        ("backend", None), ("dtype", None)):
+                        ("dtype", None)):
         setattr(args, name, value)
     return _cmd_campaign(args)
 
@@ -599,18 +589,13 @@ def _cmd_defend(args) -> int:
     from .analysis.armsrace import arms_race_table
     from .config import RecoveryConfig, default_config
     from .core.campaign import _atomic_write_text, run_campaign
-    from .core.executor import DefenseGridSpec, WorkerRecipe
     from .defense import (ArmsRaceStudy, DetectionStudy, DroopMonitor,
                           default_defenses)
 
     config = None
-    if args.backend is not None or args.dtype is not None:
-        overrides = {}
-        if args.backend is not None:
-            overrides["backend"] = args.backend
-        if args.dtype is not None:
-            overrides["dtype_policy"] = args.dtype
-        config = dataclasses.replace(default_config(), **overrides)
+    if args.dtype is not None:
+        config = dataclasses.replace(default_config(),
+                                     dtype_policy=args.dtype)
     victim, engine, attack, sensor = _sensor_and_attack(
         args.seed, max(args.cells), config=config)
     images = victim.dataset.test_images[:args.images]
@@ -648,14 +633,10 @@ def _cmd_defend(args) -> int:
     # direct ArmsRaceStudy.sweep at every worker count.
     spec = race.campaign_spec([(c, args.strikes) for c in args.cells],
                               defenses)
-    recipe = WorkerRecipe.from_attack(
-        attack, defense=DefenseGridSpec(
-            enabled=True, input_shape=tuple(engine.input_shape)))
     result = run_campaign(attack, images, labels, spec,
                           checkpoint_path=args.checkpoint or args.resume,
                           resume_from=args.resume,
                           workers=args.workers,
-                          recipe=recipe,
                           cache=args.cache_dir)
     if result.failures:
         print(f"{len(result.failures)} arms-race cell(s) failed:")
@@ -718,31 +699,27 @@ def _cmd_lint(args) -> int:
     from .lint import (Baseline, default_baseline_path, lint_paths,
                        rules_by_id)
 
-    try:
-        rule_ids = args.rules.split(",") if args.rules else None
-        rules = rules_by_id(rule_ids)
-        paths = args.paths or [Path(__file__).resolve().parent]
-        report = lint_paths(paths, rules)
+    rule_ids = args.rules.split(",") if args.rules else None
+    rules = rules_by_id(rule_ids)
+    paths = args.paths or [Path(__file__).resolve().parent]
+    report = lint_paths(paths, rules)
 
-        if args.write_baseline:
-            target = args.baseline or str(default_baseline_path())
-            Baseline.from_findings(report.findings).save(target)
-            print(f"baseline written to {target} "
-                  f"({len(report.findings)} finding(s) grandfathered)")
-            return 0
+    if args.write_baseline:
+        target = args.baseline or str(default_baseline_path())
+        Baseline.from_findings(report.findings).save(target)
+        print(f"baseline written to {target} "
+              f"({len(report.findings)} finding(s) grandfathered)")
+        return 0
 
-        baseline = Baseline()
-        baseline_path = None
-        if not args.no_baseline:
-            baseline_path = Path(args.baseline) if args.baseline \
-                else default_baseline_path()
-            if baseline_path.exists():
-                baseline = Baseline.load(baseline_path)
-            elif args.baseline:
-                raise LintError(f"baseline not found: {baseline_path}")
-    except LintError as exc:
-        print(f"lint error: {exc}", file=sys.stderr)
-        return 2
+    baseline = Baseline()
+    baseline_path = None
+    if not args.no_baseline:
+        baseline_path = Path(args.baseline) if args.baseline \
+            else default_baseline_path()
+        if baseline_path.exists():
+            baseline = Baseline.load(baseline_path)
+        elif args.baseline:
+            raise LintError(f"baseline not found: {baseline_path}")
 
     fresh = baseline.filter_new(report.findings)
     stale = baseline.stale_entries(report.findings)
@@ -796,9 +773,22 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    0 is success; 1 means the command ran but cells failed (``defend``)
+    or lint found new violations under ``--strict``; 2 is a usage error
+    (argparse) or a library error.  A :class:`~repro.errors.ReproError`
+    reaches the user as one stderr line, ``repro: <ErrorType>:
+    <message>``; any other exception (a bug, ``KeyboardInterrupt``)
+    propagates with its traceback.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        message = " ".join(str(exc).split())
+        print(f"repro: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,6 +16,7 @@ Defaults are calibrated so the paper's *shapes* reproduce:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
@@ -32,7 +33,6 @@ __all__ = [
     "AcceleratorConfig",
     "ReliabilityConfig",
     "RecoveryConfig",
-    "ExecutorConfig",
     "SupervisorConfig",
     "ServiceConfig",
     "SimulationConfig",
@@ -74,7 +74,7 @@ class ClockConfig:
             if value <= 0:
                 raise ConfigError(f"{name} must be positive")
             ratio = self.sim_frequency_hz / value
-            if abs(ratio - round(ratio)) > 1e-9:
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(
                     f"{name} ({value:g} Hz) must divide the simulation "
                     f"frequency ({self.sim_frequency_hz:g} Hz) evenly"
@@ -388,37 +388,6 @@ class RecoveryConfig:
 
 
 @dataclass(frozen=True)
-class ExecutorConfig:
-    """Process-parallel campaign executor (docs/reliability.md).
-
-    Campaign cells are embarrassingly parallel — every ``(target,
-    strike-count)`` cell runs under its own blake2s-derived RNG stream —
-    so ``run_campaign(..., workers=N)`` shards them across a process
-    pool.  This section controls pool mechanics only; determinism comes
-    from the per-cell reseeding, not from here.
-    """
-
-    #: How worker processes start: "auto" picks fork where the platform
-    #: offers it (cheapest startup, inherits the loaded interpreter) and
-    #: spawn elsewhere.
-    mp_start_method: str = "auto"
-    #: Safety ceiling on the effective pool size regardless of the
-    #: ``workers=`` argument (a fat-fingered ``--workers 4000`` should
-    #: not fork-bomb the host).
-    worker_cap: int = 32
-
-    def validate(self) -> None:
-        if self.mp_start_method not in ("auto", "fork", "spawn",
-                                        "forkserver"):
-            raise ConfigError(
-                "mp_start_method must be one of auto/fork/spawn/"
-                f"forkserver, got {self.mp_start_method!r}"
-            )
-        if self.worker_cap < 1:
-            raise ConfigError("worker_cap must be >= 1")
-
-
-@dataclass(frozen=True)
 class SupervisorConfig:
     """The lease policy of both campaign transports (docs/reliability.md
     §3c).
@@ -543,13 +512,8 @@ class SimulationConfig:
     accel: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Array-namespace backend for the engine/PDN hot paths
-    #: (``repro.accel.xp``): "numpy" always works; other names resolve
-    #: through the ``repro.array_backends`` entry points.
-    backend: str = "numpy"
     #: "fxp" is the exact int64 fixed-point reference (byte-parity
     #: tier); "fp32" runs MAC layers in float32 (sgemm) and is pinned
     #: to the reference by differential tolerance tests only.
@@ -567,11 +531,8 @@ class SimulationConfig:
         self.accel.validate()
         self.reliability.validate()
         self.recovery.validate()
-        self.executor.validate()
         self.supervisor.validate()
         self.service.validate()
-        if not self.backend or not isinstance(self.backend, str):
-            raise ConfigError("backend must be a non-empty string")
         if self.dtype_policy not in ("fxp", "fp32"):
             raise ConfigError(
                 f"dtype_policy must be 'fxp' or 'fp32', got {self.dtype_policy!r}"

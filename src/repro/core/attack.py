@@ -254,8 +254,7 @@ class DeepStrike:
         first use and restored (bit-exactly) thereafter.
         """
         pdn = PowerDistributionNetwork(self.config.pdn,
-                                       dt=self.config.clock.sim_dt, rng=None,
-                                       backend=self.config.backend)
+                                       dt=self.config.clock.sim_dt, rng=None)
         if self._settled_state is None:
             pdn.settle(STALL_CURRENT)
             self._settled_state = pdn.state

@@ -59,10 +59,10 @@ FORMAT_VERSION = 2
 #: Sweep name under which the unguided baseline's cells are recorded.
 BLIND_TARGET = "blind"
 
-#: Target prefix routing a cell to the arms-race (defended inference)
-#: runner — the grammar is ``arms:<layer>:<defense>@<bank_cells>``; see
-#: :func:`repro.defense.arms_target`.  Kept as a literal here so the
-#: campaign core never imports the defense package for plain campaigns.
+#: Target prefix routing a cell to the arms-race study — the grammar is
+#: ``arms:<layer>:<defense>@<bank_cells>``; see
+#: :func:`repro.defense.arms_target`.  Defined here so the campaign core
+#: never imports the defense package for plain campaigns.
 ARMS_TARGET_PREFIX = "arms:"
 
 
@@ -185,26 +185,24 @@ def _execute_cell(attack: DeepStrike, blind_box: Dict[str, BlindAttack],
     to the serial run.  ``blind_box`` caches the lazily built
     :class:`BlindAttack` across calls (one per process); ``clean`` is the
     campaign-level clean-accuracy baseline, measured once and shared so
-    cells skip the per-cell clean forward pass.
+    cells skip the per-cell clean forward pass.  An arms-race cell runs
+    on one warm :class:`~repro.defense.ArmsRaceStudy` per process (also
+    kept in ``blind_box``) under the study's own per-cell seed scheme,
+    which makes it bit-identical to a direct ``ArmsRaceStudy.sweep``.
     """
     if target.startswith(ARMS_TARGET_PREFIX):
-        if not blind_box.get("__arms_enabled__", True):
-            raise ConfigError(
-                f"worker received arms-race cell '{target}' but its "
-                f"recipe has the defense grid disabled (set "
-                f"DefenseGridSpec(enabled=True) on the WorkerRecipe)"
-            )
-        runner = blind_box.get("__arms__")
-        if runner is None:
-            from ..defense.evaluation import DefendedCellRunner
+        from ..defense.evaluation import (ArmsRaceStudy, parse_arms_target,
+                                          resolve_defense)
 
-            runner = DefendedCellRunner(
-                attack.engine.model, images, labels,
-                config=attack.config, seed=base_seed,
-                input_shape=attack.engine.input_shape,
-            )
-            blind_box["__arms__"] = runner
-        return runner.run(target, count)
+        study = blind_box.get("__arms__")
+        if study is None:
+            study = ArmsRaceStudy(attack.engine.model, images, labels,
+                                  config=attack.config, seed=base_seed,
+                                  input_shape=attack.engine.input_shape)
+            blind_box["__arms__"] = study
+        layer, defense, bank_cells = parse_arms_target(target)
+        return study.run_cell(bank_cells, count, resolve_defense(defense),
+                              label=defense, target_layer=layer)
     seed = _cell_seed(base_seed, target, count)
     _reseed(attack.engine.rng, seed)
     if target == BLIND_TARGET:
@@ -565,9 +563,24 @@ def load_campaign(path) -> CampaignResult:
     """Read a campaign result (or checkpoint) back from JSON.
 
     Accepts the current format (v2) and the original v1 files, which had
-    no ``failures``/``complete`` fields.
+    no ``failures``/``complete`` fields.  A file that cannot be read or
+    is not a campaign file (torn, foreign, hand-broken) raises
+    :class:`ConfigError` naming it.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        return _result_from_payload(json.loads(Path(path).read_text()))
+    except OSError as exc:
+        raise ConfigError(f"cannot read campaign file {path}: "
+                          f"{exc.strerror or exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path} is not a campaign file "
+                          f"({type(exc).__name__}: {exc})") from None
+
+
+def _result_from_payload(payload: dict) -> CampaignResult:
+    """Inverse of :func:`_to_json` (raises on any malformed part)."""
     version = payload.get("format_version")
     if version not in (1, FORMAT_VERSION):
         raise ConfigError(

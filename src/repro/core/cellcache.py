@@ -63,7 +63,7 @@ def _hash_update_array(h, name: str, array: np.ndarray) -> None:
 
 
 #: ``SimulationConfig`` sections that cannot change a cell's outcome.
-_SCHEDULING = frozenset({"executor", "supervisor", "service"})
+_SCHEDULING = frozenset({"supervisor", "service"})
 
 
 def campaign_digest(config: SimulationConfig, bank_cells: int,
@@ -81,13 +81,12 @@ def campaign_digest(config: SimulationConfig, bank_cells: int,
     sections = {name: value for name, value in asdict(config).items()
                 if name not in _SCHEDULING}
     h.update(json.dumps(sections, sort_keys=True).encode())
-    # The array backend and dtype policy are config fields, so the JSON
-    # above already covers them — but they change *numerics*, not just
-    # tuning, so fold them in explicitly too: fp32/alternate-backend
-    # outcomes must never be served from (or poison) FXP entries even
-    # if config serialization is ever restructured.
-    h.update(f"|backend:{config.backend}|dtype:{config.dtype_policy}"
-             .encode())
+    # The dtype policy is a config field, so the JSON above already
+    # covers it — but it changes *numerics*, not just tuning, so fold it
+    # in explicitly too: fp32 outcomes must never be served from (or
+    # poison) fxp entries even if config serialization is ever
+    # restructured.
+    h.update(f"|dtype:{config.dtype_policy}".encode())
     h.update(f"|bank:{bank_cells}".encode())
     h.update(f"|model:{model.name}:{model.act_format!r}"
              f":{model.weight_format!r}".encode())

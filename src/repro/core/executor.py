@@ -34,7 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401 (patch point)
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,25 +43,7 @@ from ..errors import ReproError
 from .attack import DEFAULT_ATTACK_CELLS, DeepStrike
 from .campaign import _execute_cell, _failure_from
 
-__all__ = ["DefenseGridSpec", "WorkerRecipe"]
-
-
-@dataclass(frozen=True)
-class DefenseGridSpec:
-    """Whether (and how) a worker may execute arms-race cells.
-
-    Arms-race campaign cells (``arms:<layer>:<defense>@<bank>`` targets)
-    build a :class:`~repro.defense.DefendedCellRunner` inside the worker
-    — hardened engines, clamp calibration, defended clean caches — which
-    plain attack campaigns never need.  The grid is therefore opt-in:
-    a worker whose recipe leaves ``enabled=False`` refuses arms cells
-    with a structured failure instead of silently building the defense
-    stack.  ``input_shape`` is the victim's input tensor shape, which
-    the runner's engines need and the zoo name alone does not carry.
-    """
-
-    enabled: bool = False
-    input_shape: Tuple[int, ...] = (1, 28, 28)
+__all__ = ["WorkerRecipe"]
 
 
 @dataclass(frozen=True)
@@ -69,31 +51,26 @@ class WorkerRecipe:
     """Everything a worker process needs to rebuild the attack.
 
     Deliberately *data only*: a zoo victim name, a frozen
-    :class:`SimulationConfig`, the striker bank size, and the defense
-    grid spec.  The worker initializer loads the victim's cached
-    weights by name (:func:`repro.zoo.load_quantized`), rebuilds the
-    engine and :class:`DeepStrike` from the config, and relies on
-    per-cell reseeding for parity — so nothing stateful ever crosses
-    the process boundary.
+    :class:`SimulationConfig` and the striker bank size.  The worker
+    initializer loads the victim's cached weights by name
+    (:func:`repro.zoo.load_quantized`), rebuilds the engine and
+    :class:`DeepStrike` from the config, and relies on per-cell
+    reseeding for parity — so nothing stateful ever crosses the process
+    boundary.
     """
 
     victim_name: str = "lenet5"
     bank_cells: int = DEFAULT_ATTACK_CELLS
     config: SimulationConfig = field(default_factory=default_config)
-    defense: DefenseGridSpec = field(default_factory=DefenseGridSpec)
 
     @classmethod
     def from_attack(cls, attack: DeepStrike,
-                    victim_name: str = "lenet5",
-                    defense: Optional[DefenseGridSpec] = None,
-                    ) -> "WorkerRecipe":
+                    victim_name: str = "lenet5") -> "WorkerRecipe":
         """Derive a recipe from a live attack (zoo victims only — the
         worker relocates the victim by ``victim_name``, so a model that
         did not come from the zoo needs its own recipe)."""
         return cls(victim_name=victim_name, bank_cells=attack.bank_cells,
-                   config=attack.config,
-                   defense=defense if defense is not None
-                   else DefenseGridSpec())
+                   config=attack.config)
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +99,18 @@ def _build_state(recipe: WorkerRecipe, images: np.ndarray,
                  clean: Optional[float] = None) -> _WorkerState:
     """Rebuild the attack stack from a recipe (shared by the pool
     initializer, the worker daemon and the in-process fallback rung).
-    The RNG seeds here are irrelevant: every cell reseeds the engine
-    stream from its blake2s-derived cell seed before executing."""
+    The engine takes the 1x28x28 input every zoo victim uses.  The RNG
+    seeds here are irrelevant: every cell reseeds the engine stream
+    from its blake2s-derived cell seed before executing."""
     from ..accel import AcceleratorEngine
     from ..zoo import load_quantized
 
     quantized = load_quantized(recipe.victim_name)
     engine = AcceleratorEngine(quantized, config=recipe.config,
-                               rng=np.random.default_rng(0),
-                               input_shape=tuple(recipe.defense.input_shape))
+                               rng=np.random.default_rng(0))
     attack = DeepStrike(engine, bank_cells=recipe.bank_cells,
                         rng=np.random.default_rng(0))
-    # The blind box doubles as the per-process singleton store; the
-    # arms-race gate rides along so _execute_cell can refuse defended
-    # cells on workers that did not opt in.
-    blind_box = {"__arms_enabled__": recipe.defense.enabled}
-    return _WorkerState(attack=attack, blind_box=blind_box,
+    return _WorkerState(attack=attack, blind_box={},
                         images=images, labels=labels, clean=clean)
 
 
@@ -191,10 +164,8 @@ def _worker_cell(target: str, count: int, base_seed: int, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def _mp_context(recipe: WorkerRecipe):
-    """The start method the recipe asks for ("auto" is the cheapest
-    available: fork where it exists, else spawn)."""
-    name = recipe.config.executor.mp_start_method
-    if name == "auto":
-        name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    return mp.get_context(name)
+def _mp_context():
+    """Fork where the platform offers it (cheapest start, inherits the
+    loaded interpreter), else spawn."""
+    return mp.get_context(
+        "fork" if "fork" in mp.get_all_start_methods() else "spawn")

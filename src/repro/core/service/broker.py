@@ -102,7 +102,7 @@ class CampaignBroker:
         threading.Thread(target=self._accept_loop, daemon=True,
                          name="broker-accept").start()
         if self.cfg.local_workers:
-            ctx = _exec._mp_context(self.recipe)
+            ctx = _exec._mp_context()
             for _ in range(self.cfg.local_workers):
                 proc = ctx.Process(target=_local_worker_main,
                                    args=self.address, daemon=True)

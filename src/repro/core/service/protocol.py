@@ -29,7 +29,11 @@ ndarrays (the evaluation slice in the ``job`` payload) travel as
 ``{"dtype", "shape", "data"}`` with base64-encoded contiguous bytes;
 :class:`~repro.core.executor.WorkerRecipe` travels as nested plain
 dicts rehydrated generically from dataclass type hints, so new config
-sections ride along without touching this module.
+sections ride along without touching this module.  The ``job`` frame
+comes from outside the process, so the decoder refuses — with
+:class:`ProtocolError` — any payload a worker could not build: an
+unknown field, a leaf that does not match its type hint, a section
+that is not an object, or a config that fails its own ``validate()``.
 """
 
 from __future__ import annotations
@@ -39,11 +43,12 @@ import dataclasses
 import json
 import socket
 import struct
+import sys
 import typing
 
 import numpy as np
 
-from ...errors import ProtocolError
+from ...errors import ProtocolError, ReproError
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -176,17 +181,44 @@ def decode_array(payload: dict) -> np.ndarray:
         raise ProtocolError(f"bad array payload: {exc}") from None
 
 
-def _dataclass_from_dict(cls, data: dict):
+#: Python types a JSON leaf may arrive as, per atom hint (an int is a
+#: valid float).
+_ATOMS = {int: int, float: (int, float), str: str, bool: bool,
+          type(None): type(None)}
+
+
+def _leaf_matches(hint, value) -> bool:
+    """Whether a decoded JSON value fits a leaf's type hint: a finite
+    JSON atom of the hinted type, or an Optional/List/Dict of those."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_leaf_matches(arg, value) for arg in args)
+    if origin in (list, dict):
+        items = value.values() if isinstance(value, dict) else value
+        return isinstance(value, origin) \
+            and all(_leaf_matches(args[-1], v) for v in items)
+    if isinstance(value, bool):   # an int subclass, but only a bool
+        return hint is bool
+    if isinstance(value, (int, float)) \
+            and not abs(value) <= sys.float_info.max:
+        return False              # NaN, infinities, unrepresentable ints
+    return isinstance(value, _ATOMS.get(hint, ()))
+
+
+def _dataclass_from_dict(cls, data, where: str = ""):
     """Rehydrate a (possibly nested) dataclass from plain dicts.
 
     Field types are resolved from type hints, so any frozen-dataclass
     config section — including ones added after this module was written
     — round-trips without bespoke wire code.  Unknown keys are refused
-    (a worker must not silently drop config it does not understand).
+    (a worker must not silently drop config it does not understand), a
+    nested dataclass must arrive as an object, and every leaf must match
+    its hint (:func:`_leaf_matches`).
     """
+    where = where or cls.__name__
     if not isinstance(data, dict):
         raise ProtocolError(
-            f"expected an object for {cls.__name__}, got "
+            f"{where}: expected an object for {cls.__name__}, got "
             f"{type(data).__name__}"
         )
     hints = typing.get_type_hints(cls)
@@ -198,18 +230,15 @@ def _dataclass_from_dict(cls, data: dict):
             f"{sorted(unknown)}"
         )
     kwargs = {}
-    for field_obj in dataclasses.fields(cls):
-        if field_obj.name not in data:
-            continue
-        value = data[field_obj.name]
-        hint = hints.get(field_obj.name)
-        if dataclasses.is_dataclass(hint) and value is not None:
-            value = _dataclass_from_dict(hint, value)
-        elif typing.get_origin(hint) is tuple and isinstance(value, list):
-            # JSON has no tuple; restore tuple-typed fields (e.g. the
-            # defense grid's input_shape) so round trips stay ==-exact.
-            value = tuple(value)
-        kwargs[field_obj.name] = value
+    for name, value in data.items():
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            value = _dataclass_from_dict(hint, value, f"{where}.{name}")
+        elif not _leaf_matches(hint, value):
+            raise ProtocolError(
+                f"{where}.{name}: {value!r:.40} does not fit "
+                f"{getattr(hint, '__name__', hint)}")
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -222,7 +251,16 @@ def encode_recipe(recipe) -> dict:
 
 
 def decode_recipe(payload: dict):
-    """Inverse of :func:`encode_recipe` (equality-exact round trip)."""
+    """Inverse of :func:`encode_recipe` (equality-exact round trip).
+
+    Raises :class:`ProtocolError` for any payload a worker could not
+    build, including one whose config fails ``validate()``.
+    """
     from ..executor import WorkerRecipe
 
-    return _dataclass_from_dict(WorkerRecipe, payload)
+    recipe = _dataclass_from_dict(WorkerRecipe, payload)
+    try:
+        recipe.config.validate()
+    except ReproError as exc:
+        raise ProtocolError(f"recipe config refused: {exc}") from None
+    return recipe

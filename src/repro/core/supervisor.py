@@ -75,6 +75,10 @@ Verdicts = List[Tuple[Cell, CellFailure]]
 #: never touches cell RNG streams, so parity is unaffected).
 _JITTER_SALT = 0x5EEDFACE
 
+#: Ceiling on the pool size whatever ``workers=`` asks for (a
+#: fat-fingered ``--workers 4000`` should not fork-bomb the host).
+MAX_WORKERS = 32
+
 
 @dataclass
 class SupervisorStats:
@@ -484,7 +488,7 @@ def _pool_round(driver: _Driver, recipe, size: int, name: str) -> bool:
     """
     book = driver.book
     pool = _exec.ProcessPoolExecutor(
-        max_workers=size, mp_context=_exec._mp_context(recipe),
+        max_workers=size, mp_context=_exec._mp_context(),
         initializer=_exec._init_worker,
         initargs=(recipe, driver.images, driver.labels, driver.clean))
     isolating = book.isolating()
@@ -551,7 +555,7 @@ def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
                      fault_hook=fault_hook, stats=stats)
     driver.prelude(before_cell)
     policy = recipe.config.supervisor
-    size = max(1, min(workers, recipe.config.executor.worker_cap))
+    size = max(1, min(workers, MAX_WORKERS))
     deaths = at_size = 0   # the degradation ladder
     while not driver.book.done():
         if deaths >= policy.serial_fallback_after:

@@ -25,10 +25,9 @@ scanning; oscillators-without-combinational-loops as a known threat):
 
 from .droop_monitor import DroopMonitor, MonitorVerdict
 from .bitstream_scan import BitstreamScanner, ScanFinding, ScanReport
-from .evaluation import (ArmsRaceCell, ArmsRaceStudy, DefendedCellRunner,
-                         DetectionStudy, DetectionResult, arms_target,
-                         default_defenses, parse_arms_target,
-                         resolve_defense)
+from .evaluation import (ArmsRaceCell, ArmsRaceStudy, DetectionStudy,
+                         DetectionResult, arms_target, default_defenses,
+                         parse_arms_target, resolve_defense)
 from .hardened_engine import HardenedAcceleratorEngine
 from .recovery import (ActivationClamp, RazorDetector, RecoveryStats,
                        StageBounds)
@@ -38,7 +37,6 @@ __all__ = [
     "ArmsRaceCell",
     "ArmsRaceStudy",
     "BitstreamScanner",
-    "DefendedCellRunner",
     "DetectionResult",
     "DetectionStudy",
     "DroopMonitor",

@@ -24,6 +24,7 @@ import numpy as np
 from ..accel.activity import STALL_CURRENT, inference_current_trace
 from ..accel.engine import AcceleratorEngine
 from ..config import RecoveryConfig, SimulationConfig, default_config
+from ..core.campaign import ARMS_TARGET_PREFIX, _reseed
 from ..errors import ConfigError
 from ..fpga.pdn import PowerDistributionNetwork
 from ..nn.quantize import QuantizedModel
@@ -35,16 +36,9 @@ from .droop_monitor import DroopMonitor
 from .hardened_engine import HardenedAcceleratorEngine
 from .recovery import RecoveryStats
 
-__all__ = ["ArmsRaceCell", "ArmsRaceStudy", "DefendedCellRunner",
-           "DetectionResult", "DetectionStudy", "arms_target",
-           "default_defenses", "parse_arms_target", "resolve_defense"]
-
-
-def _reseed(rng: np.random.Generator, seed: int) -> None:
-    """Reset a generator in place so aliased references follow along
-    (the hardened engine's razor and replay fault models share the
-    engine generator)."""
-    rng.bit_generator.state = np.random.default_rng(seed).bit_generator.state
+__all__ = ["ArmsRaceCell", "ArmsRaceStudy", "DetectionResult",
+           "DetectionStudy", "arms_target", "default_defenses",
+           "parse_arms_target", "resolve_defense"]
 
 
 @dataclass(frozen=True)
@@ -192,10 +186,6 @@ def default_defenses() -> Tuple[Tuple[str, Optional[RecoveryConfig]], ...]:
         ("none", None),
         ("recover", RecoveryConfig(exhaustion_policy="accept")),
     )
-
-
-#: Campaign target grammar for arms-race cells (see :func:`arms_target`).
-ARMS_TARGET_PREFIX = "arms:"
 
 
 def resolve_defense(label: str) -> Optional[RecoveryConfig]:
@@ -494,30 +484,3 @@ class ArmsRaceStudy:
             eval_images=int(self.images.shape[0]),
             seed=self.seed,
         )
-
-
-class DefendedCellRunner:
-    """Executes arms-race campaign cells on one warm
-    :class:`ArmsRaceStudy`.
-
-    The campaign executor caches one runner per process (in its blind
-    box, next to the blind-baseline attack) and feeds it
-    ``(arms:<layer>:<defense>@<bank>, n_strikes)`` cells; all
-    cross-cell reuse lives in the study, and per-cell seeding is the
-    study's own ``_cell_seed`` scheme — which is what makes campaign
-    cells bit-identical to a direct :meth:`ArmsRaceStudy.sweep`.
-    """
-
-    def __init__(self, model: QuantizedModel, images: np.ndarray,
-                 labels: np.ndarray,
-                 config: Optional[SimulationConfig] = None,
-                 seed: int = 0,
-                 input_shape: Tuple[int, ...] = (1, 28, 28)) -> None:
-        self.study = ArmsRaceStudy(model, images, labels, config=config,
-                                   input_shape=input_shape, seed=seed)
-
-    def run(self, target: str, count: int) -> ArmsRaceCell:
-        layer, defense, bank_cells = parse_arms_target(target)
-        recovery = resolve_defense(defense)
-        return self.study.run_cell(bank_cells, count, recovery,
-                                   label=defense, target_layer=layer)

@@ -44,17 +44,10 @@ class PowerDistributionNetwork:
     rng:
         Source for the gaussian supply-noise term; pass None for a
         noise-free network (useful in unit tests).
-    backend:
-        Array-backend name (see :mod:`repro.accel.xp`).  The vectorized
-        trace paths route their linear-recurrence filters through the
-        backend's ``lfilter`` when it provides one; the default
-        ``"numpy"`` backend resolves to ``scipy.signal.lfilter``, i.e.
-        the historical behaviour, bit for bit.
     """
 
     def __init__(self, config: PDNConfig, dt: float,
-                 rng: Optional[np.random.Generator] = None,
-                 backend: str = "numpy") -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         config.validate()
         if dt <= 0:
             raise SimulationError("PDN timestep must be positive")
@@ -64,13 +57,9 @@ class PowerDistributionNetwork:
                 "PDN resonance under-resolved: omega_n*dt = "
                 f"{omega_n * dt:.3f} > 0.8; decrease dt or resonance_hz"
             )
-        # Imported lazily: repro.accel pulls in modules that themselves
-        # construct PDNs, so a module-level import would be circular.
-        from ..accel.xp import get_backend
         self.config = config
         self.dt = dt
         self.rng = rng
-        self.backend = get_backend(backend)
         self._omega_n = omega_n
         # Prompt one-pole smoothing coefficient.
         self._alpha_prompt = 1.0 - math.exp(-dt / config.tau_prompt)
@@ -195,10 +184,9 @@ class PowerDistributionNetwork:
         i_total = traces + cfg.idle_current
         if _HAVE_SCIPY:
             num, den, zi, num_p, den_p, zp = self._recurrence_filters()
-            y = self._lfilter(num, den, i_total,
-                              np.tile(zi, (n_rows, 1)))
-            yp = self._lfilter(num_p, den_p, i_total,
-                               np.tile(zp, (n_rows, 1)))
+            y, _ = lfilter(num, den, i_total, zi=np.tile(zi, (n_rows, 1)))
+            yp, _ = lfilter(num_p, den_p, i_total,
+                            zi=np.tile(zp, (n_rows, 1)))
             volts = cfg.v_nominal - y - yp - cfg.r_static * i_total
         else:
             saved = self.state
@@ -251,19 +239,6 @@ class PowerDistributionNetwork:
         zp = lfiltic(num_p, den_p, [self._y_prompt])
         return num, den, zi, num_p, den_p, zp
 
-    def _lfilter(self, num, den, x: np.ndarray,
-                 zi: np.ndarray) -> np.ndarray:
-        """Run one recurrence along the last axis, via the backend's
-        ``lfilter`` when it has one (identical results for numpy, whose
-        backend filter *is* scipy's)."""
-        fn = self.backend.lfilter
-        if fn is not None and self.backend.name != "numpy":
-            y, _ = fn(num, den, self.backend.asarray(x), axis=-1,
-                      zi=self.backend.asarray(zi))
-            return self.backend.asnumpy(y)
-        y, _ = lfilter(num, den, x, axis=-1, zi=zi)
-        return y
-
     def _simulate_lfilter(self, i_total: np.ndarray) -> np.ndarray:
         """Vectorized trace evaluation via linear-recurrence filters
         (see :meth:`_recurrence_filters` for the derivation)."""
@@ -271,8 +246,8 @@ class PowerDistributionNetwork:
         n = i_total.shape[0]
         num, den, zi, num_p, den_p, zp = self._recurrence_filters()
         y0 = self._y_res
-        y = self._lfilter(num, den, i_total, zi)
-        yp = self._lfilter(num_p, den_p, i_total, zp)
+        y, _ = lfilter(num, den, i_total, zi=zi)
+        yp, _ = lfilter(num_p, den_p, i_total, zi=zp)
 
         volts = cfg.v_nominal - y - yp - cfg.r_static * i_total
         # Recover the final state: y[k] = y[k-1] + dt*vel[k].

@@ -1,20 +1,15 @@
-"""Backend-purity rule.
+"""Numpy-only array rule.
 
-The pluggable array path (``repro/accel/xp.py``) is the *only* place
-optional accelerator packages may be reached: backends resolve lazily
-through :func:`repro.accel.xp.get_backend` and its entry points, so an
-uninstalled CuPy/JAX costs nothing and an installed one is reached the
-same way on every path (engine matmuls, PDN pricing).  A bare
-``import cupy`` anywhere else breaks both halves of that contract — it
-makes the module unimportable without the optional package, and it
-sidesteps the entry-point registry that lets third-party backends plug
-in.
+The simulator does its array math in one namespace, numpy: the fxp
+reference tier pins its bytes in numpy semantics and the fp32 tier its
+tolerance, and no other backend is tested.  An optional accelerator
+package (CuPy, JAX) imported anywhere would make the importing module
+fail on machines without it and bring in arithmetic neither parity
+tier covers.
 
-``REPRO-XP001`` flags any import of an optional accelerator package
-outside the shim.  Plain ``numpy`` imports stay legal everywhere:
-numpy is the always-present host/reference side of the contract, and
-device arrays are obtained from ``backend.asarray`` rather than by
-import.
+``REPRO-XP001`` flags any import of an optional accelerator package in
+any module under ``repro/``.  Plain ``numpy`` (and ``scipy``) imports
+stay legal everywhere.
 """
 
 from __future__ import annotations
@@ -30,25 +25,20 @@ __all__ = ["BackendPurityRule"]
 #: Optional accelerator packages, by top-level module name.
 _OPTIONAL_BACKENDS = frozenset({"cupy", "cupyx", "jax", "jaxlib"})
 
-#: The one module allowed to import them.
-_SHIM = "repro/accel/xp.py"
-
 
 class BackendPurityRule(Rule):
     rule_id = "REPRO-XP001"
-    title = "optional backends only via the xp shim"
-    contract = ("Only repro/accel/xp.py imports cupy/jax; every other "
-                "module reaches alternate array backends through "
-                "get_backend(), so absence of an optional package "
-                "costs nothing.")
-    hint = ("resolve the backend with repro.accel.xp.get_backend(name) "
-            "and use backend.xp / backend.asarray; never import "
-            "cupy/jax directly")
+    title = "no optional array backends"
+    contract = ("No module imports cupy/jax: array math runs in numpy, "
+                "the namespace both parity tiers (fxp bytes, fp32 "
+                "tolerance) are stated in, so the package imports "
+                "anywhere numpy does.")
+    hint = ("use numpy (scipy.signal for recurrence filters); a new "
+            "array backend needs its own parity tier before it may be "
+            "imported")
     scopes = ("repro/*",)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.relpath == _SHIM:
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -56,14 +46,14 @@ class BackendPurityRule(Rule):
                     if top in _OPTIONAL_BACKENDS:
                         yield self.finding(
                             ctx, node,
-                            f"direct import of optional backend "
-                            f"'{alias.name}' outside the xp shim",
+                            f"import of optional array backend "
+                            f"'{alias.name}'",
                         )
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 top = (node.module or "").split(".")[0]
                 if top in _OPTIONAL_BACKENDS:
                     yield self.finding(
                         ctx, node,
-                        f"direct import from optional backend "
-                        f"'{node.module}' outside the xp shim",
+                        f"import from optional array backend "
+                        f"'{node.module}'",
                     )

@@ -9,13 +9,10 @@ wire code — but it only works for annotations it can actually act on:
 
 * a nested dataclass must be annotated *bare* (``clock: ClockConfig``).
   ``Optional[ClockConfig]`` fails the codec's
-  ``dataclasses.is_dataclass(hint)`` check, so the field would arrive
-  as a raw ``dict`` — type-drifted, silently.
-* every leaf must survive a JSON round trip.  A *top-level*
-  ``Tuple[...]`` field is restored by the codec's tuple branch (JSON
-  lists are converted back when the field hint's origin is ``tuple`` —
-  the defense grid's ``input_shape`` rides this), but a tuple *nested*
-  inside a container or ``Optional`` still comes back as ``list``
+  ``dataclasses.is_dataclass(hint)`` check, so the codec treats the
+  field as a leaf and refuses the raw ``dict`` a valid recipe sends.
+* every leaf must survive a JSON round trip.  JSON has no tuple, so
+  a ``Tuple[...]`` field, top-level or nested, comes back as ``list``
   (equality breaks), and ``bytes``/``np.ndarray``/``Callable`` do not
   serialize at all (ndarrays have their own bespoke codec and never
   ride inside the recipe).
@@ -86,9 +83,8 @@ class WireCompletenessRule(ProjectRule):
                 "drift on the wire.")
     hint = ("annotate nested dataclasses bare (not Optional[...]/"
             "containers), keep leaves JSON-native (int/float/str/bool/"
-            "Optional of those, or top-level Tuple[...] of those); "
-            "anything else needs bespoke codec support in "
-            "core/service/protocol.py")
+            "Optional of those, or List/Dict of those); anything else "
+            "needs bespoke codec support in core/service/protocol.py")
     scopes = ("repro/*",)
 
     #: Dataclasses that cross the wire as hint-rehydrated dicts.
@@ -182,7 +178,8 @@ class WireCompletenessRule(ProjectRule):
             if nested:
                 return (f"dataclass '{name}' wrapped in a container/"
                         "Optional — the codec only rehydrates *bare* "
-                        "dataclass hints, so this arrives as a raw dict")
+                        "dataclass hints, so it refuses the raw dict "
+                        "sent for this")
             return None
         if name in _JSON_ATOMS:
             return None
@@ -207,26 +204,13 @@ class WireCompletenessRule(ProjectRule):
                         return problem
                 return None
             if base in ("Tuple", "tuple"):
-                if nested:
-                    return ("tuple nested inside a container/Optional — "
-                            "the codec only restores tuples at field top "
-                            "level, so this arrives as a list")
-                for element in elements:
-                    if isinstance(element, ast.Constant) \
-                            and element.value is Ellipsis:
-                        continue
-                    problem = self._classify(element, registry,
-                                             nested=True)
-                    if problem is not None:
-                        return problem
-                return None
+                return ("tuple field — JSON has no tuple, so this "
+                        "arrives as a list")
             return (f"container '{base}[...]' is not JSON-rehydratable "
                     "by the generic codec")
         if name in ("Tuple", "tuple"):
-            # Bare (unsubscripted) tuple: typing.get_origin(tuple) is
-            # None, so the codec's tuple branch never fires.
-            return ("bare tuple annotation — subscript it "
-                    "(Tuple[int, ...]) so the codec can restore it")
+            return ("tuple field — JSON has no tuple, so this arrives "
+                    "as a list")
         if name == "Any":
             return "'Any' annotation — not statically wire-safe"
         return (f"type '{name or ast.dump(node)[:40]}' is not "

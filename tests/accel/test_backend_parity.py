@@ -1,20 +1,19 @@
-"""Differential parity across array backends and dtype policies.
+"""Differential parity across the two dtype policies.
 
 The repo's correctness contract has two tiers (docs/performance.md):
 
-* **exact bytes** — the numpy backend under the fxp dtype policy is the
-  reference; explicit backend selection, caching, and worker counts may
-  not move a byte (``tests/core/test_parallel_parity.py``);
+* **exact bytes** — numpy under the fxp dtype policy is the reference;
+  caching and worker counts may not move a byte
+  (``tests/core/test_parallel_parity.py``);
 * **pinned tolerance** — the float32 fast path is
   *distribution*-identical, not stream-identical: its fault sites
   come from the sparse Poisson-thinning sampler and single-precision
   uniforms, so per-cell attacked accuracy is pinned to a small
   tolerance of the reference instead.
 
-This suite enforces both tiers differentially, property-tests the
+This suite enforces both tiers differentially and property-tests the
 value-exact kernels the fast path shares with the reference (pairwise
-pool max, frexp bit width, the thinning sampler's marginal law), and
-unit-tests the ``repro.accel.xp`` backend shim.
+pool max, frexp bit width, the thinning sampler's marginal law).
 """
 
 import dataclasses
@@ -25,13 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import AcceleratorEngine
-from repro.accel import xp as xp_mod
-from repro.accel.xp import (ArrayBackend, available_backends,
-                            backend_available, get_backend)
 from repro.config import default_config
 from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core.campaign import _to_json
-from repro.errors import ConfigError
 
 #: Per-cell attacked-accuracy tolerance for the fp32 tier.
 #: The RNG streams differ by design; the distributions do not.  Worst
@@ -54,15 +49,14 @@ def victim():
     return get_pretrained()
 
 
-def make_engine(victim, dtype="fxp", backend="numpy", seed=66):
-    config = dataclasses.replace(default_config(), backend=backend,
-                                 dtype_policy=dtype)
+def make_engine(victim, dtype="fxp", seed=66):
+    config = dataclasses.replace(default_config(), dtype_policy=dtype)
     return AcceleratorEngine(victim.quantized, config=config,
                              rng=np.random.default_rng(seed))
 
 
-def campaign_json(victim, dtype="fxp", backend="numpy"):
-    attack = DeepStrike(make_engine(victim, dtype, backend),
+def campaign_json(victim, dtype="fxp"):
+    attack = DeepStrike(make_engine(victim, dtype),
                         rng=np.random.default_rng(77))
     result = run_campaign(attack, victim.dataset.test_images,
                           victim.dataset.test_labels, DIFF_SPEC)
@@ -78,17 +72,11 @@ def cell_accuracies(json_text):
 
 
 # ---------------------------------------------------------------------------
-# Tier 1: the explicit numpy backend is the reference, exactly.
+# Tier 1: the fxp policy is the reference, exactly.
 # ---------------------------------------------------------------------------
 
 
 class TestExactTier:
-    def test_explicit_numpy_backend_is_byte_identical(self, victim):
-        """backend='numpy' spelled out is the same engine as the
-        default: selection through the shim moves no bytes."""
-        assert campaign_json(victim, backend="numpy") == \
-            campaign_json(victim)
-
     def test_fxp_policy_is_deterministic(self, victim):
         assert campaign_json(victim) == campaign_json(victim)
 
@@ -219,71 +207,3 @@ class TestSparseSampler:
             sigma = (p * (1 - p) / trials) ** 0.5
             assert abs(hits / trials - p) < 5 * sigma + 1e-9, \
                 f"cycle p={p}: marked {hits / trials:.4f} of sites"
-
-
-# ---------------------------------------------------------------------------
-# The xp shim itself.
-# ---------------------------------------------------------------------------
-
-
-class TestBackendShim:
-    def test_numpy_backend_is_identity_bridge(self):
-        backend = get_backend("numpy")
-        assert backend.name == "numpy"
-        assert backend.xp is np
-        arr = np.arange(4)
-        assert backend.asarray(arr) is arr
-        assert backend.asnumpy(arr) is arr
-        assert repr(backend) == "ArrayBackend('numpy')"
-
-    def test_default_is_numpy(self):
-        assert get_backend() is get_backend("numpy")
-
-    def test_builtins_are_registered(self, monkeypatch):
-        """numpy is the one built-in; entry points are listed beside it
-        whether or not their package imports."""
-        monkeypatch.setattr(xp_mod, "_entry_point_loaders",
-                            lambda: {"gpuxp": _uninstalled_loader})
-        names = available_backends()
-        assert names[0] == "numpy"
-        assert "gpuxp" in names
-
-    def test_unknown_backend_is_a_typo_error(self):
-        with pytest.raises(ConfigError, match="unknown array backend"):
-            get_backend("numpyy")
-        assert not backend_available("numpyy")
-
-    def test_uninstalled_backend_names_the_package(self, monkeypatch):
-        """A registered backend whose package does not import must raise
-        the actionable not-installed message, not ImportError."""
-        monkeypatch.setattr(xp_mod, "_entry_point_loaders",
-                            lambda: {"gpuxp": _uninstalled_loader})
-        monkeypatch.delitem(xp_mod._CACHE, "gpuxp", raising=False)
-        with pytest.raises(ConfigError, match="not installed"):
-            get_backend("gpuxp")
-        assert not backend_available("gpuxp")
-
-    def test_entry_point_backend_resolves(self, monkeypatch):
-        custom = ArrayBackend(name="testxp", xp=np, asarray=np.asarray,
-                              asnumpy=np.asarray)
-        monkeypatch.setattr(xp_mod, "_entry_point_loaders",
-                            lambda: {"testxp": lambda: custom})
-        monkeypatch.delitem(xp_mod._CACHE, "testxp", raising=False)
-        assert "testxp" in available_backends()
-        assert get_backend("testxp") is custom
-        monkeypatch.delitem(xp_mod._CACHE, "testxp", raising=False)
-
-    def test_bad_entry_point_loader_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(xp_mod, "_entry_point_loaders",
-                            lambda: {"badxp": lambda: object()})
-        monkeypatch.delitem(xp_mod._CACHE, "badxp", raising=False)
-        with pytest.raises(ConfigError, match="expected ArrayBackend"):
-            get_backend("badxp")
-
-    def test_resolution_is_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-
-def _uninstalled_loader():
-    """An entry-point loader whose package is absent."""
-    raise ImportError("No module named 'gpuxp'")

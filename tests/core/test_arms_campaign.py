@@ -17,7 +17,7 @@ import pytest
 from repro.core import DeepStrike, load_campaign, run_campaign, save_campaign
 from repro.core.campaign import _to_json
 from repro.core.cellcache import CellCache, campaign_digest
-from repro.core.executor import DefenseGridSpec, WorkerRecipe
+from repro.core.executor import WorkerRecipe
 from repro.core.supervisor import SupervisorStats
 from repro.defense.evaluation import ArmsRaceCell, ArmsRaceStudy, \
     resolve_defense
@@ -62,9 +62,7 @@ def run(victim, eval_slice, spec, **kwargs):
 
 
 def arms_recipe(victim):
-    return WorkerRecipe.from_attack(
-        fresh_attack(victim),
-        defense=DefenseGridSpec(enabled=True, input_shape=(1, 28, 28)))
+    return WorkerRecipe.from_attack(fresh_attack(victim))
 
 
 @pytest.fixture(scope="module")
@@ -92,18 +90,9 @@ class TestParallelParity:
                        recipe=arms_recipe(victim))
         assert _to_json(parallel, complete=True) == serial_json
 
-    def test_disabled_grid_refused_with_structured_failure(
-            self, victim, eval_slice, spec):
-        # A worker whose recipe did not opt into the defense grid must
-        # refuse arms cells as CellFailures, never build the stack.
-        result = run(victim, eval_slice, spec, workers=2,
-                     recipe=WorkerRecipe.from_attack(fresh_attack(victim)))
-        assert len(result.failures) == len(spec.cells())
-        assert {f.error_type for f in result.failures} == {"ConfigError"}
-
     def test_serial_path_needs_no_opt_in(self, victim, eval_slice, spec):
-        # workers=1 executes in-process on the live attack — the gate
-        # only guards recipe-rebuilt workers.
+        # workers=1 executes in-process on the live attack; like a
+        # recipe-rebuilt worker, it runs arms cells without any opt-in.
         result = run(victim, eval_slice, spec)
         assert not result.failures
 

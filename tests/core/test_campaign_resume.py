@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CampaignSpec,
@@ -15,6 +17,8 @@ from repro.core import (
 )
 from repro.core.campaign import FORMAT_VERSION, _to_json
 from repro.errors import ConfigError, ProfilingError, ReproError
+
+from .jsonfuzz import JSON_VALUES, replaced, value_paths
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,17 @@ def fresh_attack(victim):
 def run(victim, spec, **kwargs):
     return run_campaign(fresh_attack(victim), victim.dataset.test_images,
                         victim.dataset.test_labels, spec, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(victim, small_spec):
+    """A real mid-campaign checkpoint of the small spec."""
+    return _to_json(run(victim, small_spec), complete=False)
+
+
+@pytest.fixture(scope="module")
+def damaged_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "ck.json"
 
 
 class TestAtomicPersistence:
@@ -77,11 +92,41 @@ class TestAtomicPersistence:
         assert loaded.failures == []
         assert loaded.clean_accuracy == result.clean_accuracy
 
-    def test_unknown_version_rejected(self, tmp_path):
+    def test_unknown_version_rejected(self, tmp_path, checkpoint_text):
         path = tmp_path / "v99.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ConfigError):
             load_campaign(path)
+        # Torn and foreign files are refused the same way, naming the file.
+        spec_int = replaced(json.loads(checkpoint_text),
+                            ("spec", "sweeps"), 5)
+        outcome_key = replaced(json.loads(checkpoint_text),
+                               ("sweeps", 0, "outcomes", 0, "surprise"), 1)
+        for text in ("{", "[]", json.dumps({"format_version": 2}),
+                     json.dumps(spec_int), json.dumps(outcome_key)):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="v99.json"):
+                load_campaign(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_loads_or_is_refused(
+            self, data, checkpoint_text, damaged_file):
+        """A checkpoint cut short anywhere, or with any value replaced by
+        any JSON, either loads or raises ConfigError."""
+        if data.draw(st.booleans()):
+            cut = data.draw(st.integers(0, len(checkpoint_text) - 1))
+            text = checkpoint_text[:cut]
+        else:
+            payload = json.loads(checkpoint_text)
+            path = data.draw(st.sampled_from(list(value_paths(payload))))
+            text = json.dumps(replaced(payload, path,
+                                       data.draw(JSON_VALUES)))
+        damaged_file.write_text(text)
+        try:
+            load_campaign(damaged_file)
+        except ConfigError:
+            pass
 
 
 class TestFaultIsolation:

@@ -16,6 +16,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import CHAOS_PRESETS, ChaosInjector, ChaosSpec
 from repro.config import ServiceConfig, SupervisorConfig
@@ -35,6 +37,8 @@ from repro.core.service.protocol import (
 )
 from repro.core.supervisor import SupervisorStats, _Driver
 from repro.errors import ProtocolError
+
+from .jsonfuzz import JSON_VALUES, replaced, value_paths
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -85,7 +89,6 @@ def service_config(**overrides):
 # ---------------------------------------------------------------------------
 # Wire protocol
 # ---------------------------------------------------------------------------
-
 
 class TestProtocol:
     def test_round_trip_over_socketpair(self):
@@ -159,6 +162,29 @@ class TestProtocol:
         wire["surprise"] = 1
         with pytest.raises(ProtocolError):
             decode_recipe(wire)
+        # Known fields a worker could not build from are refused too:
+        # an ill-typed leaf, a missing section, an ill-typed recipe field.
+        for path, value in ((("config", "clock", "sim_frequency_hz"), "abc"),
+                            (("config", "clock"), None),
+                            (("bank_cells",), "many")):
+            wire = replaced(encode_recipe(WorkerRecipe()), path, value)
+            with pytest.raises(ProtocolError):
+                decode_recipe(wire)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_recipe_decoder_builds_or_refuses(self, data):
+        """A recipe with any leaf or section replaced by any JSON value
+        decodes to a valid config or raises ProtocolError — never a
+        recipe that fails later inside the worker."""
+        wire = json.loads(json.dumps(encode_recipe(WorkerRecipe())))
+        path = data.draw(st.sampled_from(list(value_paths(wire))))
+        replaced(wire, path, data.draw(JSON_VALUES))
+        try:
+            recipe = decode_recipe(wire)
+        except ProtocolError:
+            return
+        recipe.config.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,11 @@ class TestParser:
         assert args.skip_detection and args.tmr
         assert args.output == "d.json"
 
+    def test_backend_flag_gone(self):
+        for command in ("campaign", "defend"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--backend", "numpy"])
+
     def test_bad_sweep_syntax_rejected(self):
         from repro.cli import _parse_sweep_args
 
@@ -151,6 +156,23 @@ class TestCommands:
         final = json.loads(target.read_text())
         assert final["complete"] is True
         assert sum(len(s["outcomes"]) for s in final["sweeps"]) == 2
+
+    def test_library_error_is_one_line_exit_two(self, tmp_path, capsys):
+        """A ReproError reaches the user as one stderr line, exit 2."""
+        assert main(["campaign", "--images", "8", "--sweep", "pool1=80,40",
+                     "-o", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ConfigError: ")
+        assert "increasing" in err and err.count("\n") == 1
+
+    def test_torn_resume_file_is_one_line_exit_two(self, tmp_path, capsys):
+        torn = tmp_path / "ck.json"
+        torn.write_text("{")
+        assert main(["campaign", "--images", "8", "--resume", str(torn),
+                     "-o", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ConfigError: ")
+        assert str(torn) in err and err.count("\n") == 1
 
     def test_campaign_chaos_flag(self, tmp_path, capsys):
         target = tmp_path / "c.json"
