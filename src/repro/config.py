@@ -425,9 +425,11 @@ class SupervisorConfig:
     #: Pool deaths at a given worker count before the pool halves it
     #: (the degradation ladder's first rungs).
     degrade_after: int = 2
-    #: Total pool deaths before the pool transport gives up on process
-    #: pools and finishes the campaign in-process (the ladder's last
-    #: rung — degraded, never dead).
+    #: Recovery budget per campaign on either transport: the pool dies
+    #: this many times in all before it finishes the campaign
+    #: in-process (the ladder's last rung — degraded, never dead); the
+    #: broker replaces this many dead local workers at most, after which
+    #: only ``ServiceConfig.no_worker_grace_s`` leads to that rung.
     serial_fallback_after: int = 6
 
     def validate(self) -> None:

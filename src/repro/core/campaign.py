@@ -297,9 +297,13 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
     recipe:
         A :class:`~repro.core.executor.WorkerRecipe` telling workers how
         to rebuild the attack (victim zoo name + ``SimulationConfig`` +
-        bank size).  Defaults to ``WorkerRecipe.from_attack(attack)``,
-        which assumes the standard ``lenet5`` zoo victim — pass an
-        explicit recipe for any other victim.  Ignored at ``workers=1``.
+        bank size).  Spawn-started pool workers and broker workers
+        rebuild from it; a fork-started pool runs on ``attack`` itself
+        (each worker inherits it), and so does the in-process last rung
+        of both transports.  Defaults to
+        ``WorkerRecipe.from_attack(attack)``, which assumes the standard
+        ``lenet5`` zoo victim — pass an explicit recipe for any other
+        victim.  Ignored at ``workers=1``.
     cache:
         A :class:`~repro.core.cellcache.CellCache` (or a directory path
         for one).  Completed cells whose content address — victim
@@ -432,7 +436,7 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
             from .service import run_service
 
             return run_service(
-                active_recipe, images, labels, plan_spec, clean,
+                attack, active_recipe, images, labels, plan_spec, clean,
                 outcomes, failures, config=service,
                 checkpoint_path=checkpoint_path, before_cell=before_cell,
                 fault_hook=fault_hook, shard_hook=shard_hook, stats=stats,
@@ -441,7 +445,7 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         from .supervisor import run_supervised
 
         return run_supervised(
-            active_recipe, images, labels, plan_spec, clean,
+            attack, active_recipe, images, labels, plan_spec, clean,
             outcomes, failures, workers=workers,
             checkpoint_path=checkpoint_path,
             before_cell=before_cell, fault_hook=fault_hook, stats=stats)

@@ -7,13 +7,18 @@ shards the pending ``(target, strike-count)`` cells across a process
 pool run by the self-healing supervisor (:mod:`repro.core.supervisor`),
 which builds its pools and workers from the entry points here:
 
-* **Workers rebuild, never unpickle.**  A worker receives a
-  :class:`WorkerRecipe` — victim *zoo name*, frozen
-  :class:`~repro.config.SimulationConfig` (so ``ReliabilityConfig`` and
-  every other section apply per worker), striker bank size — and
-  reconstructs the engine/attack itself in its initializer
-  (:func:`_init_worker` / :func:`_build_state`).  Live engines are never
-  pickled across the process boundary.
+* **Forked workers adopt, spawned workers rebuild, none unpickle.**  A
+  forked worker inherits the submitting process's live
+  :class:`~repro.core.attack.DeepStrike` with the rest of its memory and
+  adopts it in :func:`_init_worker`: victim, engine, and the clean stage
+  codes that measuring the campaign's clean baseline cached for the
+  very ``images`` array the worker receives.  A spawned worker (and every
+  broker worker) receives a :class:`WorkerRecipe` — victim *zoo name*,
+  frozen :class:`~repro.config.SimulationConfig`, striker bank size —
+  and rebuilds the attack from it (:func:`_build_state`).  Either way no
+  live engine is pickled across the process boundary, and every cell
+  reseeds the engine stream, so neither start method moves an output
+  byte.
 * **Fault isolation matches the serial loop.**  A
   :class:`~repro.errors.ReproError` inside a worker cell comes back from
   :func:`_worker_cell` as a structured
@@ -51,12 +56,13 @@ class WorkerRecipe:
     """Everything a worker process needs to rebuild the attack.
 
     Deliberately *data only*: a zoo victim name, a frozen
-    :class:`SimulationConfig` and the striker bank size.  The worker
-    initializer loads the victim's cached weights by name
+    :class:`SimulationConfig` and the striker bank size.  A spawned pool
+    worker or a broker worker loads the victim's cached weights by name
     (:func:`repro.zoo.load_quantized`), rebuilds the engine and
     :class:`DeepStrike` from the config, and relies on per-cell
     reseeding for parity — so nothing stateful ever crosses the process
-    boundary.
+    boundary.  (A forked pool worker needs no recipe: it adopts the
+    attack it inherited.)
     """
 
     victim_name: str = "lenet5"
@@ -80,7 +86,7 @@ class WorkerRecipe:
 
 @dataclass
 class _WorkerState:
-    """Per-process rebuilt attack stack (set once by the initializer)."""
+    """Per-process attack stack (set once by the initializer)."""
 
     attack: DeepStrike
     blind_box: dict
@@ -97,8 +103,8 @@ _STATE: Optional[_WorkerState] = None
 def _build_state(recipe: WorkerRecipe, images: np.ndarray,
                  labels: np.ndarray,
                  clean: Optional[float] = None) -> _WorkerState:
-    """Rebuild the attack stack from a recipe (shared by the pool
-    initializer, the worker daemon and the in-process fallback rung).
+    """Rebuild the attack stack from a recipe (shared by spawned pool
+    workers and the broker's worker daemon).
     The engine takes the 1x28x28 input every zoo victim uses.  The RNG
     seeds here are irrelevant: every cell reseeds the engine stream
     from its blake2s-derived cell seed before executing."""
@@ -115,10 +121,20 @@ def _build_state(recipe: WorkerRecipe, images: np.ndarray,
 
 
 def _init_worker(recipe: WorkerRecipe, images: np.ndarray,
-                 labels: np.ndarray, clean: Optional[float] = None) -> None:
-    """Build this worker's attack stack (runs once per process)."""
+                 labels: np.ndarray, clean: Optional[float] = None,
+                 attack: Optional[DeepStrike] = None) -> None:
+    """Set this worker's attack stack (runs once per process).
+
+    A forked worker gets the submitting process's live ``attack`` —
+    inherited with the parent's memory, never unpickled — and adopts it;
+    whatever the worker's cells write to it lands in the worker's own
+    copy-on-write pages, never in the parent's attack.  A spawned worker
+    gets ``attack=None`` and rebuilds the stack from ``recipe``.
+    """
     global _STATE
-    _STATE = _build_state(recipe, images, labels, clean)
+    _STATE = (_build_state(recipe, images, labels, clean) if attack is None
+              else _WorkerState(attack=attack, blind_box={}, images=images,
+                                labels=labels, clean=clean))
 
 
 def _apply_fault(fault) -> None:

@@ -19,10 +19,15 @@ and lease cells.  What this module adds is only the socket side:
 * **Frame validation.**  A result frame is decoded and checked against
   the campaign before it reaches the gate; a foreign or malformed frame
   gets an ``error`` reply and counts nothing.
+* **Respawn.**  A local daemon that exits with a nonzero code while
+  cells are pending is replaced by a fresh one, at most
+  ``serial_fallback_after`` times per campaign — the broker's analogue
+  of the pool rebuilding its pool.  A clean exit (after ``done``, or
+  from a lost broker) is never replaced.
 * **The last rung.**  When *no* worker stays alive for
   ``no_worker_grace_s``, the broker stops granting and finishes the
-  remaining cells with the driver's in-process cell loop: the service
-  ends degraded, never dead.
+  remaining cells with the driver's in-process cell loop, on the
+  caller's own attack: the service ends degraded, never dead.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ class CampaignBroker:
 
     Life cycle: :meth:`start` binds the socket (and spawns
     ``local_workers`` daemons), :meth:`serve` sweeps until every cell
-    settles — or falls back to in-process execution when no worker
-    stays alive — and returns the merged result; :meth:`close` tears
-    everything down (idempotent; :func:`run_service` always calls it).
+    settles — replacing local daemons that die, and falling back to
+    in-process execution when no worker stays alive — and returns the
+    merged result; :meth:`close` tears everything down (idempotent;
+    :func:`run_service` always calls it).
     """
 
     def __init__(self, recipe, driver: "_sup._Driver", *,
@@ -89,6 +95,7 @@ class CampaignBroker:
         self._settled = threading.Event()
         self._listener: Optional[socket.socket] = None
         self._local_procs: List[mp.process.BaseProcess] = []
+        self._respawns = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -101,14 +108,25 @@ class CampaignBroker:
         self.address = listener.getsockname()[:2]
         threading.Thread(target=self._accept_loop, daemon=True,
                          name="broker-accept").start()
-        if self.cfg.local_workers:
-            ctx = _exec._mp_context()
-            for _ in range(self.cfg.local_workers):
-                proc = ctx.Process(target=_local_worker_main,
-                                   args=self.address, daemon=True)
-                proc.start()
-                self._local_procs.append(proc)
+        self._local_procs = [self._spawn_local()
+                             for _ in range(self.cfg.local_workers)]
         return self.address
+
+    def _spawn_local(self) -> mp.process.BaseProcess:
+        proc = _exec._mp_context().Process(target=_local_worker_main,
+                                           args=self.address, daemon=True)
+        proc.start()
+        return proc
+
+    def _respawn(self) -> None:
+        """Replace every local daemon that died with a nonzero exit code,
+        while the ``serial_fallback_after`` budget lasts."""
+        budget = self.driver.book.policy.serial_fallback_after
+        for i, proc in enumerate(self._local_procs):
+            # exitcode is None while alive, 0 after a clean exit.
+            if proc.exitcode and self._respawns < budget:
+                self._respawns += 1
+                self._local_procs[i] = self._spawn_local()
 
     def close(self) -> None:
         """Stop granting, reap local workers, stop serving (idempotent).
@@ -242,25 +260,27 @@ class CampaignBroker:
             self.driver.expire()
             return bool(self.beats)
 
-    def serve(self) -> CampaignResult:
+    def serve(self, attack) -> CampaignResult:
         """Sweep every heartbeat interval, and after every settle, until
-        the campaign settles; returns the result."""
+        the campaign settles; returns the result.  Past the no-worker
+        grace period the remaining cells run in-process on ``attack``."""
         last_alive = _sup._monotonic()
         while not self.driver.book.done():
             self._settled.clear()
+            self._respawn()
             alive = self._sweep()
             now = _sup._monotonic()
             if alive:
                 last_alive = now
             elif now - last_alive > self.cfg.no_worker_grace_s:
                 self._closing.set()
-                self.driver.fall_back(self.recipe)
+                self.driver.fall_back(attack)
                 break
             self._settled.wait(self.cfg.heartbeat_interval_s)
         return self.driver.result()
 
 
-def run_service(recipe, images: np.ndarray, labels: np.ndarray,
+def run_service(attack, recipe, images: np.ndarray, labels: np.ndarray,
                 spec: CampaignSpec, clean: float,
                 outcomes: Dict[Cell, AttackOutcome],
                 failures: Dict[Cell, CellFailure],
@@ -280,7 +300,9 @@ def run_service(recipe, images: np.ndarray, labels: np.ndarray,
 
     Drop-in sibling of :func:`repro.core.supervisor.run_supervised`
     (same merge-in-place contract and ``before_cell`` prelude), reached
-    through ``run_campaign(service=...)``.  ``cache``/``digest``
+    through ``run_campaign(service=...)``.  Workers rebuild the attack
+    from ``recipe``; the in-process last rung runs on the caller's
+    ``attack``.  ``cache``/``digest``
     advertise the shared cell cache to workers; ``on_bound`` is called
     with the bound ``(host, port)`` before serving (the CLI prints it;
     tests attach workers).
@@ -301,6 +323,6 @@ def run_service(recipe, images: np.ndarray, labels: np.ndarray,
         bound = broker.start()
         if on_bound is not None:
             on_bound(bound)
-        return broker.serve()
+        return broker.serve(attack)
     finally:
         broker.close()

@@ -16,7 +16,8 @@ fault-tolerant transports exists once, here:
   prelude, the merge into ``outcomes``/``failures`` with a checkpoint
   after every settle, the verdict records, :class:`SupervisorStats`, and
   :meth:`_Driver.run_in_process` — the one in-process cell loop behind
-  the serial path and both transports' last rung.
+  the serial path and both transports' last rung, which runs on the
+  caller's own attack.
 * The pool transport (:func:`run_supervised`) only reports events to
   the book: a ``BrokenProcessPool`` loses every lease the pool held,
   with blame; an expired lease tears the pool down, losing the other
@@ -24,6 +25,8 @@ fault-tolerant transports exists once, here:
   bounded by the book's next deadline, and keeps its degradation
   ladder: ``degrade_after`` pool deaths at one size halve the workers,
   ``serial_fallback_after`` deaths in all finish the campaign in-process.
+  Forked pool workers adopt the caller's attack; spawned ones rebuild it
+  from the :class:`~repro.core.executor.WorkerRecipe`.
 
 Retries re-derive the same per-cell RNG stream, so a campaign that
 crashed, hung, healed and degraded merges into checkpoint JSON
@@ -456,12 +459,11 @@ class _Driver:
             else:
                 self.settle(cell, "outcome", outcome)
 
-    def fall_back(self, recipe) -> None:
-        """The last rung: no pool or worker left, finish in-process."""
+    def fall_back(self, attack) -> None:
+        """The last rung: no pool or worker left, finish in-process on
+        the caller's own ``attack`` (this is the submitting process)."""
         self.stats.serial_fallback = True
-        state = _exec._build_state(recipe, self.images, self.labels,
-                                   self.clean)
-        self.run_in_process(state.attack, state.blind_box)
+        self.run_in_process(attack, {})
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +481,23 @@ def _hard_shutdown(pool) -> None:
             pass
 
 
-def _pool_round(driver: _Driver, recipe, size: int, name: str) -> bool:
+def _pool_round(driver: _Driver, attack, recipe, size: int,
+                name: str) -> bool:
     """Serve the book from one fresh pool of ``size`` workers until it
     drains, or until isolation starts or ends; True if the pool died.
 
-    Grants are incremental (never more cells out than workers) so a
-    lease times execution, not queueing.
+    Forked workers adopt the live ``attack`` (inherited, not pickled);
+    spawned workers rebuild it from ``recipe``.  Grants are incremental
+    (never more cells out than workers) so a lease times execution, not
+    queueing.
     """
     book = driver.book
+    ctx = _exec._mp_context()
+    adopted = attack if ctx.get_start_method() == "fork" else None
     pool = _exec.ProcessPoolExecutor(
-        max_workers=size, mp_context=_exec._mp_context(),
-        initializer=_exec._init_worker,
-        initargs=(recipe, driver.images, driver.labels, driver.clean))
+        max_workers=size, mp_context=ctx, initializer=_exec._init_worker,
+        initargs=(recipe, driver.images, driver.labels, driver.clean,
+                  adopted))
     isolating = book.isolating()
     futures: Dict[object, Cell] = {}
     died = True
@@ -530,7 +537,7 @@ def _pool_round(driver: _Driver, recipe, size: int, name: str) -> bool:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
+def run_supervised(attack, recipe, images: np.ndarray, labels: np.ndarray,
                    spec: CampaignSpec, clean: float,
                    outcomes: Dict[Cell, AttackOutcome],
                    failures: Dict[Cell, CellFailure],
@@ -546,7 +553,9 @@ def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
 
     Called by :func:`~repro.core.campaign.run_campaign` after the shared
     prelude (resume loading, spec resolution, clean-accuracy
-    measurement).  ``fault_hook(target, count, attempt)`` returns the
+    measurement), with the caller's ``attack``: forked workers adopt it
+    and the in-process rung runs on it, while spawned workers rebuild
+    from ``recipe``.  ``fault_hook(target, count, attempt)`` returns the
     chaos directive a worker honours for that grant.
     """
     driver = _Driver(spec, images, labels, clean, outcomes, failures,
@@ -559,9 +568,9 @@ def run_supervised(recipe, images: np.ndarray, labels: np.ndarray,
     deaths = at_size = 0   # the degradation ladder
     while not driver.book.done():
         if deaths >= policy.serial_fallback_after:
-            driver.fall_back(recipe)
+            driver.fall_back(attack)
             break
-        if not _pool_round(driver, recipe,
+        if not _pool_round(driver, attack, recipe,
                            1 if driver.book.isolating() else size,
                            f"pool-{deaths}"):
             continue

@@ -8,6 +8,7 @@ of ``workers=1`` against ``workers ∈ {2, 4}`` runs, plus the fault
 isolation and hook-ordering contracts the parallel path must preserve.
 """
 
+import multiprocessing as mp
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core import campaign as campaign_mod
 from repro.core import executor as executor_mod
 from repro.core.campaign import _to_json
 from repro.core.executor import WorkerRecipe
+from repro.core.supervisor import SupervisorStats
 from repro.errors import ConfigError, ProfilingError
 
 WORKER_COUNTS = [2, 4]
@@ -72,12 +74,37 @@ class TestByteParity:
         assert _to_json(parallel, complete=True) == serial_json
         assert ckpt.exists()
 
+    @pytest.mark.parametrize("start", ["fork", "spawn"])
     def test_explicit_recipe_matches_default(self, victim, small_spec,
-                                             serial_json):
+                                             serial_json, start,
+                                             monkeypatch):
+        """Forked workers adopt the live attack; spawned workers rebuild
+        it from the recipe, the only pool path where fork is missing."""
+        if start not in mp.get_all_start_methods():
+            pytest.skip(f"no {start} start method on this platform")
+        monkeypatch.setattr(executor_mod, "_mp_context",
+                            lambda: mp.get_context(start))
         recipe = WorkerRecipe.from_attack(fresh_attack(victim),
                                           victim_name="lenet5")
         parallel = run(victim, small_spec, workers=2, recipe=recipe)
         assert _to_json(parallel, complete=True) == serial_json
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="adoption needs the fork start method")
+    def test_forked_workers_never_rebuild_the_attack(
+            self, victim, small_spec, serial_json, monkeypatch):
+        """Forked children inherit this patch, so a worker (or the last
+        rung) that rebuilt the attack from its recipe would break the
+        pool; adopting the caller's attack never calls it."""
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the attack was rebuilt from its recipe")
+
+        monkeypatch.setattr(executor_mod, "_build_state", no_rebuild)
+        stats = SupervisorStats()
+        parallel = run(victim, small_spec, workers=2, stats=stats)
+        assert _to_json(parallel, complete=True) == serial_json
+        assert stats.worker_crashes == 0
+        assert stats.serial_fallback is False
 
     def test_workers_below_one_rejected(self, victim, small_spec):
         with pytest.raises(ConfigError, match="workers"):

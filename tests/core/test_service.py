@@ -13,6 +13,7 @@ import json
 import multiprocessing as mp
 import socket
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -357,6 +358,38 @@ class TestResultFrames:
         self.assert_nothing_counted(broker, cell)
 
 
+class TestRespawn:
+    def test_only_crashed_local_workers_are_replaced_within_budget(
+            self, monkeypatch):
+        """A nonzero exit (an error, or a signal) is replaced and a clean
+        exit never is; replacements stop after ``serial_fallback_after``
+        per campaign."""
+        spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
+                            seed=5)
+        driver = _Driver(spec, np.zeros((4, 1, 28, 28)),
+                         np.zeros(4, dtype=int), 1.0, {}, {},
+                         policy=SupervisorConfig(serial_fallback_after=2))
+        broker = CampaignBroker(WorkerRecipe(), driver,
+                                config=ServiceConfig())
+        spawned = []
+
+        def spawn():
+            spawned.append(SimpleNamespace(exitcode=None))
+            return spawned[-1]
+
+        monkeypatch.setattr(broker, "_spawn_local", spawn)
+        broker._local_procs = [SimpleNamespace(exitcode=code)
+                               for code in (0, None, 13, -9)]
+        broker._respawn()
+        assert [p.exitcode for p in broker._local_procs] == [0, None,
+                                                            None, None]
+        assert broker._local_procs[2:] == spawned
+        spawned[0].exitcode = 13
+        broker._respawn()   # the budget of two is spent
+        assert len(spawned) == 2
+        assert broker._local_procs[2].exitcode == 13
+
+
 # ---------------------------------------------------------------------------
 # Shard-level chaos directives
 # ---------------------------------------------------------------------------
@@ -480,8 +513,8 @@ class TestDistributedParity:
         digest = campaign_digest(attack.config, attack.bank_cells,
                                  attack.engine.model, images, labels)
         stats = SupervisorStats()
-        result = run_service(WorkerRecipe.from_attack(attack), images,
-                             labels, spec3, clean, {}, {},
+        result = run_service(attack, WorkerRecipe.from_attack(attack),
+                             images, labels, spec3, clean, {}, {},
                              config=service_config(), stats=stats,
                              cache=CellCache(cache_dir), digest=digest)
         assert _to_json(result, complete=True) == serial_json
@@ -500,6 +533,25 @@ class TestDistributedParity:
         assert _to_json(result, complete=True) == serial_json
         assert stats.serial_fallback is True
         assert stats.dispatched == len(spec3.cells())
+
+    def test_dead_local_workers_are_respawned(self, victim, spec3,
+                                              serial_json):
+        """Both local workers die on their first cell; the broker replaces
+        them instead of waiting out the no-worker grace period, and the
+        replacements finish the campaign with parity."""
+        def fault(target, count, attempt):
+            if attempt == 0 and (target, count) in {("pool1", 40),
+                                                     ("pool1", 80)}:
+                return ("kill", 0)
+            return None
+
+        stats = SupervisorStats()
+        result = run(victim, spec3,
+                     service=service_config(no_worker_grace_s=60.0),
+                     fault_hook=fault, stats=stats)
+        assert _to_json(result, complete=True) == serial_json
+        assert stats.worker_crashes >= 2
+        assert stats.serial_fallback is False
 
     def test_idle_worker_steals_a_wedged_lease(self, victim, spec3,
                                                serial_json):

@@ -265,12 +265,21 @@ class TestPoolLeaseEvents:
 
 class TestDegradation:
     def test_repeated_carnage_falls_back_to_in_process_serial(
-            self, victim, small_spec, serial_json):
+            self, victim, small_spec, serial_json, monkeypatch):
         """Kill everything on every attempt with a tiny incident budget:
         the supervisor degrades, abandons pools, and still finishes with
-        byte parity (directives cannot reach the in-process path)."""
+        byte parity (directives cannot reach the in-process path).  The
+        last rung runs on the caller's attack: rebuilding one from the
+        recipe would raise here."""
+        from repro.core import executor as executor_mod
+
         def kill_everything(target, count, attempt):
             return ("kill", 0)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the attack was rebuilt from its recipe")
+
+        monkeypatch.setattr(executor_mod, "_build_state", no_rebuild)
 
         stats = SupervisorStats()
         result = run(victim, small_spec, workers=2,
@@ -300,10 +309,10 @@ class TestDegradationLadderBoundary:
 
         sizes, rungs = [], []
         monkeypatch.setattr(sup_mod, "_pool_round",
-                            lambda driver, recipe, size, name:
+                            lambda driver, attack, recipe, size, name:
                             sizes.append(size) or True)
         monkeypatch.setattr(sup_mod._Driver, "fall_back",
-                            lambda driver, recipe: rungs.append("serial"))
+                            lambda driver, attack: rungs.append("serial"))
         config = dataclasses.replace(
             default_config(),
             supervisor=SupervisorConfig(degrade_after=1,
@@ -311,9 +320,9 @@ class TestDegradationLadderBoundary:
         spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
                             seed=0)
         stats = SupervisorStats()
-        run_supervised(WorkerRecipe(config=config), np.zeros((4, 8, 8)),
-                       np.zeros(4, dtype=int), spec, 1.0, {}, {},
-                       workers=4, stats=stats)
+        run_supervised(None, WorkerRecipe(config=config),
+                       np.zeros((4, 8, 8)), np.zeros(4, dtype=int), spec,
+                       1.0, {}, {}, workers=4, stats=stats)
         assert sizes == [4, 2, 1, 1, 1]
         assert stats.degradations == 2
         assert rungs == ["serial"]
