@@ -150,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--checkpoint", default=None, metavar="JSON")
     serve.add_argument("--resume", default=None, metavar="JSON")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shared cell cache; workers consult it too")
+                       help="cell-result cache: cached cells are merged "
+                            "before the broker binds, computed ones are "
+                            "stored when it closes (workers never read "
+                            "it)")
     serve.add_argument("--sweep", action="append", default=None,
                        metavar="LAYER=N1,N2,...")
     serve.add_argument("--chaos", default=None,
@@ -162,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--broker", required=True, metavar="HOST:PORT")
     work.add_argument("--id", default=None, metavar="NAME",
                       help="worker id (default host-pid-nonce)")
-    work.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="override the cell cache the broker advertises")
 
     cache = sub.add_parser("cache", help="cell-result cache maintenance")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
@@ -492,6 +493,8 @@ def _cmd_campaign(args) -> int:
             before_cell = injector.campaign_cell_hook
             fault_hook = injector.cell_fault
             shard_hook = injector.shard_fault
+        from .config import ServiceConfig, SupervisorConfig
+
         service = None
         if args.broker is not None:
             from .core.service import parse_address
@@ -500,15 +503,11 @@ def _cmd_campaign(args) -> int:
             overrides = {"host": host, "port": port}
             if args.local_workers is not None:
                 overrides["local_workers"] = args.local_workers
-            service = dataclasses.replace(attack.config.service, **overrides)
-        supervisor = None
-        if args.max_retries is not None or args.cell_timeout is not None:
-            supervisor = dataclasses.replace(
-                attack.config.supervisor,
-                **{k: v for k, v in (
-                    ("max_retries", args.max_retries),
-                    ("cell_timeout_s", args.cell_timeout),
-                ) if v is not None})
+            service = ServiceConfig(**overrides)
+        supervisor = SupervisorConfig(**{k: v for k, v in (
+            ("max_retries", args.max_retries),
+            ("cell_timeout_s", args.cell_timeout),
+        ) if v is not None})
         from .core.supervisor import SupervisorStats
 
         stats = SupervisorStats()
@@ -559,8 +558,7 @@ def _cmd_serve(args) -> int:
 def _cmd_work(args) -> int:
     from .core.service import parse_address, run_worker
 
-    report = run_worker(parse_address(args.broker), worker_id=args.id,
-                        cache_dir=args.cache_dir)
+    report = run_worker(parse_address(args.broker), worker_id=args.id)
     print("worker done: " + ", ".join(
         f"{k}={v}" for k, v in report.describe().items()))
     return 0

@@ -390,7 +390,7 @@ class RecoveryConfig:
 @dataclass(frozen=True)
 class SupervisorConfig:
     """The lease policy of both campaign transports (docs/reliability.md
-    §3c).
+    §3c), passed as ``run_campaign(supervisor=...)``.
 
     ``workers>1`` campaigns run on supervised process pools and
     ``service=`` campaigns through the socket broker; both report to one
@@ -453,7 +453,8 @@ class SupervisorConfig:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """The broker's socket side (docs/reliability.md §3c).
+    """The broker's socket side (docs/reliability.md §3c), passed as
+    ``run_campaign(service=...)``.
 
     The lease policy lives in :class:`SupervisorConfig`; this section
     only says where the broker listens, how workers prove liveness, when
@@ -503,7 +504,13 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Bundle of all subsystem configurations plus the global RNG seed."""
+    """Bundle of all subsystem configurations plus the global RNG seed.
+
+    Every section can change a simulated outcome, so all of it is part
+    of a campaign cell's cache address; where and when cells run
+    (:class:`SupervisorConfig`, :class:`ServiceConfig`) are
+    ``run_campaign`` arguments instead.
+    """
 
     clock: ClockConfig = field(default_factory=ClockConfig)
     pdn: PDNConfig = field(default_factory=PDNConfig)
@@ -514,8 +521,6 @@ class SimulationConfig:
     accel: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    service: ServiceConfig = field(default_factory=ServiceConfig)
     #: "fxp" is the exact int64 fixed-point reference (byte-parity
     #: tier); "fp32" runs MAC layers in float32 (sgemm) and is pinned
     #: to the reference by differential tolerance tests only.
@@ -533,8 +538,6 @@ class SimulationConfig:
         self.accel.validate()
         self.reliability.validate()
         self.recovery.validate()
-        self.supervisor.validate()
-        self.service.validate()
         if self.dtype_policy not in ("fxp", "fp32"):
             raise ConfigError(
                 f"dtype_policy must be 'fxp' or 'fp32', got {self.dtype_policy!r}"

@@ -40,12 +40,14 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..config import SupervisorConfig
 from ..errors import ConfigError, ReproError
 from .attack import DeepStrike
 from .blind import BlindAttack
@@ -308,17 +310,20 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         A :class:`~repro.core.cellcache.CellCache` (or a directory path
         for one).  Completed cells whose content address — victim
         weights, config, bank size, evaluation slice, cell, seed — is
-        already cached are merged without recomputation; newly computed
-        cells are stored on the way out.  Cache hits preserve the
-        byte-parity contract: a warm run emits the same JSON as a cold
-        serial run.
+        already cached are merged without recomputation before any
+        cell is dispatched; newly computed cells are stored once, on
+        the way out.  This process is the cache's only reader and
+        writer — pool and broker workers never touch it.  Cache hits
+        preserve the byte-parity contract: a warm run emits the same
+        JSON as a cold serial run.
     supervisor:
-        A :class:`~repro.config.SupervisorConfig` overriding the
-        recipe config's ``supervisor`` section: the lease policy of
-        both transports (:mod:`repro.core.supervisor`).  Lost workers'
-        cells are retried after a backoff, cells are cancelled at their
-        lease deadline, poison cells are quarantined, and repeated pool
-        deaths degrade the worker count rather than aborting.
+        A :class:`~repro.config.SupervisorConfig`, the lease policy of
+        both transports (:mod:`repro.core.supervisor`); ``None`` takes
+        its defaults.  Lost workers' cells are retried after a backoff,
+        cells are cancelled at their lease deadline, poison cells are
+        quarantined, and repeated pool deaths degrade the worker count
+        rather than aborting.  It decides where and when a cell runs,
+        never its outcome, so it is no part of a cell's cache address.
     service:
         A :class:`~repro.config.ServiceConfig`: run the campaign as a
         socket-served broker (:mod:`repro.core.service`) instead of a
@@ -329,8 +334,9 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         missed-heartbeat eviction and work stealing, keeps the merged
         checkpoint byte-identical to a serial run; if no worker stays
         alive for ``no_worker_grace_s`` the broker finishes the
-        remaining cells in-process.  Mutually exclusive with
-        ``workers > 1``.
+        remaining cells in-process.  No broker binds when every cell
+        is already settled (resumed or cached).  Mutually exclusive
+        with ``workers > 1``.
     fault_hook:
         Supervisor/service test-and-chaos hook ``(target, count,
         attempt) -> directive`` consulted at each dispatch; see
@@ -389,7 +395,7 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
 
     cache_obj = None
     digest = None
-    cached_cells: set = set()
+    cached: Dict[Tuple[str, int], AttackOutcome] = {}
     if cache is not None:
         from .cellcache import CellCache, campaign_digest
 
@@ -397,68 +403,53 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
             CellCache(Path(cache))
         digest = campaign_digest(attack.config, attack.bank_cells,
                                  attack.engine.model, images, labels)
-        hits, _ = cache_obj.lookup_cells(
+        cached = cache_obj.lookup_cells(
             digest,
             [c for c in plan_spec.cells() if c not in outcomes],
             plan_spec.seed,
         )
-        if hits:
-            outcomes.update(hits)
-            cached_cells = set(hits)
-            if stats is not None:
-                stats.cache_hits += len(hits)
-            if checkpoint_path is not None:
-                _atomic_write_text(
-                    checkpoint_path,
-                    _to_json(_assemble(plan_spec, clean, outcomes, failures),
-                             complete=False),
-                )
+        outcomes.update(cached)
 
+    # The one driver of this campaign: every path below settles its
+    # cells, and only the cells neither resumed nor cached are pending.
+    from .supervisor import _Driver
+
+    driver = _Driver(plan_spec, images, labels, clean, outcomes, failures,
+                     policy=supervisor or SupervisorConfig(),
+                     checkpoint_path=checkpoint_path, fault_hook=fault_hook,
+                     stats=stats,
+                     steal_after_s=(None if service is None
+                                    else service.steal_after_s))
+    driver.stats.cache_hits += len(cached)
+    if cached:
+        driver._checkpoint()
     try:
         if service is None and workers == 1:
-            # The serial path is the lease book's in-process cell loop.
-            from .supervisor import _Driver
-
-            driver = _Driver(plan_spec, images, labels, clean, outcomes,
-                             failures, policy=attack.config.supervisor,
-                             checkpoint_path=checkpoint_path, stats=stats)
             driver.run_in_process(attack, {}, before_cell)
             return driver.result()
         from .executor import WorkerRecipe
 
+        driver.prelude(before_cell)
         active_recipe = recipe if recipe is not None \
             else WorkerRecipe.from_attack(attack)
-        if supervisor is not None:
-            # Both transports read their lease policy from the recipe.
-            active_recipe = replace(active_recipe, config=replace(
-                active_recipe.config, supervisor=supervisor))
         if service is not None:
             from .service import run_service
 
-            return run_service(
-                attack, active_recipe, images, labels, plan_spec, clean,
-                outcomes, failures, config=service,
-                checkpoint_path=checkpoint_path, before_cell=before_cell,
-                fault_hook=fault_hook, shard_hook=shard_hook, stats=stats,
-                cache=cache_obj, digest=digest, on_bound=on_bound)
+            run_service(driver, attack, active_recipe, service,
+                        shard_hook=shard_hook, on_bound=on_bound)
+        else:
+            from .supervisor import run_supervised
 
-        from .supervisor import run_supervised
-
-        return run_supervised(
-            attack, active_recipe, images, labels, plan_spec, clean,
-            outcomes, failures, workers=workers,
-            checkpoint_path=checkpoint_path,
-            before_cell=before_cell, fault_hook=fault_hook, stats=stats)
+            run_supervised(driver, attack, active_recipe, workers)
+        return driver.result()
     finally:
         if cache_obj is not None:
             # Store whatever completed — interrupted runs still bank
             # their finished cells (resumed outcomes included).
             for (target, count), outcome in outcomes.items():
-                if (target, count) in cached_cells:
-                    continue
-                key = cache_obj.cell_key(digest, target, count,
-                                         plan_spec.seed)
-                cache_obj.put(key, outcome)
+                if (target, count) not in cached:
+                    cache_obj.put(cache_obj.cell_key(
+                        digest, target, count, plan_spec.seed), outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +472,23 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _atomic_write_text(path, text: str) -> None:
-    """Write via a same-directory temp file + fsync + ``os.replace``.
+def _atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` through ``write(handle)`` on a same-directory temp
+    file + fsync + ``os.replace`` — the one artifact writer.
 
     ``os.replace`` alone is atomic but not *durable*: after a host
     crash the rename may survive while the data blocks it points at do
     not, leaving a truncated file.  Fsyncing the temp file before the
     replace (and, best-effort, the directory after it) guarantees a
     reader finds either the previous content or the complete new one —
-    never a torn checkpoint.
+    never a torn checkpoint, cache entry or victim archive.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
                                prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -507,6 +499,11 @@ def _atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _atomic_write_text(path, text: str) -> None:
+    """:func:`_atomic_write` of ``text``, UTF-8 encoded."""
+    _atomic_write(path, lambda handle: handle.write(text.encode()))
 
 
 def _outcome_to_payload(outcome) -> dict:
@@ -523,14 +520,43 @@ def _outcome_to_payload(outcome) -> dict:
     return payload
 
 
-def _outcome_from_payload(raw: dict):
-    """Inverse of :func:`_outcome_to_payload`."""
-    if raw.get("kind") == "arms":
+#: What a JSON value may be, by the annotation of the record field it
+#: fills: a bool is an int subclass but never a count, and a float field
+#: takes an int or NaN (a cell whose strikes all miss records a NaN
+#: ``mean_strike_voltage``).
+_FIELD_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _typed(cls, raw):
+    """Build the record dataclass ``cls`` (an outcome or a
+    :class:`CellFailure`) from decoded JSON — checkpoints, cache entries
+    and result frames all arrive from outside the process.  Raises
+    :class:`ConfigError` when ``raw`` is not an object or a field is
+    unknown or does not fit its annotation (and ``TypeError``, from the
+    constructor, when one is missing)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a {cls.__name__} must be an object, "
+                          f"got {type(raw).__name__}")
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        if name not in hints:
+            raise ConfigError(f"unknown {cls.__name__} field {name!r}")
+        if isinstance(value, bool) \
+                or not isinstance(value, _FIELD_TYPES[hints[name]]):
+            raise ConfigError(f"{cls.__name__}.{name}: {value!r:.40} is "
+                              f"not {hints[name].__name__}")
+    return cls(**raw)
+
+
+def _outcome_from_payload(raw):
+    """Inverse of :func:`_outcome_to_payload`, type-checked by
+    :func:`_typed`."""
+    if isinstance(raw, dict) and raw.get("kind") == "arms":
         from ..defense.evaluation import ArmsRaceCell
 
-        data = {k: v for k, v in raw.items() if k != "kind"}
-        return ArmsRaceCell(**data)
-    return AttackOutcome(**raw)
+        return _typed(ArmsRaceCell,
+                      {k: v for k, v in raw.items() if k != "kind"})
+    return _typed(AttackOutcome, raw)
 
 
 def _to_json(result: CampaignResult, complete: bool) -> str:
@@ -607,6 +633,6 @@ def _result_from_payload(payload: dict) -> CampaignResult:
         for raw in sweep_data["outcomes"]:
             sweep.outcomes.append(_outcome_from_payload(raw))
         result.sweeps.append(sweep)
-    result.failures = [CellFailure(**raw)
+    result.failures = [_typed(CellFailure, raw)
                        for raw in payload.get("failures", ())]
     return result

@@ -16,22 +16,25 @@ Keys are content addresses::
 
 so *any* change to the recipe — a config knob, retrained weights, a
 different evaluation slice — silently invalidates every entry by
-changing the address, with no versioning bookkeeping.
+changing the address, with no versioning bookkeeping.  The lease policy
+and the broker's socket settings are no part of the config: they are
+``run_campaign`` arguments, so tuning them keeps every address.
 
-Entries are JSON files written with the same fsync-then-``os.replace``
-discipline as campaign checkpoints, and each carries an integrity
-digest over its payload.  Reads are paranoid: a truncated, corrupt,
-tampered, or key-mismatched entry is a *miss*, never an error — a cache
-can lose entries, it must never serve a wrong one.  The byte-parity
-contract extends through the cache: a warm-cache campaign merges cached
-outcomes into checkpoint JSON byte-identical to a cold serial run
-(``tests/core/test_cellcache.py``).
+The campaign process is the only reader and writer: ``run_campaign``
+merges every cached cell before it dispatches any, on whichever path,
+and stores each computed cell once on the way out; pool and broker
+workers never open the cache.  Entries are JSON files written with the
+same fsync-then-``os.replace`` discipline as campaign checkpoints, and
+each carries an integrity digest over its payload.  Reads are paranoid:
+a truncated, corrupt, tampered, key-mismatched or ill-typed entry is a
+*miss*, never an error — a cache can lose entries, it must never serve
+a wrong one.  The byte-parity contract extends through the cache: a
+warm-cache campaign merges cached outcomes into checkpoint JSON
+byte-identical to a cold serial run (``tests/core/test_cellcache.py``).
 
-A cache can also be *bounded* (``max_bytes=`` or ``repro cache gc``):
-least-recently-used whole entries are unlinked until the directory
-fits, so a long-lived shared cache — the campaign service points every
-worker at one — cannot grow without limit, and pruning can never
-corrupt a surviving entry.
+``repro cache gc --max-bytes`` bounds a cache: least-recently-used
+whole entries are unlinked until the directory fits, so pruning can
+never corrupt a surviving entry.
 """
 
 from __future__ import annotations
@@ -62,25 +65,16 @@ def _hash_update_array(h, name: str, array: np.ndarray) -> None:
     h.update(arr.tobytes())
 
 
-#: ``SimulationConfig`` sections that cannot change a cell's outcome.
-_SCHEDULING = frozenset({"supervisor", "service"})
-
-
 def campaign_digest(config: SimulationConfig, bank_cells: int,
                     model, images: np.ndarray, labels: np.ndarray) -> str:
     """Digest everything (besides the cell itself) an outcome depends on.
 
     ``model`` is a :class:`~repro.nn.quantize.QuantizedModel`; its stage
     dataclasses are walked generically so new stage kinds (new victims)
-    are covered without touching this function.  The scheduling
-    sections (:data:`_SCHEDULING`) are left out: they decide where and
-    when a cell runs, never its outcome — the byte-parity suites prove
-    it — so tuning them keeps every address.
+    are covered without touching this function.
     """
     h = hashlib.blake2s()
-    sections = {name: value for name, value in asdict(config).items()
-                if name not in _SCHEDULING}
-    h.update(json.dumps(sections, sort_keys=True).encode())
+    h.update(json.dumps(asdict(config), sort_keys=True).encode())
     # The dtype policy is a config field, so the JSON above already
     # covers it — but it changes *numerics*, not just tuning, so fold it
     # in explicitly too: fp32 outcomes must never be served from (or
@@ -141,18 +135,10 @@ class CellCache:
     """
 
     root: Path
-    #: Optional size bound.  When set, every :meth:`put` that pushes the
-    #: cache past this many bytes prunes least-recently-*used* entries
-    #: (hits refresh an entry's mtime) until it fits again.  None means
-    #: unbounded — the pre-existing behaviour.
-    max_bytes: Optional[int] = None
     stats: CellCacheStats = field(default_factory=CellCacheStats)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        if self.max_bytes is not None and self.max_bytes < 0:
-            raise ConfigError(
-                f"cache max_bytes must be >= 0, got {self.max_bytes}")
 
     # -- addressing -----------------------------------------------------------
 
@@ -174,7 +160,7 @@ class CellCache:
         Every failure mode — missing file, truncated JSON, wrong entry
         version, key mismatch (a moved/renamed file), integrity-digest
         mismatch (bit rot, tampering), or a payload that no longer
-        matches the :class:`AttackOutcome` schema — is a miss.  A
+        matches the outcome schema or its field types — is a miss.  A
         corrupt entry is additionally unlinked (best effort) so it
         cannot keep costing a read on every run.
         """
@@ -196,7 +182,7 @@ class CellCache:
             from .campaign import _outcome_from_payload
 
             outcome = _outcome_from_payload(payload)
-        except (ValueError, KeyError, TypeError):
+        except (ConfigError, ValueError, KeyError, TypeError):
             self.stats.corrupt += 1
             self.stats.misses += 1
             try:
@@ -230,8 +216,6 @@ class CellCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(path, json.dumps(entry, indent=2) + "\n")
         self.stats.stores += 1
-        if self.max_bytes is not None:
-            self.gc()
 
     # -- garbage collection ---------------------------------------------------
 
@@ -251,26 +235,29 @@ class CellCache:
         return out
 
     def gc(self, max_bytes: Optional[int] = None) -> CacheGCReport:
-        """Prune least-recently-used entries until the cache fits.
+        """Prune least-recently-used entries until the cache is at
+        most ``max_bytes`` big (``None`` only reports its size; a
+        negative bound is refused with :class:`ConfigError`).
 
-        ``max_bytes`` defaults to the cache's own bound (a no-op report
-        when neither is set).  Eviction order is mtime, oldest first —
+        Eviction order is mtime, oldest first —
         and since :meth:`get` touches an entry's mtime on every hit,
         that is least-recently-*used*, not least-recently-written.
         Pruning only ever unlinks whole entry files, so surviving
         entries are untouched bytes and remain integrity-clean; a
         pruned entry is a future cache miss, never an error.
         """
-        limit = max_bytes if max_bytes is not None else self.max_bytes
+        if max_bytes is not None and max_bytes < 0:
+            raise ConfigError(f"cache max_bytes must be >= 0, "
+                              f"got {max_bytes}")
         report = CacheGCReport()
         entries = self._entries()
-        if limit is None:
+        if max_bytes is None:
             report.entries_kept = len(entries)
             report.bytes_kept = sum(size for _, size, _ in entries)
             return report
         total = sum(size for _, size, _ in entries)
         for mtime, size, path in sorted(entries):  # oldest first
-            if total <= limit:
+            if total <= max_bytes:
                 break
             try:
                 path.unlink()
@@ -286,16 +273,13 @@ class CellCache:
 
     # -- bulk helpers ---------------------------------------------------------
 
-    def lookup_cells(self, digest: str, cells, base_seed: int
-                     ) -> Tuple[dict, dict]:
-        """Probe many cells at once; returns ``(hits, keys)`` where
-        ``hits`` maps cell -> outcome and ``keys`` maps cell -> key (for
-        every probed cell, hit or miss)."""
-        hits, keys = {}, {}
+    def lookup_cells(self, digest: str, cells, base_seed: int) -> dict:
+        """Probe many cells at once; returns the hits as a map from
+        cell to outcome."""
+        hits = {}
         for target, count in cells:
-            key = self.cell_key(digest, target, count, base_seed)
-            keys[(target, count)] = key
-            outcome = self.get(key)
+            outcome = self.get(self.cell_key(digest, target, count,
+                                             base_seed))
             if outcome is not None:
                 hits[(target, count)] = outcome
-        return hits, keys
+        return hits

@@ -15,12 +15,14 @@ cloud-FPGA threat model):
   alive;
 * :mod:`~repro.core.service.worker` — the worker daemon: registers,
   rebuilds the attack from the wire recipe, heartbeats from a side
-  thread, consults the shared content-addressed cell cache before
-  executing, and delivers results (duplicates and all — dedup is the
-  broker's job).
+  thread, executes the cells it leases, and delivers results
+  (duplicates and all — dedup is the broker's job).
 
-Entry points: ``run_campaign(service=ServiceConfig(...))``, or the CLI's
-``repro serve`` / ``repro work`` / ``repro campaign --broker``.
+The campaign process builds the campaign's one driver, merges cached
+cells before the broker binds and stores computed ones after it closes;
+workers only run cells and never see the cell cache.  Entry points:
+``run_campaign(service=ServiceConfig(...))``, or the CLI's ``repro
+serve`` / ``repro work`` / ``repro campaign --broker``.
 """
 
 from .broker import CampaignBroker, run_service

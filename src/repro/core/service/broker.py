@@ -16,9 +16,10 @@ and lease cells.  What this module adds is only the socket side:
   whose oldest lease has aged past ``steal_after_s`` — the hedge against
   a slow or silently wedged peer.  Both executions may complete; the
   book's exactly-once gate keeps whichever result lands first.
-* **Frame validation.**  A result frame is decoded and checked against
-  the campaign before it reaches the gate; a foreign or malformed frame
-  gets an ``error`` reply and counts nothing.
+* **Frame validation.**  A result frame is decoded — every outcome or
+  failure field checked against its type — and checked against the
+  campaign before it reaches the gate; a foreign, malformed or
+  ill-typed frame gets an ``error`` reply and counts nothing.
 * **Respawn.**  A local daemon that exits with a nonzero code while
   cells are pending is replaced by a fresh one, at most
   ``serial_fallback_after`` times per campaign — the broker's analogue
@@ -37,26 +38,15 @@ import socket
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ...config import ServiceConfig
-from ...errors import ProtocolError
+from ...errors import ConfigError, ProtocolError
 from .. import executor as _exec
 from .. import supervisor as _sup
-from ..campaign import (
-    CampaignResult,
-    CampaignSpec,
-    CellFailure,
-    _outcome_from_payload,
-)
-from ..evaluation import AttackOutcome
-from ..supervisor import SupervisorStats
+from ..campaign import CellFailure, _outcome_from_payload, _typed
 from .protocol import PROTOCOL_VERSION, encode_array, encode_recipe
 from .protocol import recv_msg, send_msg
 
 __all__ = ["CampaignBroker", "run_service"]
-
-Cell = Tuple[str, int]
 
 
 def _local_worker_main(host: str, port: int) -> None:
@@ -73,22 +63,19 @@ class CampaignBroker:
     Life cycle: :meth:`start` binds the socket (and spawns
     ``local_workers`` daemons), :meth:`serve` sweeps until every cell
     settles — replacing local daemons that die, and falling back to
-    in-process execution when no worker stays alive — and returns the
-    merged result; :meth:`close` tears everything down (idempotent;
-    :func:`run_service` always calls it).
+    in-process execution when no worker stays alive; :meth:`close`
+    tears everything down (idempotent; :func:`run_service` always
+    calls it).
     """
 
     def __init__(self, recipe, driver: "_sup._Driver", *,
-                 config: Optional[ServiceConfig] = None,
-                 shard_hook: Optional[Callable] = None,
-                 cache_root=None, digest: Optional[str] = None) -> None:
+                 config: ServiceConfig,
+                 shard_hook: Optional[Callable] = None) -> None:
         self.recipe = recipe
         self.driver = driver
-        self.cfg = config if config is not None else recipe.config.service
+        self.cfg = config
         self.cfg.validate()
         self.shard_hook = shard_hook
-        self.cache_root = str(cache_root) if cache_root is not None else None
-        self.digest = digest
         self.beats: Dict[str, float] = {}   # worker id -> last contact
         self.address: Optional[Tuple[str, int]] = None
         self._closing = threading.Event()
@@ -199,6 +186,9 @@ class CampaignBroker:
         return {"type": "error", "message": f"unknown message type {kind!r}"}
 
     def _job(self) -> dict:
+        """The ``hello`` reply: everything a worker runs cells with —
+        the recipe, evaluation slice, clean baseline, base seed and beat
+        cadence."""
         return {
             "type": "job",
             "protocol": PROTOCOL_VERSION,
@@ -208,8 +198,6 @@ class CampaignBroker:
             "labels": encode_array(self.driver.labels),
             "clean": self.driver.clean,
             "base_seed": self.driver.spec.seed,
-            "cache_root": self.cache_root,
-            "digest": self.digest,
         }
 
     def _lease(self, worker: str) -> dict:
@@ -228,20 +216,19 @@ class CampaignBroker:
     def _result(self, msg: dict) -> dict:
         """Decode and check the frame, then settle it through the gate."""
         decode = {"outcome": _outcome_from_payload,
-                  "failure": lambda raw: CellFailure(**raw)}
+                  "failure": lambda raw: _typed(CellFailure, raw)}
         try:
             cell = (str(msg["target"]), int(msg["count"]))
             payload = decode[msg.get("kind")](msg["payload"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (ConfigError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:   # OverflowError: an infinite count
             return {"type": "error",
                     "message": f"malformed result frame: {exc!r}"}
         if cell not in self.driver.book.order:
             return {"type": "error",
                     "message": f"cell {cell} is not pending in this campaign"}
-        with self.driver.lock:
-            if not self.driver.settle(cell, msg["kind"], payload):
-                return {"type": "ack", "duplicate": True}
-            self.driver.stats.cache_hits += bool(msg.get("cached"))
+        if not self.driver.settle(cell, msg["kind"], payload):
+            return {"type": "ack", "duplicate": True}
         self._settled.set()
         return {"type": "ack"}
 
@@ -260,10 +247,10 @@ class CampaignBroker:
             self.driver.expire()
             return bool(self.beats)
 
-    def serve(self, attack) -> CampaignResult:
+    def serve(self, attack) -> None:
         """Sweep every heartbeat interval, and after every settle, until
-        the campaign settles; returns the result.  Past the no-worker
-        grace period the remaining cells run in-process on ``attack``."""
+        the campaign settles.  Past the no-worker grace period the
+        remaining cells run in-process on ``attack``."""
         last_alive = _sup._monotonic()
         while not self.driver.book.done():
             self._settled.clear()
@@ -277,52 +264,32 @@ class CampaignBroker:
                 self.driver.fall_back(attack)
                 break
             self._settled.wait(self.cfg.heartbeat_interval_s)
-        return self.driver.result()
 
 
-def run_service(attack, recipe, images: np.ndarray, labels: np.ndarray,
-                spec: CampaignSpec, clean: float,
-                outcomes: Dict[Cell, AttackOutcome],
-                failures: Dict[Cell, CellFailure],
-                *,
-                config: Optional[ServiceConfig] = None,
-                checkpoint_path=None,
-                before_cell: Optional[Callable[[str, int], None]] = None,
-                fault_hook: Optional[Callable] = None,
+def run_service(driver: "_sup._Driver", attack, recipe,
+                config: ServiceConfig, *,
                 shard_hook: Optional[Callable] = None,
-                stats: Optional[SupervisorStats] = None,
-                cache=None,
-                digest: Optional[str] = None,
                 on_bound: Optional[Callable[[Tuple[str, int]], None]] = None,
-                ) -> CampaignResult:
-    """Serve the pending cells of ``spec`` as a campaign broker, under
-    the lease policy ``recipe.config.supervisor``.
+                ) -> None:
+    """Settle the pending cells of ``driver`` as a campaign broker bound
+    where ``config`` says, under the driver's lease policy.
 
-    Drop-in sibling of :func:`repro.core.supervisor.run_supervised`
-    (same merge-in-place contract and ``before_cell`` prelude), reached
-    through ``run_campaign(service=...)``.  Workers rebuild the attack
+    The socket sibling of :func:`repro.core.supervisor.run_supervised`:
+    :func:`~repro.core.campaign.run_campaign` builds the driver and runs
+    its ``before_cell`` prelude, and this transport only moves cells —
+    no broker binds when none is pending.  Workers rebuild the attack
     from ``recipe``; the in-process last rung runs on the caller's
-    ``attack``.  ``cache``/``digest``
-    advertise the shared cell cache to workers; ``on_bound`` is called
-    with the bound ``(host, port)`` before serving (the CLI prints it;
-    tests attach workers).
+    ``attack``.  ``on_bound`` is called with the bound ``(host, port)``
+    before serving (the CLI prints it; tests attach workers).
     """
-    service = config if config is not None else recipe.config.service
-    driver = _sup._Driver(spec, images, labels, clean, outcomes, failures,
-                          policy=recipe.config.supervisor,
-                          checkpoint_path=checkpoint_path,
-                          fault_hook=fault_hook, stats=stats,
-                          steal_after_s=service.steal_after_s)
-    driver.prelude(before_cell)
     if driver.book.done():
-        return driver.result()
-    broker = CampaignBroker(recipe, driver, config=service,
-                            shard_hook=shard_hook, digest=digest,
-                            cache_root=None if cache is None else cache.root)
+        return
+    broker = CampaignBroker(recipe, driver, config=config,
+                            shard_hook=shard_hook)
     try:
         bound = broker.start()
         if on_bound is not None:
             on_bound(bound)
-        return broker.serve(attack)
+        broker.serve(attack)
     finally:
         broker.close()

@@ -1,12 +1,13 @@
 """The campaign worker daemon: lease, execute, deliver, repeat.
 
-A worker owns no campaign state.  It registers with the broker
-(:mod:`~repro.core.service.broker`), receives the *job* — a data-only
-:class:`~repro.core.executor.WorkerRecipe`, the evaluation slice, the
-clean baseline, the base seed, and (optionally) a shared cell-cache
-address — rebuilds the attack stack exactly like a pool worker, then
-loops: lease a cell, execute it under its blake2s-derived seed, deliver
-the result, ask for the next.
+A worker owns no campaign state and touches no cell cache — the
+campaign process alone reads and fills that.  It registers with the
+broker (:mod:`~repro.core.service.broker`), receives the *job* — a
+data-only :class:`~repro.core.executor.WorkerRecipe`, the evaluation
+slice, the clean baseline and the base seed — rebuilds the attack stack
+exactly like a spawned pool worker, then loops: lease a cell, execute
+it under its blake2s-derived seed, deliver the result, ask for the
+next.
 
 Delivery is *at-least-once* by design.  The worker retries failed
 exchanges on fresh connections, chaos shard directives make it
@@ -38,13 +39,11 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ...errors import ProtocolError, ReproError
 from .. import executor as _exec
 from ..campaign import _execute_cell, _failure_from, _outcome_to_payload
-from ..cellcache import CellCache
 from .protocol import decode_array, decode_recipe, recv_msg, send_msg
 
 __all__ = ["WorkerReport", "run_worker"]
@@ -56,15 +55,14 @@ class WorkerReport:
     printed by ``repro work``)."""
 
     worker_id: str
-    executed: int = 0           # cells actually computed here
-    cache_hits: int = 0         # cells served from the shared cell cache
+    executed: int = 0           # cells computed here
     failures_delivered: int = 0  # in-cell ReproErrors turned into verdicts
     duplicates_sent: int = 0    # chaos 'duplicate' shard directives honoured
     results_dropped: int = 0    # chaos 'disconnect' shard directives honoured
 
     def describe(self) -> Dict[str, object]:
         return {k: getattr(self, k) for k in (
-            "worker_id", "executed", "cache_hits", "failures_delivered",
+            "worker_id", "executed", "failures_delivered",
             "duplicates_sent", "results_dropped")}
 
 
@@ -121,7 +119,6 @@ class _Heartbeat:
 
 def run_worker(address: Tuple[str, int], *,
                worker_id: Optional[str] = None,
-               cache_dir=None,
                join_retries: int = 40,
                join_retry_s: float = 0.25,
                max_consecutive_failures: int = 12,
@@ -131,8 +128,7 @@ def run_worker(address: Tuple[str, int], *,
     ``join_retries`` covers the race where a worker starts before the
     broker binds; ``max_consecutive_failures`` bounds how long a worker
     survives a broker that went away mid-campaign (each failed exchange
-    backs off ``failure_backoff_s``).  ``cache_dir`` overrides the
-    shared cell-cache root the job advertises (None accepts the job's).
+    backs off ``failure_backoff_s``).
     """
     report = WorkerReport(worker_id=worker_id or _default_worker_id())
     hello = {"type": "hello", "worker": report.worker_id}
@@ -152,10 +148,6 @@ def run_worker(address: Tuple[str, int], *,
     labels = decode_array(job["labels"])
     clean = job.get("clean")
     base_seed = int(job["base_seed"])
-    digest = job.get("digest")
-    cache_root = cache_dir if cache_dir is not None else job.get("cache_root")
-    cache = (CellCache(Path(cache_root))
-             if cache_root is not None and digest is not None else None)
     state = _exec._build_state(recipe, images, labels, clean)
 
     heart = _Heartbeat(address, report.worker_id,
@@ -183,8 +175,7 @@ def run_worker(address: Tuple[str, int], *,
             if kind != "assign":
                 failures += 1
                 continue
-            _run_cell(address, reply, state, base_seed, cache, digest,
-                      report)
+            _run_cell(address, reply, state, base_seed, report)
     finally:
         heart.stop()
         try:
@@ -195,39 +186,25 @@ def run_worker(address: Tuple[str, int], *,
 
 
 def _run_cell(address: Tuple[str, int], assign: dict,
-              state, base_seed: int, cache: Optional[CellCache],
-              digest: Optional[str], report: WorkerReport) -> None:
+              state, base_seed: int, report: WorkerReport) -> None:
     """Execute one assigned cell and deliver its result (or honour a
     shard directive telling us to mangle the delivery)."""
     target = str(assign["target"])
     count = int(assign["count"])
     _exec._apply_fault(assign.get("fault"))  # kill/hang, pre-execution
 
-    key = None
-    outcome = None
-    if cache is not None:
-        key = cache.cell_key(digest, target, count, base_seed)
-        outcome = cache.get(key)
-    cached = outcome is not None
-    if cached:
-        report.cache_hits += 1
+    try:
+        outcome = _execute_cell(state.attack, state.blind_box,
+                                state.images, state.labels, base_seed,
+                                target, count, clean=state.clean)
+    except ReproError as exc:
+        report.failures_delivered += 1
+        failure = _failure_from(target, count, exc)
+        result = {"kind": "failure", "payload": vars(failure).copy()}
+    else:
+        report.executed += 1
         result = {"kind": "outcome",
                   "payload": _outcome_to_payload(outcome)}
-    else:
-        try:
-            outcome = _execute_cell(state.attack, state.blind_box,
-                                    state.images, state.labels, base_seed,
-                                    target, count, clean=state.clean)
-        except ReproError as exc:
-            report.failures_delivered += 1
-            failure = _failure_from(target, count, exc)
-            result = {"kind": "failure", "payload": vars(failure).copy()}
-        else:
-            report.executed += 1
-            if key is not None:
-                cache.put(key, outcome)
-            result = {"kind": "outcome",
-                      "payload": _outcome_to_payload(outcome)}
 
     shard = assign.get("shard") or {}
     if shard.get("delay"):
@@ -238,7 +215,7 @@ def _run_cell(address: Tuple[str, int], assign: dict,
         report.results_dropped += 1
         return
     msg = {"type": "result", "worker": report.worker_id,
-           "target": target, "count": count, "cached": cached, **result}
+           "target": target, "count": count, **result}
     deliveries = 2 if shard.get("duplicate") else 1
     if deliveries == 2:
         report.duplicates_sent += 1

@@ -12,12 +12,14 @@ fault-tolerant transports exists once, here:
   before a reclaimed cell re-dispatches, and the quarantine or timeout
   verdict once a cell's retry budget is spent.  It reads time only
   through :data:`_monotonic`, the one clock hook of both transports.
-* :class:`_Driver` owns everything around the book: the ``before_cell``
-  prelude, the merge into ``outcomes``/``failures`` with a checkpoint
-  after every settle, the verdict records, :class:`SupervisorStats`, and
-  :meth:`_Driver.run_in_process` — the one in-process cell loop behind
-  the serial path and both transports' last rung, which runs on the
-  caller's own attack.
+* :class:`_Driver`, built once per campaign by
+  :func:`~repro.core.campaign.run_campaign` and handed to whichever
+  path runs it, owns everything around the book: the lease policy, the
+  ``before_cell`` prelude, the merge into ``outcomes``/``failures`` with
+  a checkpoint after every settle, the verdict records,
+  :class:`SupervisorStats`, and :meth:`_Driver.run_in_process` — the
+  one in-process cell loop behind the serial path and both transports'
+  last rung, which runs on the caller's own attack.
 * The pool transport (:func:`run_supervised`) only reports events to
   the book: a ``BrokenProcessPool`` loses every lease the pool held,
   with blame; an expired lease tears the pool down, losing the other
@@ -537,33 +539,17 @@ def _pool_round(driver: _Driver, attack, recipe, size: int,
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_supervised(attack, recipe, images: np.ndarray, labels: np.ndarray,
-                   spec: CampaignSpec, clean: float,
-                   outcomes: Dict[Cell, AttackOutcome],
-                   failures: Dict[Cell, CellFailure],
-                   *,
-                   workers: int,
-                   checkpoint_path=None,
-                   before_cell: Optional[Callable[[str, int], None]] = None,
-                   fault_hook: Optional[Callable] = None,
-                   stats: Optional[SupervisorStats] = None,
-                   ) -> CampaignResult:
-    """Run the pending cells of ``spec`` on supervised process pools,
-    under the lease policy ``recipe.config.supervisor``.
+def run_supervised(driver: _Driver, attack, recipe, workers: int) -> None:
+    """Settle the pending cells of ``driver`` on supervised process
+    pools of up to ``workers`` processes, under the driver's lease
+    policy.
 
-    Called by :func:`~repro.core.campaign.run_campaign` after the shared
-    prelude (resume loading, spec resolution, clean-accuracy
-    measurement), with the caller's ``attack``: forked workers adopt it
-    and the in-process rung runs on it, while spawned workers rebuild
-    from ``recipe``.  ``fault_hook(target, count, attempt)`` returns the
-    chaos directive a worker honours for that grant.
+    :func:`~repro.core.campaign.run_campaign` builds the driver and
+    runs its ``before_cell`` prelude; this transport only moves cells.
+    Forked workers adopt the caller's ``attack`` and the in-process rung
+    runs on it, while spawned workers rebuild it from ``recipe``.
     """
-    driver = _Driver(spec, images, labels, clean, outcomes, failures,
-                     policy=recipe.config.supervisor,
-                     checkpoint_path=checkpoint_path,
-                     fault_hook=fault_hook, stats=stats)
-    driver.prelude(before_cell)
-    policy = recipe.config.supervisor
+    policy = driver.book.policy
     size = max(1, min(workers, MAX_WORKERS))
     deaths = at_size = 0   # the degradation ladder
     while not driver.book.done():
@@ -579,4 +565,3 @@ def run_supervised(attack, recipe, images: np.ndarray, labels: np.ndarray,
         if at_size >= policy.degrade_after and size > 1:
             size, at_size = size // 2, 0
             driver.stats.degradations += 1
-    return driver.result()

@@ -1,20 +1,20 @@
 """Durability-discipline rule.
 
 Checkpoints, cache entries, campaign JSON, zoo weights, and CLI report
-artifacts must survive a host crash: the repo's writer
-(:func:`repro.core.campaign._atomic_write_text`, and
-``repro.zoo._atomic_savez`` for weights) writes a same-directory temp
-file, fsyncs it, ``os.replace``s it over the target, and fsyncs the
-directory — a reader finds either the old content or the complete new
-one, never a torn file.  A bare ``open(path, "w")`` has none of those
-properties: a crash mid-write leaves a truncated artifact that a
-resume will happily parse.
+artifacts must survive a host crash: the repo's one writer
+(:func:`repro.core.campaign._atomic_write`, with its text form
+``_atomic_write_text``; the zoo saves its weight archives through it)
+writes a same-directory temp file, fsyncs it, ``os.replace``s it over
+the target, and fsyncs the directory — a reader finds either the old
+content or the complete new one, never a torn file.  A bare
+``open(path, "w")`` has none of those properties: a crash mid-write
+leaves a truncated artifact that a resume will happily parse.
 
 ``REPRO-DUR001`` flags write-mode ``open`` calls and
 ``Path.write_text`` / ``Path.write_bytes`` in the artifact-writing
 modules (``repro/core``, ``repro/zoo.py``, ``repro/cli.py``).
 ``os.fdopen`` is deliberately not flagged — it is how the atomic
-writers themselves drive their fsynced temp files.
+writer itself drives its fsynced temp file.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,21 +143,13 @@ def _load_cached(path: Path, model_name: str
 
 
 def _atomic_savez(path: Path, payload: dict) -> None:
-    """``np.savez_compressed`` via a same-directory temp file +
-    ``os.replace`` so an interrupt can never leave a truncated archive
-    (which a later session would fail to load) at ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """``np.savez_compressed`` through the fsync-atomic artifact writer,
+    so neither an interrupt nor a host crash can leave a truncated
+    archive (which a later run would fail to load) at ``path``."""
+    from .core.campaign import _atomic_write
+
+    _atomic_write(path, lambda handle: np.savez_compressed(handle,
+                                                           **payload))
 
 
 def get_pretrained(cache_dir: Optional[Path] = None,

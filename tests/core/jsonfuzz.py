@@ -1,5 +1,8 @@
 """Hypothesis helpers for fuzzing JSON documents that arrive from
-outside the process (``job`` frames, checkpoint files)."""
+outside the process (``job`` and ``result`` frames, checkpoint files,
+cell-cache entries)."""
+
+import typing
 
 from hypothesis import strategies as st
 
@@ -28,3 +31,15 @@ def replaced(doc, path, value):
         node = node[key]
     node[path[-1]] = value
     return doc
+
+
+def ill_typed(cls, record):
+    """The entries of ``record`` — a decoded or re-serialized record of
+    the dataclass ``cls``, an outcome or a cell failure — that do not
+    fit their field's annotation.  A bool is never an int; a float field
+    may hold an int or NaN."""
+    allowed = {int: int, float: (int, float), str: str}
+    hints = typing.get_type_hints(cls)
+    return {name: value for name, value in record.items()
+            if isinstance(value, bool)
+            or not isinstance(value, allowed[hints[name]])}

@@ -16,9 +16,10 @@ from repro.core import (
     save_campaign,
 )
 from repro.core.campaign import FORMAT_VERSION, _to_json
+from repro.core.evaluation import AttackOutcome
 from repro.errors import ConfigError, ProfilingError, ReproError
 
-from .jsonfuzz import JSON_VALUES, replaced, value_paths
+from .jsonfuzz import JSON_VALUES, ill_typed, replaced, value_paths
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +103,12 @@ class TestAtomicPersistence:
                             ("spec", "sweeps"), 5)
         outcome_key = replaced(json.loads(checkpoint_text),
                                ("sweeps", 0, "outcomes", 0, "surprise"), 1)
+        outcome_str = replaced(json.loads(checkpoint_text),
+                               ("sweeps", 0, "outcomes", 0, "n_strikes"),
+                               "4500")
         for text in ("{", "[]", json.dumps({"format_version": 2}),
-                     json.dumps(spec_int), json.dumps(outcome_key)):
+                     json.dumps(spec_int), json.dumps(outcome_key),
+                     json.dumps(outcome_str)):
             path.write_text(text)
             with pytest.raises(ConfigError, match="v99.json"):
                 load_campaign(path)
@@ -113,7 +118,8 @@ class TestAtomicPersistence:
     def test_damaged_checkpoint_loads_or_is_refused(
             self, data, checkpoint_text, damaged_file):
         """A checkpoint cut short anywhere, or with any value replaced by
-        any JSON, either loads or raises ConfigError."""
+        any JSON, either raises ConfigError or loads into a result that
+        re-serializes with every outcome and failure field of its type."""
         if data.draw(st.booleans()):
             cut = data.draw(st.integers(0, len(checkpoint_text) - 1))
             text = checkpoint_text[:cut]
@@ -124,9 +130,15 @@ class TestAtomicPersistence:
                                        data.draw(JSON_VALUES)))
         damaged_file.write_text(text)
         try:
-            load_campaign(damaged_file)
+            loaded = load_campaign(damaged_file)
         except ConfigError:
-            pass
+            return
+        saved = json.loads(_to_json(loaded, complete=True))
+        for sweep in saved["sweeps"]:
+            for outcome in sweep["outcomes"]:
+                assert not ill_typed(AttackOutcome, outcome)
+        for failure in saved["failures"]:
+            assert not ill_typed(CellFailure, failure)
 
 
 class TestFaultIsolation:

@@ -13,12 +13,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import ServiceConfig, SupervisorConfig
 from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core.campaign import _to_json
-from repro.core.cellcache import CellCache, campaign_digest
+from repro.core.cellcache import CellCache, _payload_digest, campaign_digest
 from repro.core.evaluation import AttackOutcome
 from repro.core.supervisor import SupervisorStats
+
+from .jsonfuzz import JSON_VALUES, ill_typed, replaced, value_paths
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,11 @@ def outcome(**overrides) -> AttackOutcome:
 
 
 DIGEST = "d" * 64
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("cachefuzz")
 
 
 class TestEntryIntegrity:
@@ -122,11 +132,37 @@ class TestEntryIntegrity:
         entry = json.loads(path.read_text())
         entry["payload"]["from_the_future"] = 1
         # keep the integrity digest honest: drift, not corruption
-        from repro.core.cellcache import _payload_digest
-
         entry["digest"] = _payload_digest(entry["payload"])
         path.write_text(json.dumps(entry))
         assert cache.get(key) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_entry_is_a_miss_or_a_well_typed_hit(self, data,
+                                                         fuzz_root):
+        """An entry cut short anywhere, or with any value replaced by
+        any JSON and its integrity digest recomputed, is a corrupt miss
+        (and unlinked) or a hit with every field of its type — never
+        another exception."""
+        cache = CellCache(fuzz_root)
+        key = self.key(cache)
+        cache.put(key, outcome())
+        path = cache._entry_path(key)
+        text = path.read_text()
+        if data.draw(st.booleans()):
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            entry = json.loads(text)
+            replaced(entry, data.draw(st.sampled_from(list(
+                value_paths(entry)))), data.draw(JSON_VALUES))
+            entry["digest"] = _payload_digest(entry["payload"])
+            text = json.dumps(entry)
+        path.write_text(text)
+        got = cache.get(key)
+        if got is None:
+            assert cache.stats.corrupt == 1 and not path.exists()
+        else:
+            assert not ill_typed(AttackOutcome, dataclasses.asdict(got))
 
 
 class TestBoundedCache:
@@ -188,18 +224,6 @@ class TestBoundedCache:
         assert cache.get(keys[80]) is None      # now the coldest: pruned
         assert cache.get(keys[120]) is not None
 
-    def test_put_enforces_the_bound_automatically(self, tmp_path):
-        probe = CellCache(tmp_path / "probe")
-        key = probe.cell_key(DIGEST, "pool1", 40, 5)
-        probe.put(key, outcome())
-        size = self.entry_bytes(probe, key)
-
-        cache = CellCache(tmp_path / "cache", max_bytes=2 * size + 64)
-        self.fill(cache, [40, 80, 120, 160])
-        total = sum(p.stat().st_size for p in cache.root.rglob("*.json"))
-        assert total <= 2 * size + 64
-        assert cache.stats.pruned >= 1
-
     def test_gc_without_a_bound_only_reports(self, tmp_path):
         cache = CellCache(tmp_path / "cache")
         keys = self.fill(cache, [40, 80])
@@ -211,8 +235,11 @@ class TestBoundedCache:
     def test_negative_bound_refused(self, tmp_path):
         from repro.errors import ConfigError
 
+        cache = CellCache(tmp_path / "cache")
+        keys = self.fill(cache, [40, 80])
         with pytest.raises(ConfigError):
-            CellCache(tmp_path / "cache", max_bytes=-1)
+            cache.gc(max_bytes=-1)
+        assert all(cache.get(k) is not None for k in keys.values())
 
 
 class TestContentAddressing:
@@ -226,43 +253,19 @@ class TestContentAddressing:
                                attack.engine.model, images, labels)
         assert base == campaign_digest(attack.config, attack.bank_cells,
                                        attack.engine.model, images, labels)
-        tweaked = dataclasses.replace(
-            attack.config,
-            striker=dataclasses.replace(attack.config.striker,
-                                        loops_per_cell=3))
-        assert campaign_digest(tweaked, attack.bank_cells,
-                               attack.engine.model, images, labels) != base
+        for section, name, value in (("striker", "loops_per_cell", 3),
+                                     ("recovery", "clamp_margin", 0.1)):
+            tweaked = dataclasses.replace(attack.config, **{
+                section: dataclasses.replace(
+                    getattr(attack.config, section), **{name: value})})
+            assert campaign_digest(tweaked, attack.bank_cells,
+                                   attack.engine.model, images,
+                                   labels) != base, section
         assert campaign_digest(attack.config, attack.bank_cells + 1,
                                attack.engine.model, images, labels) != base
         assert campaign_digest(attack.config, attack.bank_cells,
                                attack.engine.model, images[:8],
                                labels[:8]) != base
-
-    def test_scheduling_sections_keep_the_address(self, victim):
-        """Lease policy and socket settings decide where and when a cell
-        runs, never its outcome: tuning them keeps every address, while
-        an outcome-bearing knob still moves it."""
-        attack = fresh_attack(victim)
-        images = victim.dataset.test_images[:16]
-        labels = victim.dataset.test_labels[:16]
-        config = attack.config
-
-        def digest(cfg):
-            return campaign_digest(cfg, attack.bank_cells,
-                                   attack.engine.model, images, labels)
-
-        base = digest(config)
-        for section, field, value in (("supervisor", "cell_timeout_s", 7.0),
-                                      ("supervisor", "max_retries", 9),
-                                      ("service", "port", 9001)):
-            tweaked = dataclasses.replace(config, **{section: (
-                dataclasses.replace(getattr(config, section),
-                                    **{field: value}))})
-            assert digest(tweaked) == base, (section, field)
-        striker = dataclasses.replace(
-            config, striker=dataclasses.replace(config.striker,
-                                                loops_per_cell=3))
-        assert digest(striker) != base
 
     def test_backend_and_dtype_policy_move_the_address(self, victim):
         """The dtype policy is part of the content address: fp32 is
@@ -307,6 +310,33 @@ class TestWarmCampaign:
         assert warm_stats.dispatched == 0
         assert warm_stats.cache_hits == len(small_spec.cells())
         assert warm_json == cold_json
+
+    def test_warm_rerun_under_another_policy_dispatches_nothing(
+            self, victim, small_spec, tmp_path):
+        """The lease policy and the broker's socket are run_campaign
+        arguments, no part of a cell's address: a warm rerun under another
+        supervisor= policy, or through a service= broker, merges every
+        cell before any dispatch — no broker even binds — and matches the
+        cold serial bytes."""
+        cache_dir = tmp_path / "cellcache"
+
+        def one_run(stats=None, **kwargs):
+            return _to_json(run_campaign(
+                fresh_attack(victim), victim.dataset.test_images,
+                victim.dataset.test_labels, small_spec, cache=cache_dir,
+                stats=stats, **kwargs), complete=True)
+
+        cold = one_run()
+        bound = []
+        for kwargs in ({"workers": 2, "supervisor": SupervisorConfig(
+                            max_retries=9, cell_timeout_s=7.0)},
+                       {"service": ServiceConfig(local_workers=2),
+                        "on_bound": bound.append}):
+            stats = SupervisorStats()
+            assert one_run(stats, **kwargs) == cold
+            assert stats.dispatched == 0
+            assert stats.cache_hits == len(small_spec.cells())
+        assert bound == []
 
     def test_fxp_cache_never_serves_an_fp32_run(self, victim, small_spec,
                                                 tmp_path):

@@ -25,6 +25,7 @@ from repro.config import ServiceConfig, SupervisorConfig
 from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core.campaign import _to_json
 from repro.core.cellcache import CellCache
+from repro.core.evaluation import AttackOutcome
 from repro.core.executor import WorkerRecipe
 from repro.core.service import CampaignBroker, parse_address
 from repro.core.service.protocol import (
@@ -39,7 +40,7 @@ from repro.core.service.protocol import (
 from repro.core.supervisor import SupervisorStats, _Driver
 from repro.errors import ProtocolError
 
-from .jsonfuzz import JSON_VALUES, replaced, value_paths
+from .jsonfuzz import JSON_VALUES, ill_typed, replaced, value_paths
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -85,6 +86,16 @@ def service_config(**overrides):
                     no_worker_grace_s=20.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
+
+
+def result_frame(**payload):
+    """A worker's result frame delivering a pool1@40 outcome."""
+    outcome = dict(target_layer="pool1", n_strikes=40, strikes_landed=38,
+                   clean_accuracy=0.9375, attacked_accuracy=0.8125,
+                   mean_strike_voltage=0.8342)
+    outcome.update(payload)
+    return {"type": "result", "worker": "w", "target": "pool1",
+            "count": 40, "kind": "outcome", "payload": outcome}
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +197,43 @@ class TestProtocol:
         except ProtocolError:
             return
         recipe.config.validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_result_frame_is_refused_or_well_typed(self, data):
+        """A result frame cut short, with a byte flipped, or with any
+        value replaced by any JSON reads back as a ProtocolError, as
+        None, or as a message the broker refuses or settles with every
+        outcome field of its type — never another exception."""
+        msg = result_frame()
+        damage = data.draw(st.sampled_from(["cut", "flip", "value"]))
+        if damage == "value":
+            path = data.draw(st.sampled_from(list(value_paths(msg))))
+            replaced(msg, path, data.draw(JSON_VALUES))
+        body = json.dumps(msg).encode()
+        frame = struct.pack(">I", len(body)) + body
+        if damage == "cut":
+            frame = frame[:data.draw(st.integers(0, len(frame) - 1))]
+        elif damage == "flip":
+            i = data.draw(st.integers(0, len(frame) - 1))
+            flipped = frame[i] ^ data.draw(st.integers(1, 255))
+            frame = frame[:i] + bytes([flipped]) + frame[i + 1:]
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(frame)
+            a.close()
+            try:
+                received = recv_msg(b)
+            except ProtocolError:
+                return
+        if received is None:
+            return
+        broker = broker_over()
+        broker._handle({"type": "hello", "worker": "w"})
+        broker._handle({"type": "lease", "worker": "w"})
+        assert isinstance(broker._handle(received), dict)
+        for outcome in broker.driver.outcomes.values():
+            assert not ill_typed(AttackOutcome, vars(outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +386,14 @@ class TestResultFrames:
         assert driver.stats.duplicates_dropped == 0
 
     def test_undecodable_payload_is_refused_before_settling(self, clock):
-        broker, cell = self.leased()
-        reply = broker._handle({"type": "result", "worker": "w",
-                                "target": cell[0], "count": cell[1],
-                                "kind": "failure", "payload": {"bogus": 1}})
-        assert reply["type"] == "error"
-        self.assert_nothing_counted(broker, cell)
+        for frame in ({**result_frame(), "kind": "failure",
+                       "payload": {"bogus": 1}},
+                      result_frame(n_strikes="4500"),    # ill-typed field
+                      {**result_frame(), "count": float("inf")}):
+            broker, cell = self.leased()
+            reply = broker._handle(frame)
+            assert reply["type"] == "error"
+            self.assert_nothing_counted(broker, cell)
 
     def test_foreign_cell_is_refused(self, clock):
         broker, cell = self.leased()
@@ -495,31 +545,25 @@ class TestDistributedParity:
         assert warm.dispatched == 0
         assert warm.cache_hits == len(spec3.cells())
 
-    def test_workers_consult_the_shared_cache(self, victim, spec3,
-                                              serial_json, tmp_path):
-        """Pre-warm the cache with a *serial* run, then serve through
-        run_service directly — bypassing run_campaign's own pre-merge —
-        so every hit must come from a *worker* resolving the cell by
-        content address (the broker counts their cached deliveries)."""
-        from repro.core.cellcache import campaign_digest
-        from repro.core.service import run_service
+    def test_cold_served_run_stores_each_cell_once(
+            self, victim, spec3, serial_json, tmp_path, monkeypatch):
+        """The campaign process is the cache's only writer: a cold
+        served run stores each computed cell exactly once.  Every put —
+        here or in a forked local worker — appends its key to one log."""
+        log = tmp_path / "puts.log"
+        real_put = CellCache.put
 
-        cache_dir = tmp_path / "cells"
-        run(victim, spec3, cache=cache_dir)  # serial warm-up
-        attack = fresh_attack(victim)
-        images = victim.dataset.test_images[:spec3.eval_images]
-        labels = victim.dataset.test_labels[:spec3.eval_images]
-        clean = float((attack.clean_predictions(images) == labels).mean())
-        digest = campaign_digest(attack.config, attack.bank_cells,
-                                 attack.engine.model, images, labels)
-        stats = SupervisorStats()
-        result = run_service(attack, WorkerRecipe.from_attack(attack),
-                             images, labels, spec3, clean, {}, {},
-                             config=service_config(), stats=stats,
-                             cache=CellCache(cache_dir), digest=digest)
+        def logged_put(self, key, outcome):
+            with open(log, "a") as handle:
+                handle.write(key + "\n")
+            real_put(self, key, outcome)
+
+        monkeypatch.setattr(CellCache, "put", logged_put)
+        result = run(victim, spec3, service=service_config(),
+                     cache=tmp_path / "cells")
         assert _to_json(result, complete=True) == serial_json
-        assert stats.cache_hits == len(spec3.cells())  # all worker-side
-        assert stats.dispatched == len(spec3.cells())
+        keys = log.read_text().split()
+        assert len(keys) == len(set(keys)) == len(spec3.cells())
 
     def test_no_worker_degrades_to_in_process_serial(
             self, victim, spec3, serial_json):

@@ -300,11 +300,7 @@ class TestDegradationLadderBoundary:
         """The ladder's boundary arithmetic: 4 -> 2 -> 1, then pool
         deaths at size 1 must not halve below the floor (and must not
         count as degradations); the fifth death ends pooling."""
-        import dataclasses
-
-        from repro.config import default_config
         from repro.core import supervisor as sup_mod
-        from repro.core.executor import WorkerRecipe
         from repro.core.supervisor import run_supervised
 
         sizes, rungs = [], []
@@ -313,16 +309,15 @@ class TestDegradationLadderBoundary:
                             sizes.append(size) or True)
         monkeypatch.setattr(sup_mod._Driver, "fall_back",
                             lambda driver, attack: rungs.append("serial"))
-        config = dataclasses.replace(
-            default_config(),
-            supervisor=SupervisorConfig(degrade_after=1,
-                                        serial_fallback_after=5))
         spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
                             seed=0)
         stats = SupervisorStats()
-        run_supervised(None, WorkerRecipe(config=config),
-                       np.zeros((4, 8, 8)), np.zeros(4, dtype=int), spec,
-                       1.0, {}, {}, workers=4, stats=stats)
+        driver = _Driver(spec, np.zeros((4, 8, 8)), np.zeros(4, dtype=int),
+                         1.0, {}, {},
+                         policy=SupervisorConfig(degrade_after=1,
+                                                 serial_fallback_after=5),
+                         stats=stats)
+        run_supervised(driver, None, None, workers=4)
         assert sizes == [4, 2, 1, 1, 1]
         assert stats.degradations == 2
         assert rungs == ["serial"]

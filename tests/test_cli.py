@@ -53,6 +53,14 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--backend", "numpy"])
 
+    def test_work_cache_dir_flag_gone(self):
+        """Workers never touch the cell cache: `repro work --cache-dir`
+        is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["work", "--broker", "127.0.0.1:9",
+                                       "--cache-dir", "cells"])
+        assert exc.value.code == 2
+
     def test_bad_sweep_syntax_rejected(self):
         from repro.cli import _parse_sweep_args
 
@@ -216,6 +224,23 @@ class TestCommands:
         (policy,) = policies
         assert (policy.max_retries, policy.cell_timeout_s) == (7, 33.0)
         assert target.exists()
+
+    def test_cache_gc_refuses_a_negative_bound(self, tmp_path, capsys):
+        """`repro cache gc --max-bytes -1` is a one-line error, exit 2,
+        and prunes nothing."""
+        from repro.core.cellcache import CellCache
+        from repro.core.evaluation import AttackOutcome
+
+        cache = CellCache(tmp_path)
+        cache.put(cache.cell_key("d" * 64, "pool1", 40, 5),
+                  AttackOutcome("pool1", 40, 38, 0.9375, 0.8125, 0.8342))
+        entries = sorted(tmp_path.rglob("*.json"))
+        assert main(["cache", "gc", "--dir", str(tmp_path),
+                     "--max-bytes", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ConfigError: ")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*.json")) == entries
 
     def test_defend_round_trip(self, tmp_path, capsys):
         import json

@@ -100,6 +100,30 @@ class TestCacheRobustness:
         zoo.get_pretrained(cache_dir=tmp_path)
         assert calls == ["lenet5"]
 
+    def test_save_fsyncs_the_archive_and_its_directory(self, fast_zoo,
+                                                       tmp_path,
+                                                       monkeypatch):
+        """The archive goes through the fsync-atomic writer: its temp
+        file (renamed into place, so the archive's inode) and its
+        directory are both fsynced."""
+        import os
+        import stat
+
+        zoo, _ = fast_zoo
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            synced.append((stat.S_ISDIR(st.st_mode), st.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        zoo.get_pretrained(cache_dir=tmp_path)
+        archive = self._cache_path(zoo, tmp_path)
+        assert (False, archive.stat().st_ino) in synced
+        assert (True, tmp_path.stat().st_ino) in synced
+
     def test_interrupted_save_never_clobbers_the_cache(self, fast_zoo,
                                                        tmp_path,
                                                        monkeypatch):
