@@ -394,10 +394,11 @@ class SupervisorConfig:
 
     ``workers>1`` campaigns run on supervised process pools and
     ``service=`` campaigns through the socket broker; both report to one
-    lease book, which retries lost cells after a jittered exponential
-    hold, cancels cells at their lease deadline and quarantines poison
-    cells — so a campaign survives crashes, hangs and repeat offenders
-    without a manual resume.  Deadlines are monotonic-clock seconds.
+    lease book, which retries lost cells after an exponential hold,
+    cancels cells at their lease deadline and quarantines poison cells —
+    so a campaign survives crashes, hangs and repeat offenders without a
+    manual resume.  Only these two values are settable; the rest of the
+    policy is constants in :mod:`repro.core.supervisor`.
     """
 
     #: Lease deadline per granted cell.  A cell still running at its
@@ -409,57 +410,21 @@ class SupervisorConfig:
     #: and the cell fails with kind="timeout"/"quarantined" instead of
     #: aborting the run.
     max_retries: int = 3
-    #: Worker-fatal losses (pool deaths, heartbeat evictions) blamed on
-    #: one cell before it is quarantined as kind="quarantined".
-    quarantine_after: int = 2
-    #: Hold before a reclaimed cell re-dispatches after the first
-    #: incident, seconds.
-    backoff_base_s: float = 0.05
-    #: Multiplier applied to the hold after every further incident.
-    backoff_factor: float = 2.0
-    #: Ceiling on a single hold, seconds.
-    backoff_max_s: float = 2.0
-    #: Fractional seeded jitter on every hold (± this fraction), so
-    #: reclaimed cells do not re-dispatch in lockstep.
-    backoff_jitter: float = 0.25
-    #: Pool deaths at a given worker count before the pool halves it
-    #: (the degradation ladder's first rungs).
-    degrade_after: int = 2
-    #: Recovery budget per campaign on either transport: the pool dies
-    #: this many times in all before it finishes the campaign
-    #: in-process (the ladder's last rung — degraded, never dead); the
-    #: broker replaces this many dead local workers at most, after which
-    #: only ``ServiceConfig.no_worker_grace_s`` leads to that rung.
-    serial_fallback_after: int = 6
 
     def validate(self) -> None:
         if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
             raise ConfigError("cell_timeout_s must be positive (or None)")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.quarantine_after < 1:
-            raise ConfigError("quarantine_after must be >= 1")
-        if self.backoff_base_s <= 0 or self.backoff_max_s <= 0:
-            raise ConfigError("backoff waits must be positive")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ConfigError("backoff_jitter must be in [0, 1)")
-        if self.degrade_after < 1:
-            raise ConfigError("degrade_after must be >= 1")
-        if self.serial_fallback_after < 1:
-            raise ConfigError("serial_fallback_after must be >= 1")
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """The broker's socket side (docs/reliability.md §3c), passed as
+    """Where the broker listens (docs/reliability.md §3c), passed as
     ``run_campaign(service=...)``.
 
-    The lease policy lives in :class:`SupervisorConfig`; this section
-    only says where the broker listens, how workers prove liveness, when
-    an idle worker may steal a lease, and when the broker gives up on
-    workers altogether.  Durations are monotonic-clock seconds.
+    The lease policy lives in :class:`SupervisorConfig`; the broker's
+    timings are constants in :mod:`repro.core.service.broker`.
     """
 
     #: Interface the broker binds (workers connect here).
@@ -469,20 +434,6 @@ class ServiceConfig:
     #: Local worker daemons the broker spawns itself at start (the
     #: one-command distributed path); remote workers may still attach.
     local_workers: int = 0
-    #: How often a worker daemon heartbeats the broker, seconds.
-    heartbeat_interval_s: float = 0.25
-    #: Silence after which the broker declares a worker dead/partitioned
-    #: and reclaims its leases with blame (missed-heartbeat eviction).
-    heartbeat_timeout_s: float = 2.0
-    #: Lease age after which an idle worker may *steal* the cell — a
-    #: second lease on the same cell; the exactly-once gate keeps
-    #: whichever result lands first.
-    steal_after_s: float = 30.0
-    #: With work outstanding and *no* live worker for this long, the
-    #: broker stops serving and finishes the campaign in-process.
-    no_worker_grace_s: float = 30.0
-    #: Delay an idle worker is told to wait before asking again.
-    idle_wait_s: float = 0.1
 
     def validate(self) -> None:
         if not self.host:
@@ -491,15 +442,6 @@ class ServiceConfig:
             raise ConfigError(f"port {self.port} outside [0, 65535]")
         if self.local_workers < 0:
             raise ConfigError("local_workers must be >= 0")
-        for name in ("heartbeat_interval_s", "heartbeat_timeout_s",
-                     "steal_after_s", "no_worker_grace_s", "idle_wait_s"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.heartbeat_interval_s >= self.heartbeat_timeout_s:
-            raise ConfigError(
-                "heartbeat_interval_s must be shorter than "
-                "heartbeat_timeout_s (or every worker gets evicted)"
-            )
 
 
 @dataclass(frozen=True)

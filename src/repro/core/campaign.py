@@ -75,7 +75,7 @@ class CampaignSpec:
     sweeps: Tuple[Tuple[str, Tuple[int, ...]], ...]
     blind_counts: Tuple[int, ...] = ()
     eval_images: int = 120
-    bank_cells: Optional[int] = None  # None: the attack's default
+    bank_cells: Optional[int] = None  # None, or the attack's bank size
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -119,7 +119,7 @@ class CellFailure:
     ``kind`` classifies how the cell died: ``"error"`` (an in-cell
     :class:`~repro.errors.ReproError`, the classic case), or — a verdict
     of the lease book behind the pool and the broker — ``"quarantined"``
-    (the cell lost its worker ``quarantine_after`` times) or
+    (the cell lost its worker ``QUARANTINE_AFTER`` times) or
     ``"timeout"`` (the cell kept overrunning its lease until its retry
     budget ran out).  Pre-supervisor v2 checkpoints have no ``kind``
     field and load as ``"error"``.
@@ -256,7 +256,6 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
                  resume_from=None,
                  before_cell: Optional[Callable[[str, int], None]] = None,
                  workers: int = 1,
-                 recipe=None,
                  cache=None,
                  supervisor=None,
                  service=None,
@@ -295,17 +294,11 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         Shard pending cells across this many supervised worker
         processes (``supervisor`` below).  ``1`` (the default) runs the
         serial path.  Per-cell reseeding makes the final result
-        byte-identical either way.
-    recipe:
-        A :class:`~repro.core.executor.WorkerRecipe` telling workers how
-        to rebuild the attack (victim zoo name + ``SimulationConfig`` +
-        bank size).  Spawn-started pool workers and broker workers
-        rebuild from it; a fork-started pool runs on ``attack`` itself
-        (each worker inherits it), and so does the in-process last rung
-        of both transports.  Defaults to
-        ``WorkerRecipe.from_attack(attack)``, which assumes the standard
-        ``lenet5`` zoo victim — pass an explicit recipe for any other
-        victim.  Ignored at ``workers=1``.
+        byte-identical either way.  Forked pool workers run on
+        ``attack`` itself, as does both transports' in-process last
+        rung; spawned pool workers and broker workers rebuild it from
+        its :class:`~repro.core.executor.WorkerRecipe`, which refuses a
+        victim the zoo cannot rebuild with :class:`ConfigError`.
     cache:
         A :class:`~repro.core.cellcache.CellCache` (or a directory path
         for one).  Completed cells whose content address — victim
@@ -333,10 +326,10 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         more workers from anywhere).  The shared lease book, plus
         missed-heartbeat eviction and work stealing, keeps the merged
         checkpoint byte-identical to a serial run; if no worker stays
-        alive for ``no_worker_grace_s`` the broker finishes the
-        remaining cells in-process.  No broker binds when every cell
-        is already settled (resumed or cached).  Mutually exclusive
-        with ``workers > 1``.
+        alive for the broker's grace period it finishes the remaining
+        cells in-process.  No broker binds when every cell is already
+        settled (resumed or cached).  Mutually exclusive with
+        ``workers > 1``.
     fault_hook:
         Supervisor/service test-and-chaos hook ``(target, count,
         attempt) -> directive`` consulted at each dispatch; see
@@ -383,6 +376,11 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
             for outcome in sweep.outcomes:
                 outcomes[(sweep.target_layer, outcome.n_strikes)] = outcome
     plan_spec = plan_spec or CampaignSpec.fig5b_default()
+    if plan_spec.bank_cells not in (None, attack.bank_cells):
+        raise ConfigError(
+            f"the campaign spec asks for a {plan_spec.bank_cells}-cell "
+            f"striker bank but the attack has {attack.bank_cells} cells"
+        )
 
     n = min(plan_spec.eval_images, images.shape[0])
     images = images[:n]
@@ -417,9 +415,7 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
     driver = _Driver(plan_spec, images, labels, clean, outcomes, failures,
                      policy=supervisor or SupervisorConfig(),
                      checkpoint_path=checkpoint_path, fault_hook=fault_hook,
-                     stats=stats,
-                     steal_after_s=(None if service is None
-                                    else service.steal_after_s))
+                     stats=stats, steal=service is not None)
     driver.stats.cache_hits += len(cached)
     if cached:
         driver._checkpoint()
@@ -427,20 +423,16 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         if service is None and workers == 1:
             driver.run_in_process(attack, {}, before_cell)
             return driver.result()
-        from .executor import WorkerRecipe
-
         driver.prelude(before_cell)
-        active_recipe = recipe if recipe is not None \
-            else WorkerRecipe.from_attack(attack)
         if service is not None:
             from .service import run_service
 
-            run_service(driver, attack, active_recipe, service,
-                        shard_hook=shard_hook, on_bound=on_bound)
+            run_service(driver, attack, service, shard_hook=shard_hook,
+                        on_bound=on_bound)
         else:
             from .supervisor import run_supervised
 
-            run_supervised(driver, attack, active_recipe, workers)
+            run_supervised(driver, attack, workers)
         return driver.result()
     finally:
         if cache_obj is not None:
@@ -527,6 +519,16 @@ def _outcome_to_payload(outcome) -> dict:
 _FIELD_TYPES = {int: int, float: (int, float), str: str}
 
 
+def _require(what: str, values, kind) -> None:
+    """Raise :class:`ConfigError` unless every one of ``values`` fits a
+    field annotated ``kind``."""
+    for value in values:
+        if isinstance(value, bool) \
+                or not isinstance(value, _FIELD_TYPES[kind]):
+            raise ConfigError(f"{what}: {value!r:.40} is not "
+                              f"{kind.__name__}")
+
+
 def _typed(cls, raw):
     """Build the record dataclass ``cls`` (an outcome or a
     :class:`CellFailure`) from decoded JSON — checkpoints, cache entries
@@ -541,10 +543,7 @@ def _typed(cls, raw):
     for name, value in raw.items():
         if name not in hints:
             raise ConfigError(f"unknown {cls.__name__} field {name!r}")
-        if isinstance(value, bool) \
-                or not isinstance(value, _FIELD_TYPES[hints[name]]):
-            raise ConfigError(f"{cls.__name__}.{name}: {value!r:.40} is "
-                              f"not {hints[name].__name__}")
+        _require(f"{cls.__name__}.{name}", [value], hints[name])
     return cls(**raw)
 
 
@@ -610,7 +609,8 @@ def load_campaign(path) -> CampaignResult:
 
 
 def _result_from_payload(payload: dict) -> CampaignResult:
-    """Inverse of :func:`_to_json` (raises on any malformed part)."""
+    """Inverse of :func:`_to_json` (raises on any malformed part; the
+    spec, the clean baseline and every record are type-checked)."""
     version = payload.get("format_version")
     if version not in (1, FORMAT_VERSION):
         raise ConfigError(
@@ -626,9 +626,17 @@ def _result_from_payload(payload: dict) -> CampaignResult:
         bank_cells=raw_spec["bank_cells"],
         seed=raw_spec["seed"],
     )
+    cells = spec.cells()
+    _require("spec target", [target for target, _ in cells], str)
+    _require("spec", [count for _, count in cells] + [spec.eval_images,
+                                                       spec.seed], int)
+    if spec.bank_cells is not None:
+        _require("spec.bank_cells", [spec.bank_cells], int)
+    _require("clean_accuracy", [payload["clean_accuracy"]], float)
     result = CampaignResult(spec=spec,
                             clean_accuracy=payload["clean_accuracy"])
     for sweep_data in payload["sweeps"]:
+        _require("sweeps", [sweep_data["target_layer"]], str)
         sweep = LayerSweepResult(sweep_data["target_layer"])
         for raw in sweep_data["outcomes"]:
             sweep.outcomes.append(_outcome_from_payload(raw))

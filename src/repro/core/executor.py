@@ -70,13 +70,13 @@ class WorkerRecipe:
     config: SimulationConfig = field(default_factory=default_config)
 
     @classmethod
-    def from_attack(cls, attack: DeepStrike,
-                    victim_name: str = "lenet5") -> "WorkerRecipe":
-        """Derive a recipe from a live attack (zoo victims only — the
-        worker relocates the victim by ``victim_name``, so a model that
-        did not come from the zoo needs its own recipe)."""
-        return cls(victim_name=victim_name, bank_cells=attack.bank_cells,
-                   config=attack.config)
+    def from_attack(cls, attack: DeepStrike) -> "WorkerRecipe":
+        """The recipe of a live attack; a victim the zoo cannot rebuild
+        is refused with :class:`~repro.errors.ConfigError`."""
+        from ..zoo import zoo_name
+
+        return cls(victim_name=zoo_name(attack.engine.model),
+                   bank_cells=attack.bank_cells, config=attack.config)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ cloud-FPGA threat model):
 
 The campaign process builds the campaign's one driver, merges cached
 cells before the broker binds and stores computed ones after it closes;
-workers only run cells and never see the cell cache.  Entry points:
+workers only run cells and never see the cell cache, and rebuild the
+attack from a recipe derived from the caller's (a victim the zoo cannot
+rebuild is refused before the broker binds).  Entry points:
 ``run_campaign(service=ServiceConfig(...))``, or the CLI's ``repro
 serve`` / ``repro work`` / ``repro campaign --broker``.
 """

@@ -8,27 +8,30 @@ socket; workers (:mod:`~repro.core.service.worker`) register, heartbeat
 and lease cells.  What this module adds is only the socket side:
 
 * **Missed-heartbeat eviction.**  Any message from a worker proves it
-  alive; one silent for ``heartbeat_timeout_s`` (on the supervisor's
+  alive; one silent for :data:`HEARTBEAT_TIMEOUT_S` (on the supervisor's
   monotonic clock hook) is declared dead or partitioned and loses its
   leases with blame — the remote analogue of a pool death.  A worker
   that says ``bye`` leaves without blame.
 * **Work stealing.**  An idle worker may take a second lease on a cell
-  whose oldest lease has aged past ``steal_after_s`` — the hedge against
+  whose oldest lease has aged past ``STEAL_AFTER_S`` — the hedge against
   a slow or silently wedged peer.  Both executions may complete; the
   book's exactly-once gate keeps whichever result lands first.
 * **Frame validation.**  A result frame is decoded — every outcome or
   failure field checked against its type — and checked against the
   campaign before it reaches the gate; a foreign, malformed or
-  ill-typed frame gets an ``error`` reply and counts nothing.
+  ill-typed frame, or one whose record is another cell's, gets an
+  ``error`` reply and counts nothing.
 * **Respawn.**  A local daemon that exits with a nonzero code while
   cells are pending is replaced by a fresh one, at most
-  ``serial_fallback_after`` times per campaign — the broker's analogue
+  ``SERIAL_FALLBACK_AFTER`` times per campaign — the broker's analogue
   of the pool rebuilding its pool.  A clean exit (after ``done``, or
   from a lost broker) is never replaced.
 * **The last rung.**  When *no* worker stays alive for
-  ``no_worker_grace_s``, the broker stops granting and finishes the
+  :data:`NO_WORKER_GRACE_S`, the broker stops granting and finishes the
   remaining cells with the driver's in-process cell loop, on the
   caller's own attack: the service ends degraded, never dead.
+
+Where it listens is settable (:class:`~repro.config.ServiceConfig`).
 """
 
 from __future__ import annotations
@@ -42,11 +45,20 @@ from ...config import ServiceConfig
 from ...errors import ConfigError, ProtocolError
 from .. import executor as _exec
 from .. import supervisor as _sup
-from ..campaign import CellFailure, _outcome_from_payload, _typed
+from ..campaign import ARMS_TARGET_PREFIX, CellFailure, _outcome_from_payload, _typed
+from ..evaluation import AttackOutcome
 from .protocol import PROTOCOL_VERSION, encode_array, encode_recipe
 from .protocol import recv_msg, send_msg
 
 __all__ = ["CampaignBroker", "run_service"]
+
+#: Monotonic seconds: the beat cadence sent in the job frame, the
+#: silence that evicts a worker, the worker drought before the
+#: in-process rung, an idle worker's wait before asking again.
+HEARTBEAT_INTERVAL_S = 0.25
+HEARTBEAT_TIMEOUT_S = 2.0
+NO_WORKER_GRACE_S = 30.0
+IDLE_WAIT_S = 0.1
 
 
 def _local_worker_main(host: str, port: int) -> None:
@@ -107,11 +119,10 @@ class CampaignBroker:
 
     def _respawn(self) -> None:
         """Replace every local daemon that died with a nonzero exit code,
-        while the ``serial_fallback_after`` budget lasts."""
-        budget = self.driver.book.policy.serial_fallback_after
+        while the ``SERIAL_FALLBACK_AFTER`` budget lasts."""
         for i, proc in enumerate(self._local_procs):
             # exitcode is None while alive, 0 after a clean exit.
-            if proc.exitcode and self._respawns < budget:
+            if proc.exitcode and self._respawns < _sup.SERIAL_FALLBACK_AFTER:
                 self._respawns += 1
                 self._local_procs[i] = self._spawn_local()
 
@@ -149,7 +160,7 @@ class CampaignBroker:
         or dead socket just ends the connection — the heartbeat sweep is
         what decides the *worker* is gone."""
         with conn:
-            conn.settimeout(max(10.0, 4 * self.cfg.heartbeat_timeout_s))
+            conn.settimeout(10.0)
             while True:
                 try:
                     msg = recv_msg(conn)
@@ -192,7 +203,7 @@ class CampaignBroker:
         return {
             "type": "job",
             "protocol": PROTOCOL_VERSION,
-            "heartbeat_interval_s": self.cfg.heartbeat_interval_s,
+            "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
             "recipe": encode_recipe(self.recipe),
             "images": encode_array(self.driver.images),
             "labels": encode_array(self.driver.labels),
@@ -206,7 +217,7 @@ class CampaignBroker:
                 return {"type": "done"}
             granted = self.driver.grant(worker)
             if granted is None:
-                return {"type": "wait", "delay": self.cfg.idle_wait_s}
+                return {"type": "wait", "delay": IDLE_WAIT_S}
             (target, count), attempt, fault = granted
             shard = (self.shard_hook(target, count, attempt)
                      if self.shard_hook is not None else None)
@@ -220,6 +231,7 @@ class CampaignBroker:
         try:
             cell = (str(msg["target"]), int(msg["count"]))
             payload = decode[msg.get("kind")](msg["payload"])
+            belongs = _belongs(payload, cell)
         except (ConfigError, KeyError, OverflowError, TypeError,
                 ValueError) as exc:   # OverflowError: an infinite count
             return {"type": "error",
@@ -227,6 +239,10 @@ class CampaignBroker:
         if cell not in self.driver.book.order:
             return {"type": "error",
                     "message": f"cell {cell} is not pending in this campaign"}
+        if not belongs:
+            return {"type": "error",
+                    "message": f"the record delivered for {cell} belongs "
+                               f"to another cell"}
         if not self.driver.settle(cell, msg["kind"], payload):
             return {"type": "ack", "duplicate": True}
         self._settled.set()
@@ -235,13 +251,13 @@ class CampaignBroker:
     # -- control loop ---------------------------------------------------------
 
     def _sweep(self) -> bool:
-        """Evict workers silent past ``heartbeat_timeout_s`` (their leases
-        are lost with blame) and expire stale leases; True while any
-        worker is alive."""
+        """Evict workers silent past :data:`HEARTBEAT_TIMEOUT_S` (their
+        leases are lost with blame) and expire stale leases; True while
+        any worker is alive."""
         with self.driver.lock:
             now = _sup._monotonic()
             for worker, seen in list(self.beats.items()):
-                if now - seen > self.cfg.heartbeat_timeout_s:
+                if now - seen > HEARTBEAT_TIMEOUT_S:
                     del self.beats[worker]
                     self.driver.lose(worker, blame=True)
             self.driver.expire()
@@ -259,15 +275,32 @@ class CampaignBroker:
             now = _sup._monotonic()
             if alive:
                 last_alive = now
-            elif now - last_alive > self.cfg.no_worker_grace_s:
+            elif now - last_alive > NO_WORKER_GRACE_S:
                 self._closing.set()
                 self.driver.fall_back(attack)
                 break
-            self._settled.wait(self.cfg.heartbeat_interval_s)
+            self._settled.wait(HEARTBEAT_INTERVAL_S)
 
 
-def run_service(driver: "_sup._Driver", attack, recipe,
-                config: ServiceConfig, *,
+def _belongs(record, cell: Tuple[str, int]) -> bool:
+    """Whether a decoded result record is ``cell``'s: a failure, or a
+    plain cell's outcome, by its ``(target_layer, n_strikes)``; an
+    ``arms:`` cell's outcome by its strikes, bank size and defense."""
+    target, count = cell
+    if isinstance(record, CellFailure):
+        return (record.target_layer, record.n_strikes) == cell
+    if not target.startswith(ARMS_TARGET_PREFIX):
+        return isinstance(record, AttackOutcome) \
+            and (record.target_layer, record.n_strikes) == cell
+    from ...defense.evaluation import ArmsRaceCell, parse_arms_target
+
+    _, defense, bank_cells = parse_arms_target(target)
+    return isinstance(record, ArmsRaceCell) and \
+        (record.n_strikes, record.bank_cells, record.defense) == \
+        (count, bank_cells, defense)
+
+
+def run_service(driver: "_sup._Driver", attack, config: ServiceConfig, *,
                 shard_hook: Optional[Callable] = None,
                 on_bound: Optional[Callable[[Tuple[str, int]], None]] = None,
                 ) -> None:
@@ -278,14 +311,16 @@ def run_service(driver: "_sup._Driver", attack, recipe,
     :func:`~repro.core.campaign.run_campaign` builds the driver and runs
     its ``before_cell`` prelude, and this transport only moves cells —
     no broker binds when none is pending.  Workers rebuild the attack
-    from ``recipe``; the in-process last rung runs on the caller's
-    ``attack``.  ``on_bound`` is called with the bound ``(host, port)``
-    before serving (the CLI prints it; tests attach workers).
+    from its recipe — a victim the zoo cannot rebuild is refused with
+    ``ConfigError`` before the broker binds — and the in-process last
+    rung runs on ``attack``.  ``on_bound`` is called with the bound
+    ``(host, port)`` before serving (the CLI prints it; tests attach
+    workers).
     """
     if driver.book.done():
         return
-    broker = CampaignBroker(recipe, driver, config=config,
-                            shard_hook=shard_hook)
+    broker = CampaignBroker(_exec.WorkerRecipe.from_attack(attack), driver,
+                            config=config, shard_hook=shard_hook)
     try:
         bound = broker.start()
         if on_bound is not None:

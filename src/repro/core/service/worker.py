@@ -15,11 +15,10 @@ duplicate or drop frames on purpose, and a stolen cell may complete on
 two workers at once — the lease book's exactly-once gate is the component
 under test, so the worker never tries to be clever about it.
 
-Liveness is a side thread beating every ``heartbeat_interval_s`` (the
-broker tells it the cadence in the job payload).  Heartbeat failures
-are ignored here: the *broker's* sweep is the arbiter of worker death,
-and a worker that was merely partitioned re-registers simply by
-talking again.
+Liveness is a side thread beating at the cadence the broker sends in
+the job payload.  Heartbeat failures are ignored here: the *broker's*
+sweep is the arbiter of worker death, and a worker that was merely
+partitioned re-registers simply by talking again.
 
 Chaos surfaces, both honoured between lease and delivery:
 
@@ -47,6 +46,12 @@ from ..campaign import _execute_cell, _failure_from, _outcome_to_payload
 from .protocol import decode_array, decode_recipe, recv_msg, send_msg
 
 __all__ = ["WorkerReport", "run_worker"]
+
+#: Registration tries, seconds apart (a worker may start before its
+#: broker binds), and the consecutive failed exchanges, seconds apart,
+#: after which a worker presumes its broker gone.
+JOIN_TRIES, JOIN_PAUSE_S = 40, 0.25
+MAX_FAILURES, FAILURE_PAUSE_S = 12, 0.25
 
 
 @dataclass
@@ -118,29 +123,19 @@ class _Heartbeat:
 
 
 def run_worker(address: Tuple[str, int], *,
-               worker_id: Optional[str] = None,
-               join_retries: int = 40,
-               join_retry_s: float = 0.25,
-               max_consecutive_failures: int = 12,
-               failure_backoff_s: float = 0.25) -> WorkerReport:
-    """Serve one broker until its campaign is done; returns a report.
-
-    ``join_retries`` covers the race where a worker starts before the
-    broker binds; ``max_consecutive_failures`` bounds how long a worker
-    survives a broker that went away mid-campaign (each failed exchange
-    backs off ``failure_backoff_s``).
-    """
+               worker_id: Optional[str] = None) -> WorkerReport:
+    """Serve one broker until its campaign is done; returns a report."""
     report = WorkerReport(worker_id=worker_id or _default_worker_id())
     hello = {"type": "hello", "worker": report.worker_id}
     job = None
-    for attempt in range(join_retries):
+    for attempt in range(JOIN_TRIES):
         try:
             job = _rpc(address, hello)
             break
         except (ProtocolError, OSError):
-            if attempt == join_retries - 1:
+            if attempt == JOIN_TRIES - 1:
                 raise
-            time.sleep(join_retry_s)
+            time.sleep(JOIN_PAUSE_S)
     assert job is not None and job.get("type") == "job", job
 
     recipe = decode_recipe(job["recipe"])
@@ -161,9 +156,9 @@ def run_worker(address: Tuple[str, int], *,
                                        "worker": report.worker_id})
             except (ProtocolError, OSError):
                 failures += 1
-                if failures >= max_consecutive_failures:
+                if failures >= MAX_FAILURES:
                     return report  # broker is gone; exit quietly
-                time.sleep(failure_backoff_s)
+                time.sleep(FAILURE_PAUSE_S)
                 continue
             failures = 0
             kind = reply.get("type")

@@ -8,9 +8,9 @@ fault-tolerant transports exists once, here:
 * :class:`_LeaseBook` is the pure lease state machine and the only code
   that decides a leased cell's fate: granting, settling exactly once,
   lease expiry, a lost worker with or without blame, re-running alone
-  the cells one crash blamed together, the jittered exponential hold
-  before a reclaimed cell re-dispatches, and the quarantine or timeout
-  verdict once a cell's retry budget is spent.  It reads time only
+  the cells one crash blamed together, the exponential hold before a
+  reclaimed cell re-dispatches, and the quarantine or timeout verdict
+  once a cell's retry budget is spent.  It reads time only
   through :data:`_monotonic`, the one clock hook of both transports.
 * :class:`_Driver`, built once per campaign by
   :func:`~repro.core.campaign.run_campaign` and handed to whichever
@@ -25,10 +25,10 @@ fault-tolerant transports exists once, here:
   with blame; an expired lease tears the pool down, losing the other
   in-flight leases without blame.  It wakes on ``wait(FIRST_COMPLETED)``
   bounded by the book's next deadline, and keeps its degradation
-  ladder: ``degrade_after`` pool deaths at one size halve the workers,
-  ``serial_fallback_after`` deaths in all finish the campaign in-process.
+  ladder: ``DEGRADE_AFTER`` pool deaths at one size halve the workers,
+  ``SERIAL_FALLBACK_AFTER`` deaths in all finish the campaign in-process.
   Forked pool workers adopt the caller's attack; spawned ones rebuild it
-  from the :class:`~repro.core.executor.WorkerRecipe`.
+  from the :class:`~repro.core.executor.WorkerRecipe` derived from it.
 
 Retries re-derive the same per-cell RNG stream, so a campaign that
 crashed, hung, healed and degraded merges into checkpoint JSON
@@ -76,13 +76,18 @@ _monotonic = time.monotonic
 Cell = Tuple[str, int]
 Verdicts = List[Tuple[Cell, CellFailure]]
 
-#: Seed salt for the hold-jitter stream (decorrelation only — jitter
-#: never touches cell RNG streams, so parity is unaffected).
-_JITTER_SALT = 0x5EEDFACE
-
 #: Ceiling on the pool size whatever ``workers=`` asks for (a
 #: fat-fingered ``--workers 4000`` should not fork-bomb the host).
 MAX_WORKERS = 32
+#: The policy beyond ``SupervisorConfig``: blames that quarantine a
+#: cell; an incident's hold (s), the base times the factor per earlier
+#: incident, capped; pool deaths at one size before halving, and in all
+#: before the in-process rung (also the broker's local-respawn budget);
+#: the lease age (s) after which an idle broker worker may steal it.
+QUARANTINE_AFTER = 2
+HOLD_BASE_S, HOLD_FACTOR, HOLD_MAX_S = 0.05, 2.0, 2.0
+DEGRADE_AFTER, SERIAL_FALLBACK_AFTER = 2, 6
+STEAL_AFTER_S = 30.0
 
 
 @dataclass
@@ -131,14 +136,15 @@ class _LeaseBook:
     *leased* to one or more workers, *settled* by its first delivery, or
     *convicted* with a quarantine/timeout verdict.  Blames (worker-fatal
     losses) and expiries spend the cell's retry budget; a blameless loss
-    does not.  Methods are unsynchronized — :class:`_Driver` serializes
+    does not; ``steal`` lets idle workers steal stale leases (broker
+    only).  Methods are unsynchronized — :class:`_Driver` serializes
     access under its lock.
     """
 
     def __init__(self, cells: List[Cell], policy: SupervisorConfig,
-                 seed: int, steal_after_s: Optional[float] = None) -> None:
+                 steal: bool) -> None:
         self.policy = policy
-        self.steal_after_s = steal_after_s
+        self.steal = steal
         self.order = {cell: i for i, cell in enumerate(cells)}
         self.queue: List[Cell] = list(cells)
         self.ready_at: Dict[Cell, float] = {}
@@ -151,7 +157,6 @@ class _LeaseBook:
         self.verdicts: Dict[Cell, CellFailure] = {}
         self.incidents = 0
         self.held_s = 0.0
-        self._rng = np.random.default_rng(seed ^ _JITTER_SALT)
 
     def done(self) -> bool:
         return len(self.settled) + len(self.verdicts) == len(self.order)
@@ -169,7 +174,8 @@ class _LeaseBook:
         lease is out, and nothing else while it runs.  Then the queue in
         canonical order, skipping held cells; with nothing grantable, a
         worker may steal the oldest lease of another worker aged past
-        ``steal_after_s``.  ``attempt`` counts the cell's earlier grants.
+        :data:`STEAL_AFTER_S`.  ``attempt`` counts the cell's earlier
+        grants.
         """
         now = _monotonic()
         if self.suspects and self.leases:
@@ -191,12 +197,12 @@ class _LeaseBook:
         return cell, attempt, not ready
 
     def _stale(self, worker: str, now: float) -> Optional[Cell]:
-        if self.steal_after_s is None:
+        if not self.steal:
             return None
         held = [(min(lease.granted for lease in leases), cell)
                 for cell, leases in self.leases.items()
                 if worker not in {lease.worker for lease in leases}]
-        stale = [pair for pair in held if now - pair[0] >= self.steal_after_s]
+        stale = [pair for pair in held if now - pair[0] >= STEAL_AFTER_S]
         return min(stale)[1] if stale else None
 
     # -- settling -------------------------------------------------------------
@@ -275,11 +281,11 @@ class _LeaseBook:
         return verdicts
 
     def _verdict(self, cell: Cell) -> Optional[CellFailure]:
-        """The one quarantine/timeout rule: ``quarantine_after`` blames
+        """The one quarantine/timeout rule: ``QUARANTINE_AFTER`` blames
         quarantine a cell; past ``max_retries`` charged attempts it times
         out when expiries dominate and is quarantined otherwise."""
         blames, expiries = self.blames[cell], self.expiries[cell]
-        if blames >= self.policy.quarantine_after:
+        if blames >= QUARANTINE_AFTER:
             message = f"quarantined after {blames} worker-fatal attempt(s)"
         elif blames + expiries <= self.policy.max_retries:
             return None
@@ -294,12 +300,9 @@ class _LeaseBook:
                            "quarantined")
 
     def _hold(self) -> float:
-        """The jittered exponential backoff of the latest incident."""
-        p = self.policy
-        delay = min(p.backoff_base_s * p.backoff_factor ** (self.incidents - 1),
-                    p.backoff_max_s)
-        if p.backoff_jitter:
-            delay *= 1.0 + p.backoff_jitter * (self._rng.random() * 2.0 - 1.0)
+        """The exponential hold of the latest incident."""
+        delay = min(HOLD_BASE_S * HOLD_FACTOR ** (self.incidents - 1),
+                    HOLD_MAX_S)
         self.held_s += delay
         return delay
 
@@ -332,7 +335,7 @@ class _Driver:
                  policy: SupervisorConfig, checkpoint_path=None,
                  fault_hook: Optional[Callable] = None,
                  stats: Optional[SupervisorStats] = None,
-                 steal_after_s: Optional[float] = None) -> None:
+                 steal: bool = False) -> None:
         policy.validate()
         self.spec = spec
         self.images = images
@@ -346,7 +349,7 @@ class _Driver:
         self.lock = threading.RLock()
         pending = [c for c in spec.cells()
                    if c not in outcomes and c not in failures]
-        self.book = _LeaseBook(pending, policy, spec.seed, steal_after_s)
+        self.book = _LeaseBook(pending, policy, steal)
 
     def result(self) -> CampaignResult:
         self.stats.backoff_s += self.book.held_s
@@ -474,32 +477,34 @@ class _Driver:
 
 
 def _hard_shutdown(pool) -> None:
-    """Tear a pool down without waiting on hung or dead workers."""
+    """Tear a pool down without waiting on hung or dead workers (their
+    handles are taken first: ``shutdown`` drops the pool's own)."""
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+    for proc in procs:
         try:
             proc.terminate()
         except Exception:  # pragma: no cover - teardown best effort
             pass
 
 
-def _pool_round(driver: _Driver, attack, recipe, size: int,
-                name: str) -> bool:
+def _pool_round(driver: _Driver, attack, size: int, name: str) -> bool:
     """Serve the book from one fresh pool of ``size`` workers until it
     drains, or until isolation starts or ends; True if the pool died.
 
     Forked workers adopt the live ``attack`` (inherited, not pickled);
-    spawned workers rebuild it from ``recipe``.  Grants are incremental
+    spawned workers rebuild it from its recipe.  Grants are incremental
     (never more cells out than workers) so a lease times execution, not
     queueing.
     """
     book = driver.book
     ctx = _exec._mp_context()
-    adopted = attack if ctx.get_start_method() == "fork" else None
+    forked = ctx.get_start_method() == "fork"
     pool = _exec.ProcessPoolExecutor(
         max_workers=size, mp_context=ctx, initializer=_exec._init_worker,
-        initargs=(recipe, driver.images, driver.labels, driver.clean,
-                  adopted))
+        initargs=(None if forked else _exec.WorkerRecipe.from_attack(attack),
+                  driver.images, driver.labels, driver.clean,
+                  attack if forked else None))
     isolating = book.isolating()
     futures: Dict[object, Cell] = {}
     died = True
@@ -539,7 +544,7 @@ def _pool_round(driver: _Driver, attack, recipe, size: int,
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def run_supervised(driver: _Driver, attack, recipe, workers: int) -> None:
+def run_supervised(driver: _Driver, attack, workers: int) -> None:
     """Settle the pending cells of ``driver`` on supervised process
     pools of up to ``workers`` processes, under the driver's lease
     policy.
@@ -547,21 +552,20 @@ def run_supervised(driver: _Driver, attack, recipe, workers: int) -> None:
     :func:`~repro.core.campaign.run_campaign` builds the driver and
     runs its ``before_cell`` prelude; this transport only moves cells.
     Forked workers adopt the caller's ``attack`` and the in-process rung
-    runs on it, while spawned workers rebuild it from ``recipe``.
+    runs on it, while spawned workers rebuild it from its recipe.
     """
-    policy = driver.book.policy
     size = max(1, min(workers, MAX_WORKERS))
     deaths = at_size = 0   # the degradation ladder
     while not driver.book.done():
-        if deaths >= policy.serial_fallback_after:
+        if deaths >= SERIAL_FALLBACK_AFTER:
             driver.fall_back(attack)
             break
-        if not _pool_round(driver, attack, recipe,
+        if not _pool_round(driver, attack,
                            1 if driver.book.isolating() else size,
                            f"pool-{deaths}"):
             continue
         deaths += 1
         at_size += 1
-        if at_size >= policy.degrade_after and size > 1:
+        if at_size >= DEGRADE_AFTER and size > 1:
             size, at_size = size // 2, 0
             driver.stats.degradations += 1

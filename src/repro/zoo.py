@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .data import SyntheticMNIST
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .nn import (
     QuantizedModel,
     Sequential,
@@ -32,7 +32,7 @@ from .nn import (
 from .nn.model import build_cnn7
 
 __all__ = ["MODEL_BUILDERS", "PretrainedVictim", "get_pretrained",
-           "load_quantized", "default_cache_dir"]
+           "load_quantized", "default_cache_dir", "zoo_name"]
 
 #: Victim architectures the zoo can train (all share the training recipe).
 MODEL_BUILDERS = {
@@ -226,3 +226,15 @@ def load_quantized(model_name: str = "lenet5",
         if loaded is not None:
             return quantize_model(loaded[0])
     return get_pretrained(cache_dir=cache_dir, model_name=model_name).quantized
+
+
+def zoo_name(quantized: QuantizedModel) -> str:
+    """The name :func:`load_quantized` rebuilds ``quantized`` by
+    (``lenet5`` for ``lenet5_q``); :class:`~repro.errors.ConfigError`
+    for a model the zoo does not build."""
+    name = quantized.name.removesuffix("_q")
+    if name not in MODEL_BUILDERS:
+        raise ConfigError(f"victim '{quantized.name}' is no zoo model "
+                          f"{sorted(MODEL_BUILDERS)}, so no worker can "
+                          "rebuild it; run it serially or on a forked pool")
+    return name

@@ -1,4 +1,5 @@
-"""Fixtures for the lease-book tests: a hand-driven monotonic clock."""
+"""Fixtures for the lease-book tests: a hand-driven monotonic clock and
+the lease, socket and worker policy constants."""
 
 import pytest
 
@@ -25,19 +26,35 @@ def clock(monkeypatch):
 
 
 @pytest.fixture
-def lease_book(clock):
+def constants(monkeypatch):
+    """Set policy constants of ``repro.core.supervisor``,
+    ``repro.core.service.broker`` or ``repro.core.service.worker`` for
+    one test, by name: ``constants(HOLD_BASE_S=1.0,
+    HEARTBEAT_TIMEOUT_S=0.8)``.  Forked workers inherit the values."""
+    from repro.core import supervisor
+    from repro.core.service import broker, worker
+
+    def set_constants(**values):
+        for name, value in values.items():
+            module, = [m for m in (supervisor, broker, worker)
+                       if hasattr(m, name)]
+            monkeypatch.setattr(module, name, value)
+
+    return set_constants
+
+
+@pytest.fixture
+def lease_book(clock, constants):
     """Factory for a lease book on the fake clock.  Holds are a fixed
-    1 s (no jitter) unless a test overrides the backoff policy."""
+    1 s unless a test sets the hold constants."""
     from repro.config import SupervisorConfig
     from repro.core.supervisor import _LeaseBook
 
-    def make(cells=(("pool1", 40), ("pool1", 80)), steal_after_s=None,
-             **policy):
-        defaults = dict(cell_timeout_s=10.0, max_retries=3,
-                        quarantine_after=2, backoff_base_s=1.0,
-                        backoff_max_s=1.0, backoff_jitter=0.0)
+    constants(HOLD_BASE_S=1.0, HOLD_MAX_S=1.0)
+
+    def make(cells=(("pool1", 40), ("pool1", 80)), steal=False, **policy):
+        defaults = dict(cell_timeout_s=10.0, max_retries=3)
         defaults.update(policy)
-        return _LeaseBook(list(cells), SupervisorConfig(**defaults), seed=5,
-                          steal_after_s=steal_after_s)
+        return _LeaseBook(list(cells), SupervisorConfig(**defaults), steal)
 
     return make

@@ -17,7 +17,6 @@ import pytest
 from repro.core import DeepStrike, load_campaign, run_campaign, save_campaign
 from repro.core.campaign import _to_json
 from repro.core.cellcache import CellCache, campaign_digest
-from repro.core.executor import WorkerRecipe
 from repro.core.supervisor import SupervisorStats
 from repro.defense.evaluation import ArmsRaceCell, ArmsRaceStudy, \
     resolve_defense
@@ -61,10 +60,6 @@ def run(victim, eval_slice, spec, **kwargs):
                         **kwargs)
 
 
-def arms_recipe(victim):
-    return WorkerRecipe.from_attack(fresh_attack(victim))
-
-
 @pytest.fixture(scope="module")
 def serial_json(victim, eval_slice, spec):
     return _to_json(run(victim, eval_slice, spec), complete=True)
@@ -86,8 +81,7 @@ class TestSerialParity:
 class TestParallelParity:
     def test_workers2_byte_identical(self, victim, eval_slice, spec,
                                      serial_json):
-        parallel = run(victim, eval_slice, spec, workers=2,
-                       recipe=arms_recipe(victim))
+        parallel = run(victim, eval_slice, spec, workers=2)
         assert _to_json(parallel, complete=True) == serial_json
 
     def test_serial_path_needs_no_opt_in(self, victim, eval_slice, spec):

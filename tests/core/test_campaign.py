@@ -76,6 +76,25 @@ class TestRun:
             small_campaign.sweep("fc9")
 
 
+    def test_spec_bank_size_must_be_the_attacks(self, lenet_engine_module,
+                                                victim_module):
+        """A spec's bank size is refused unless it is the attack's, so
+        no campaign runs at one size and records another."""
+        attack = DeepStrike(lenet_engine_module, rng=np.random.default_rng(77))
+
+        def run(bank_cells):
+            spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=8,
+                                bank_cells=bank_cells, seed=3)
+            return run_campaign(attack, victim_module.dataset.test_images,
+                                victim_module.dataset.test_labels, spec)
+
+        with pytest.raises(ConfigError, match="20000-cell"):
+            run(20000)
+        result = run(attack.bank_cells)
+        assert result.spec.bank_cells == attack.bank_cells
+        assert [len(s.outcomes) for s in result.sweeps] == [1]
+
+
 class TestPersistence:
     def test_round_trip(self, small_campaign, tmp_path):
         path = tmp_path / "campaign.json"

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.campaign import FORMAT_VERSION, _to_json
 from repro.core.evaluation import AttackOutcome
-from repro.errors import ConfigError, ProfilingError, ReproError
+from repro.errors import ConfigError, ProfilingError
 
 from .jsonfuzz import JSON_VALUES, ill_typed, replaced, value_paths
 
@@ -106,9 +106,17 @@ class TestAtomicPersistence:
         outcome_str = replaced(json.loads(checkpoint_text),
                                ("sweeps", 0, "outcomes", 0, "n_strikes"),
                                "4500")
+        # Whole checkpoints whose spec or clean baseline is ill-typed.
+        count_str = replaced(json.loads(checkpoint_text),
+                             ("spec", "blind_counts", 0), "40")
+        images_float = replaced(json.loads(checkpoint_text),
+                                ("spec", "eval_images"), 16.0)
+        clean_str = replaced(json.loads(checkpoint_text),
+                             ("clean_accuracy",), "0.9375")
         for text in ("{", "[]", json.dumps({"format_version": 2}),
                      json.dumps(spec_int), json.dumps(outcome_key),
-                     json.dumps(outcome_str)):
+                     json.dumps(outcome_str), json.dumps(count_str),
+                     json.dumps(images_float), json.dumps(clean_str)):
             path.write_text(text)
             with pytest.raises(ConfigError, match="v99.json"):
                 load_campaign(path)
@@ -119,7 +127,8 @@ class TestAtomicPersistence:
             self, data, checkpoint_text, damaged_file):
         """A checkpoint cut short anywhere, or with any value replaced by
         any JSON, either raises ConfigError or loads into a result that
-        re-serializes with every outcome and failure field of its type."""
+        re-serializes with every spec, clean-baseline, outcome and
+        failure field of its type."""
         if data.draw(st.booleans()):
             cut = data.draw(st.integers(0, len(checkpoint_text) - 1))
             text = checkpoint_text[:cut]
@@ -134,7 +143,15 @@ class TestAtomicPersistence:
         except ConfigError:
             return
         saved = json.loads(_to_json(loaded, complete=True))
+        spec = saved["spec"]
+        counts = [c for _, cs in spec["sweeps"] for c in cs]
+        assert all(type(layer) is str for layer, _ in spec["sweeps"])
+        assert all(type(n) is int for n in counts + spec["blind_counts"]
+                   + [spec["eval_images"], spec["seed"]])
+        assert spec["bank_cells"] is None or type(spec["bank_cells"]) is int
+        assert type(saved["clean_accuracy"]) in (int, float)
         for sweep in saved["sweeps"]:
+            assert type(sweep["target_layer"]) is str
             for outcome in sweep["outcomes"]:
                 assert not ill_typed(AttackOutcome, outcome)
         for failure in saved["failures"]:

@@ -19,7 +19,6 @@ from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core import campaign as campaign_mod
 from repro.core import executor as executor_mod
 from repro.core.campaign import _to_json
-from repro.core.executor import WorkerRecipe
 from repro.core.supervisor import SupervisorStats
 from repro.errors import ConfigError, ProfilingError
 
@@ -75,18 +74,16 @@ class TestByteParity:
         assert ckpt.exists()
 
     @pytest.mark.parametrize("start", ["fork", "spawn"])
-    def test_explicit_recipe_matches_default(self, victim, small_spec,
-                                             serial_json, start,
-                                             monkeypatch):
+    def test_pool_matches_serial_under_each_start_method(
+            self, victim, small_spec, serial_json, start, monkeypatch):
         """Forked workers adopt the live attack; spawned workers rebuild
-        it from the recipe, the only pool path where fork is missing."""
+        it from the recipe derived from it, the only pool path where fork
+        is missing."""
         if start not in mp.get_all_start_methods():
             pytest.skip(f"no {start} start method on this platform")
         monkeypatch.setattr(executor_mod, "_mp_context",
                             lambda: mp.get_context(start))
-        recipe = WorkerRecipe.from_attack(fresh_attack(victim),
-                                          victim_name="lenet5")
-        parallel = run(victim, small_spec, workers=2, recipe=recipe)
+        parallel = run(victim, small_spec, workers=2)
         assert _to_json(parallel, complete=True) == serial_json
 
     @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
@@ -238,3 +235,64 @@ class TestDispatchSemantics:
             run(victim, small_spec, workers=workers, before_cell=hook)
             assert [(t, c) for _, t, c in seen] == small_spec.cells()
             assert {pid for pid, _, _ in seen} == {os.getpid()}
+
+
+class TestRebuiltVictims:
+    """Workers that rebuild the attack (spawned pool workers, broker
+    workers) rebuild the caller's own zoo victim, and a victim the zoo
+    cannot rebuild is refused where they would."""
+
+    def test_cnn7_served_and_spawned_match_serial(self, monkeypatch):
+        from repro.accel import AcceleratorEngine
+        from repro.config import ServiceConfig
+        from repro.zoo import get_pretrained
+
+        cnn7 = get_pretrained(model_name="cnn7")
+        spec = CampaignSpec(sweeps=(("c7_conv2", (1500,)),),
+                            blind_counts=(1500,), eval_images=16, seed=5)
+
+        def cnn7_run(**kwargs):
+            attack = DeepStrike(AcceleratorEngine(
+                cnn7.quantized, rng=np.random.default_rng(66)),
+                rng=np.random.default_rng(77))
+            return _to_json(run_campaign(
+                attack, cnn7.dataset.test_images, cnn7.dataset.test_labels,
+                spec, **kwargs), complete=True)
+
+        serial = cnn7_run()
+        assert cnn7_run(service=ServiceConfig(local_workers=2)) == serial
+        if "spawn" in mp.get_all_start_methods():
+            monkeypatch.setattr(executor_mod, "_mp_context",
+                                lambda: mp.get_context("spawn"))
+            assert cnn7_run(workers=2) == serial
+
+    def test_non_zoo_victim_is_refused_before_a_broker_binds(
+            self, probe_quantized):
+        """The probe model is no zoo victim: a served campaign is refused
+        before binding, while a forked pool adopts the attack and runs.
+        (The probe is no classifier; its labels broadcast over the final
+        feature map.)"""
+        from repro.accel import AcceleratorEngine
+        from repro.config import ServiceConfig
+        from repro.nn.model import PROBE_INPUT_SHAPE
+
+        images = np.random.default_rng(3).uniform(-1, 1, (4,) +
+                                                   PROBE_INPUT_SHAPE)
+        labels = np.zeros((4, 1, 1), dtype=int)
+        spec = CampaignSpec(sweeps=(("conv3x3", (40, 80)),), eval_images=4,
+                            seed=1)
+
+        def probe_run(**kwargs):
+            attack = DeepStrike(AcceleratorEngine(
+                probe_quantized, rng=np.random.default_rng(0),
+                input_shape=PROBE_INPUT_SHAPE), rng=np.random.default_rng(1))
+            return _to_json(run_campaign(attack, images, labels, spec,
+                                         **kwargs), complete=True)
+
+        bound = []
+        with pytest.raises(ConfigError, match="probe3_q"):
+            probe_run(service=ServiceConfig(local_workers=2),
+                      on_bound=bound.append)
+        assert bound == []
+        if "fork" in mp.get_all_start_methods():
+            assert probe_run(workers=2) == probe_run()

@@ -79,13 +79,13 @@ def serial_json(victim, spec3):
     return _to_json(run(victim, spec3), complete=True)
 
 
-def service_config(**overrides):
-    """A ServiceConfig tuned for tests: fast heartbeats, short grace."""
-    defaults = dict(local_workers=2, heartbeat_interval_s=0.1,
-                    heartbeat_timeout_s=0.8, steal_after_s=30.0,
-                    no_worker_grace_s=20.0)
-    defaults.update(overrides)
-    return ServiceConfig(**defaults)
+@pytest.fixture
+def service(constants):
+    """Two local workers on fast heartbeats with a shorter no-worker
+    grace (a test may set other constants after this one)."""
+    constants(HEARTBEAT_INTERVAL_S=0.1, HEARTBEAT_TIMEOUT_S=0.8,
+              NO_WORKER_GRACE_S=20.0)
+    return ServiceConfig(local_workers=2)
 
 
 def result_frame(**payload):
@@ -96,6 +96,20 @@ def result_frame(**payload):
     outcome.update(payload)
     return {"type": "result", "worker": "w", "target": "pool1",
             "count": 40, "kind": "outcome", "payload": outcome}
+
+
+ARMS = "arms:conv2:none@5500"
+
+
+def arms_frame(**payload):
+    """A worker's result frame delivering the ``ARMS``@40 record."""
+    cell = dict(kind="arms", bank_cells=5500, n_strikes=40, defense="none",
+                clean_accuracy=1.0, attacked_accuracy=0.75,
+                residual_mismatch_rate=0.25, replay_overhead=0.0,
+                razor_flags=0, replays=0, exhausted=0, strikes_landed=38)
+    cell.update(payload)
+    return {"type": "result", "worker": "w", "target": ARMS, "count": 40,
+            "kind": "outcome", "payload": cell}
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +255,14 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 
 
-def broker_over():
-    """An unstarted broker leasing pool1@40 and pool1@80 (no sockets:
-    tests call its message handler and sweep directly)."""
-    spec = CampaignSpec(sweeps=(("pool1", (40, 80)),), eval_images=4, seed=5)
-    service = ServiceConfig(heartbeat_timeout_s=2.0, steal_after_s=5.0)
+def broker_over(sweeps=(("pool1", (40, 80)),)):
+    """An unstarted broker leasing ``sweeps``, pool1@40 and pool1@80 by
+    default (no sockets: tests call its message handler and sweep
+    directly)."""
+    spec = CampaignSpec(sweeps=sweeps, eval_images=4, seed=5)
     driver = _Driver(spec, np.zeros((4, 1, 28, 28)), np.zeros(4, dtype=int),
-                     1.0, {}, {}, policy=SupervisorConfig(),
-                     steal_after_s=service.steal_after_s)
-    return CampaignBroker(WorkerRecipe(), driver, config=service)
+                     1.0, {}, {}, policy=SupervisorConfig(), steal=True)
+    return CampaignBroker(WorkerRecipe(), driver, config=ServiceConfig())
 
 
 class TestLeaseBook:
@@ -283,7 +296,7 @@ class TestLeaseBook:
         broker._handle({"type": "hello", "worker": "w"})
         reply = broker._handle({"type": "lease", "worker": "w"})
         cell = (reply["target"], reply["count"])
-        clock.t += 2.5  # past heartbeat_timeout_s
+        clock.t += 2.5  # past HEARTBEAT_TIMEOUT_S
         broker._sweep()
         book = broker.driver.book
         assert broker.beats == {}
@@ -304,34 +317,41 @@ class TestLeaseBook:
         assert b.expire() == (1, [])
         assert b.expiries[cell] == 1 and cell in b.queue
 
-    def test_redispatch_jitter_holds_the_cell_briefly(self, lease_book,
-                                                      clock):
-        """A reclaimed cell waits out the incident's jittered backoff."""
-        b = lease_book(cells=[("pool1", 40)], backoff_base_s=5.0,
-                       backoff_max_s=5.0, backoff_jitter=0.2)
-        cell, _, _ = b.grant("w")
-        clock.t += 11.0
-        b.expire()
-        held = b.ready_at[cell]
-        assert clock.t + 4.0 <= held <= clock.t + 6.0
-        assert b.grant("w") is None        # not ready yet
-        clock.t = held
-        assert b.grant("w") == (cell, 1, False)
+    def test_reclaimed_cell_waits_out_exactly_the_exponential_hold(
+            self, lease_book, clock, constants):
+        """Each incident holds its reclaimed cell for exactly the base
+        hold times the factor per earlier incident, capped."""
+        constants(HOLD_BASE_S=1.0, HOLD_FACTOR=2.0, HOLD_MAX_S=3.0)
+        b = lease_book(cells=[("pool1", 40)])
+        cell = ("pool1", 40)
+        for attempt, hold in enumerate((1.0, 2.0, 3.0)):  # 4 s capped at 3
+            assert b.grant("w") == (cell, attempt, False)
+            clock.t += 11.0                 # past the 10 s lease
+            b.expire()
+            assert b.ready_at[cell] == clock.t + hold
+            clock.t += hold - 0.5
+            assert b.grant("w") is None     # still held
+            clock.t += 0.5
+        assert b.grant("w") == (cell, 3, False)
+        assert b.held_s == 6.0
 
     def test_idle_worker_steals_only_stale_leases_of_others(self, lease_book,
-                                                            clock):
-        b = lease_book(cells=[("pool1", 40)], steal_after_s=5.0)
+                                                            clock, constants):
+        constants(STEAL_AFTER_S=5.0)
+        b = lease_book(cells=[("pool1", 40)], steal=True)
         cell, _, _ = b.grant("a")
         assert b.grant("b") is None       # lease too young to steal
-        clock.t += 6.0                    # past steal_after_s
+        clock.t += 6.0                    # past STEAL_AFTER_S
         assert b.grant("b") == (cell, 1, True)
         assert b.grant("a") is None       # a already holds it: no re-steal
         assert b.grant("b") is None       # so does b now
         assert b.deliver(cell) is True    # first result wins
         assert b.deliver(cell) is False   # the loser is deduplicated
 
-    def test_repeated_eviction_quarantines_the_cell(self, lease_book, clock):
-        b = lease_book(cells=[("pool1", 40)], quarantine_after=2)
+    def test_repeated_eviction_quarantines_the_cell(self, lease_book, clock,
+                                                    constants):
+        constants(QUARANTINE_AFTER=2)
+        b = lease_book(cells=[("pool1", 40)])
         for _ in range(2):
             clock.t += 3.0                # past any hold
             b.grant("w")
@@ -341,9 +361,10 @@ class TestLeaseBook:
         assert failure.message == "quarantined after 2 worker-fatal attempt(s)"
         assert b.done()
 
-    def test_chronic_expiry_exhausts_into_timeout(self, lease_book, clock):
-        b = lease_book(cells=[("pool1", 40)], max_retries=1,
-                       quarantine_after=99)
+    def test_chronic_expiry_exhausts_into_timeout(self, lease_book, clock,
+                                                  constants):
+        constants(QUARANTINE_AFTER=99)
+        b = lease_book(cells=[("pool1", 40)], max_retries=1)
         verdicts = []
         for _ in range(3):
             b.grant("w")
@@ -371,8 +392,8 @@ class TestResultFrames:
     exactly-once gate: a bad frame gets an error reply, counts nothing,
     and leaves the cell leased."""
 
-    def leased(self):
-        broker = broker_over()
+    def leased(self, sweeps=(("pool1", (40, 80)),)):
+        broker = broker_over(sweeps)
         broker._handle({"type": "hello", "worker": "w"})
         reply = broker._handle({"type": "lease", "worker": "w"})
         return broker, (reply["target"], reply["count"])
@@ -396,29 +417,49 @@ class TestResultFrames:
             self.assert_nothing_counted(broker, cell)
 
     def test_foreign_cell_is_refused(self, clock):
-        broker, cell = self.leased()
-        reply = broker._handle({"type": "result", "worker": "w",
-                                "target": "pool1", "count": 999,
-                                "kind": "failure",
-                                "payload": {"target_layer": "pool1",
-                                            "n_strikes": 999,
-                                            "error_type": "ConfigError",
-                                            "message": "x"}})
-        assert reply["type"] == "error"
-        self.assert_nothing_counted(broker, cell)
+        """A frame for a cell this campaign lacks, or whose record is
+        another cell's, is refused."""
+        def failure(target, count):
+            return {"target_layer": target, "n_strikes": count,
+                    "error_type": "ConfigError", "message": "x"}
+
+        plain = (("pool1", (40, 80)),)
+        arms = ((ARMS, (40, 80)),)
+        for sweeps, frame in (
+                (plain, {**result_frame(), "count": 999, "kind": "failure",
+                         "payload": failure("pool1", 999)}),
+                (plain, result_frame(target_layer="conv2", n_strikes=80)),
+                (plain, result_frame(n_strikes=80)),
+                (plain, {**result_frame(), "kind": "failure",
+                         "payload": failure("pool1", 80)}),
+                (plain, {**arms_frame(), "target": "pool1"}),
+                (arms, arms_frame(n_strikes=80)),
+                (arms, arms_frame(bank_cells=20000)),
+                (arms, arms_frame(defense="tmr")),
+                (arms, result_frame(target_layer=ARMS) | {"target": ARMS})):
+            broker, cell = self.leased(sweeps)
+            reply = broker._handle(frame)
+            assert reply["type"] == "error", frame
+            self.assert_nothing_counted(broker, cell)
+
+    def test_own_arms_record_settles(self, clock):
+        broker, cell = self.leased(((ARMS, (40,)),))
+        assert broker._handle(arms_frame()) == {"type": "ack"}
+        assert broker.driver.book.done()
 
 
 class TestRespawn:
     def test_only_crashed_local_workers_are_replaced_within_budget(
-            self, monkeypatch):
+            self, constants, monkeypatch):
         """A nonzero exit (an error, or a signal) is replaced and a clean
-        exit never is; replacements stop after ``serial_fallback_after``
+        exit never is; replacements stop after ``SERIAL_FALLBACK_AFTER``
         per campaign."""
+        constants(SERIAL_FALLBACK_AFTER=2)
         spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
                             seed=5)
         driver = _Driver(spec, np.zeros((4, 1, 28, 28)),
                          np.zeros(4, dtype=int), 1.0, {}, {},
-                         policy=SupervisorConfig(serial_fallback_after=2))
+                         policy=SupervisorConfig())
         broker = CampaignBroker(WorkerRecipe(), driver,
                                 config=ServiceConfig())
         spawned = []
@@ -494,7 +535,7 @@ class TestShardChaos:
 
 class TestDistributedParity:
     def test_kill_disconnect_duplicate_merges_serial_bytes(
-            self, victim, spec3, serial_json, tmp_path):
+            self, victim, spec3, serial_json, service, tmp_path):
         """The issue's acceptance scenario: a two-worker campaign where
         one worker is killed mid-cell, one result frame is dropped, and
         one result is delivered twice — and the merged checkpoint is
@@ -515,8 +556,7 @@ class TestDistributedParity:
 
         stats = SupervisorStats()
         ckpt = tmp_path / "ckpt.json"
-        result = run(victim, spec3, checkpoint_path=ckpt,
-                     service=service_config(),
+        result = run(victim, spec3, checkpoint_path=ckpt, service=service,
                      supervisor=SupervisorConfig(cell_timeout_s=4.0),
                      fault_hook=fault, shard_hook=shard, stats=stats)
         assert _to_json(result, complete=True) == serial_json
@@ -528,25 +568,26 @@ class TestDistributedParity:
         assert json.loads(ckpt.read_text())["format_version"] == 2
 
     def test_warm_shared_cache_dispatches_zero_cells(
-            self, victim, spec3, serial_json, tmp_path):
+            self, victim, spec3, serial_json, service, tmp_path):
         """Acceptance: a rerun against the shared cache re-executes
         nothing — every cell is served from disk, byte parity holds."""
         cache_dir = tmp_path / "cells"
         first = SupervisorStats()
-        result = run(victim, spec3, service=service_config(),
-                     cache=cache_dir, stats=first)
+        result = run(victim, spec3, service=service, cache=cache_dir,
+                     stats=first)
         assert _to_json(result, complete=True) == serial_json
         assert first.dispatched == len(spec3.cells())
 
         warm = SupervisorStats()
-        result = run(victim, spec3, service=service_config(),
-                     cache=cache_dir, stats=warm)
+        result = run(victim, spec3, service=service, cache=cache_dir,
+                     stats=warm)
         assert _to_json(result, complete=True) == serial_json
         assert warm.dispatched == 0
         assert warm.cache_hits == len(spec3.cells())
 
     def test_cold_served_run_stores_each_cell_once(
-            self, victim, spec3, serial_json, tmp_path, monkeypatch):
+            self, victim, spec3, serial_json, service, tmp_path,
+            monkeypatch):
         """The campaign process is the cache's only writer: a cold
         served run stores each computed cell exactly once.  Every put —
         here or in a forked local worker — appends its key to one log."""
@@ -559,27 +600,26 @@ class TestDistributedParity:
             real_put(self, key, outcome)
 
         monkeypatch.setattr(CellCache, "put", logged_put)
-        result = run(victim, spec3, service=service_config(),
+        result = run(victim, spec3, service=service,
                      cache=tmp_path / "cells")
         assert _to_json(result, complete=True) == serial_json
         keys = log.read_text().split()
         assert len(keys) == len(set(keys)) == len(spec3.cells())
 
     def test_no_worker_degrades_to_in_process_serial(
-            self, victim, spec3, serial_json):
+            self, victim, spec3, serial_json, constants):
         """A broker nobody ever joins must not hang: past the grace
         period it finishes the campaign itself, serially, with parity."""
+        constants(NO_WORKER_GRACE_S=0.5)
         stats = SupervisorStats()
-        result = run(victim, spec3,
-                     service=service_config(local_workers=0,
-                                            no_worker_grace_s=0.5),
-                     stats=stats)
+        result = run(victim, spec3, service=ServiceConfig(), stats=stats)
         assert _to_json(result, complete=True) == serial_json
         assert stats.serial_fallback is True
         assert stats.dispatched == len(spec3.cells())
 
     def test_dead_local_workers_are_respawned(self, victim, spec3,
-                                              serial_json):
+                                              serial_json, service,
+                                              constants):
         """Both local workers die on their first cell; the broker replaces
         them instead of waiting out the no-worker grace period, and the
         replacements finish the campaign with parity."""
@@ -589,27 +629,28 @@ class TestDistributedParity:
                 return ("kill", 0)
             return None
 
+        constants(NO_WORKER_GRACE_S=60.0)
         stats = SupervisorStats()
-        result = run(victim, spec3,
-                     service=service_config(no_worker_grace_s=60.0),
-                     fault_hook=fault, stats=stats)
+        result = run(victim, spec3, service=service, fault_hook=fault,
+                     stats=stats)
         assert _to_json(result, complete=True) == serial_json
         assert stats.worker_crashes >= 2
         assert stats.serial_fallback is False
 
     def test_idle_worker_steals_a_wedged_lease(self, victim, spec3,
-                                               serial_json):
+                                               serial_json, service,
+                                               constants):
         """One cell hangs for a while on worker A; with the queue
-        drained, worker B steals it past steal_after_s and finishes
+        drained, worker B steals it past STEAL_AFTER_S and finishes
         first.  A's eventual duplicate is dropped; parity holds."""
         def fault(target, count, attempt):
             if (target, count, attempt) == ("pool1", 40, 0):
                 return ("hang", 8.0)
             return None
 
+        constants(STEAL_AFTER_S=1.0)
         stats = SupervisorStats()
-        result = run(victim, spec3,
-                     service=service_config(steal_after_s=1.0),
+        result = run(victim, spec3, service=service,
                      supervisor=SupervisorConfig(cell_timeout_s=120.0),
                      fault_hook=fault, stats=stats)
         assert _to_json(result, complete=True) == serial_json
@@ -617,7 +658,7 @@ class TestDistributedParity:
         assert stats.lease_expiries == 0  # healed by stealing, not expiry
 
     def test_chaos_storm_converges_with_parity(self, victim, spec3,
-                                               serial_json):
+                                               serial_json, service):
         """Seeded kill/disconnect/duplicate/delay chaos all at once;
         the service still converges to the serial bytes."""
         injector = ChaosInjector(ChaosSpec(
@@ -625,7 +666,7 @@ class TestDistributedParity:
             result_duplicate_prob=0.5, result_delay_prob=0.3,
             result_delay_s=0.05, seed=11))
         stats = SupervisorStats()
-        result = run(victim, spec3, service=service_config(),
+        result = run(victim, spec3, service=service,
                      supervisor=SupervisorConfig(cell_timeout_s=4.0),
                      before_cell=injector.campaign_cell_hook,
                      fault_hook=injector.cell_fault,

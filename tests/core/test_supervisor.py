@@ -131,17 +131,22 @@ class TestQuarantine:
         assert done == set(small_spec.cells()) - {poison}
 
 
-def driver_over(cells, stats=None, **policy):
-    """A driver leasing ``cells`` on the fake clock, reported to by hand
-    the way the pool transport reports (1 s holds, no jitter)."""
-    spec = CampaignSpec(sweeps=(("pool1", tuple(c for _, c in cells)),),
-                        eval_images=4, seed=5)
-    defaults = dict(cell_timeout_s=5.0, backoff_base_s=1.0,
-                    backoff_max_s=1.0, backoff_jitter=0.0)
-    defaults.update(policy)
-    return _Driver(spec, np.zeros((4, 1, 28, 28)), np.zeros(4, dtype=int),
-                   1.0, {}, {}, policy=SupervisorConfig(**defaults),
-                   stats=stats)
+@pytest.fixture
+def driver_over(clock, constants):
+    """Factory for a driver leasing ``cells`` on the fake clock,
+    reported to by hand the way the pool transport reports (1 s holds)."""
+    constants(HOLD_BASE_S=1.0, HOLD_MAX_S=1.0)
+
+    def make(cells, stats=None, **policy):
+        spec = CampaignSpec(sweeps=(("pool1", tuple(c for _, c in cells)),),
+                            eval_images=4, seed=5)
+        return _Driver(spec, np.zeros((4, 1, 28, 28)),
+                       np.zeros(4, dtype=int), 1.0, {}, {},
+                       policy=SupervisorConfig(**{"cell_timeout_s": 5.0,
+                                                  **policy}),
+                       stats=stats)
+
+    return make
 
 
 OUTCOME = object()   # settled payloads are opaque to the driver
@@ -149,10 +154,10 @@ OUTCOME = object()   # settled payloads are opaque to the driver
 
 class TestLeases:
     """Lease expiry on the fake clock, reported the way the pool reports
-    it (``TestAcceptance`` is the real-process proof that a hung pool is
-    torn down and retried)."""
+    it (``TestAcceptance::test_real_hang_outlasts_its_lease`` is the
+    real-process proof that a hung pool is torn down and retried)."""
 
-    def test_hanging_cell_cancelled_and_retried(self, clock):
+    def test_hanging_cell_cancelled_and_retried(self, clock, driver_over):
         """A cell stalling past its lease is reclaimed, its pool-mate is
         re-queued without blame, and the retry completes."""
         stats = SupervisorStats()
@@ -177,7 +182,8 @@ class TestLeases:
         assert stats.lease_expiries == 1 and stats.retries == 2
         assert stats.completed == 3 and stats.worker_crashes == 0
 
-    def test_chronic_hang_exhausts_into_timeout_failure(self, clock):
+    def test_chronic_hang_exhausts_into_timeout_failure(self, clock,
+                                                         driver_over):
         """A cell that hangs on every attempt burns its retry budget and
         is recorded as kind="timeout" — the campaign still finishes."""
         stats = SupervisorStats()
@@ -211,10 +217,11 @@ class TestPoolLeaseEvents:
         assert ("pool1", 120) not in b.ready_at    # and not held back
 
     def test_blameless_teardown_spends_no_retry_budget(self, lease_book,
-                                                       clock):
+                                                       clock, constants):
         """With no retry budget at all, a cell torn down for another
         cell's sake still re-queues — immediately, not convicted."""
-        b = lease_book(max_retries=0, quarantine_after=99)
+        constants(QUARANTINE_AFTER=99)
+        b = lease_book(max_retries=0)
         hung = b.grant("pool-0")[0]          # lease ends at 110
         clock.t += 5.0
         mate = b.grant("pool-0")[0]          # lease ends at 115
@@ -226,9 +233,10 @@ class TestPoolLeaseEvents:
         assert (b.blames[mate], b.expiries[mate]) == (0, 0)
         assert b.grant("pool-1") == (mate, 1, False)
 
-    def test_cells_blamed_together_rerun_alone(self, lease_book, clock):
-        b = lease_book(cells=[("pool1", 40), ("pool1", 80), ("pool1", 120)],
-                       quarantine_after=3)
+    def test_cells_blamed_together_rerun_alone(self, lease_book, clock,
+                                               constants):
+        constants(QUARANTINE_AFTER=3)
+        b = lease_book(cells=[("pool1", 40), ("pool1", 80), ("pool1", 120)])
         first, second = b.grant("pool-0")[0], b.grant("pool-0")[0]
         b.lose("pool-0", blame=True)
         assert b.isolating() and b.suspects == {first, second}
@@ -246,7 +254,7 @@ class TestPoolLeaseEvents:
         assert b.grant("pool-4")[0] == ("pool1", 120)
 
     def test_in_process_rung_counts_grants_like_the_transports(
-            self, clock, monkeypatch):
+            self, clock, driver_over, monkeypatch):
         """The fallback loop counts a re-grant as a retry, as the pool
         and the broker do."""
         from repro.core import supervisor as sup_mod
@@ -265,7 +273,7 @@ class TestPoolLeaseEvents:
 
 class TestDegradation:
     def test_repeated_carnage_falls_back_to_in_process_serial(
-            self, victim, small_spec, serial_json, monkeypatch):
+            self, victim, small_spec, serial_json, constants, monkeypatch):
         """Kill everything on every attempt with a tiny incident budget:
         the supervisor degrades, abandons pools, and still finishes with
         byte parity (directives cannot reach the in-process path).  The
@@ -280,14 +288,13 @@ class TestDegradation:
             raise AssertionError("the attack was rebuilt from its recipe")
 
         monkeypatch.setattr(executor_mod, "_build_state", no_rebuild)
+        constants(DEGRADE_AFTER=1, SERIAL_FALLBACK_AFTER=2,
+                  QUARANTINE_AFTER=10, HOLD_BASE_S=0.01, HOLD_MAX_S=0.05)
 
         stats = SupervisorStats()
         result = run(victim, small_spec, workers=2,
                      fault_hook=kill_everything,
-                     supervisor=SupervisorConfig(
-                         degrade_after=1, serial_fallback_after=2,
-                         max_retries=10, quarantine_after=10,
-                         backoff_base_s=0.01, backoff_max_s=0.05),
+                     supervisor=SupervisorConfig(max_retries=10),
                      stats=stats)
         assert _to_json(result, complete=True) == serial_json
         assert stats.serial_fallback is True
@@ -296,7 +303,7 @@ class TestDegradation:
 
 
 class TestDegradationLadderBoundary:
-    def test_halving_stops_at_one_worker(self, monkeypatch):
+    def test_halving_stops_at_one_worker(self, constants, monkeypatch):
         """The ladder's boundary arithmetic: 4 -> 2 -> 1, then pool
         deaths at size 1 must not halve below the floor (and must not
         count as degradations); the fifth death ends pooling."""
@@ -305,37 +312,34 @@ class TestDegradationLadderBoundary:
 
         sizes, rungs = [], []
         monkeypatch.setattr(sup_mod, "_pool_round",
-                            lambda driver, attack, recipe, size, name:
+                            lambda driver, attack, size, name:
                             sizes.append(size) or True)
         monkeypatch.setattr(sup_mod._Driver, "fall_back",
                             lambda driver, attack: rungs.append("serial"))
         spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
                             seed=0)
+        constants(DEGRADE_AFTER=1, SERIAL_FALLBACK_AFTER=5)
         stats = SupervisorStats()
         driver = _Driver(spec, np.zeros((4, 8, 8)), np.zeros(4, dtype=int),
-                         1.0, {}, {},
-                         policy=SupervisorConfig(degrade_after=1,
-                                                 serial_fallback_after=5),
-                         stats=stats)
-        run_supervised(driver, None, None, workers=4)
+                         1.0, {}, {}, policy=SupervisorConfig(), stats=stats)
+        run_supervised(driver, None, workers=4)
         assert sizes == [4, 2, 1, 1, 1]
         assert stats.degradations == 2
         assert rungs == ["serial"]
 
     def test_two_workers_degrade_once_then_serial(self, victim, small_spec,
-                                                  serial_json):
+                                                  serial_json, constants):
         """From workers=2 the ladder has exactly one halving (2 -> 1)
         before the serial rung; parity survives the whole descent."""
         def kill_everything(target, count, attempt):
             return ("kill", 0)
 
+        constants(DEGRADE_AFTER=1, SERIAL_FALLBACK_AFTER=3,
+                  QUARANTINE_AFTER=10, HOLD_BASE_S=0.01, HOLD_MAX_S=0.05)
         stats = SupervisorStats()
         result = run(victim, small_spec, workers=2,
                      fault_hook=kill_everything,
-                     supervisor=SupervisorConfig(
-                         degrade_after=1, serial_fallback_after=3,
-                         max_retries=10, quarantine_after=10,
-                         backoff_base_s=0.01, backoff_max_s=0.05),
+                     supervisor=SupervisorConfig(max_retries=10),
                      stats=stats)
         assert _to_json(result, complete=True) == serial_json
         assert stats.degradations == 1
@@ -365,7 +369,7 @@ class TestClockDiscipline:
         assert stats.lease_expiries == 0
 
     def test_jumping_clock_expires_leases_without_wedging(
-            self, victim, small_spec, monkeypatch):
+            self, victim, small_spec, constants, monkeypatch):
         """A monotonic source that leaps hours between reads expires
         every lease instantly — the supervisor must triage its way to a
         finished campaign (all kind="timeout"), never hang."""
@@ -378,11 +382,11 @@ class TestClockDiscipline:
             return state["t"]
 
         monkeypatch.setattr(sup_mod, "_monotonic", jumping)
+        constants(HOLD_BASE_S=0.01, HOLD_MAX_S=0.02)
         stats = SupervisorStats()
         result = run(victim, small_spec, workers=2,
-                     supervisor=SupervisorConfig(
-                         cell_timeout_s=3600.0, max_retries=1,
-                         backoff_base_s=0.01, backoff_max_s=0.02),
+                     supervisor=SupervisorConfig(cell_timeout_s=3600.0,
+                                                 max_retries=1),
                      stats=stats)
         assert stats.lease_expiries >= 1
         assert {(f.target_layer, f.n_strikes) for f in result.failures} \
@@ -391,25 +395,47 @@ class TestClockDiscipline:
 
 
 class TestAcceptance:
+    def test_real_hang_outlasts_its_lease(self, victim, small_spec,
+                                          serial_json):
+        """The one real-time hang: a worker stalls past a short lease
+        on the real monotonic clock; the pool is torn down and the cell
+        retried, with the serial bytes."""
+        def hang_once(target, count, attempt):
+            return (("hang", 120.0)
+                    if (target, count, attempt) == ("pool1", 80, 0) else None)
+
+        stats = SupervisorStats()
+        result = run(victim, small_spec, workers=2, fault_hook=hang_once,
+                     supervisor=SupervisorConfig(cell_timeout_s=1.0),
+                     stats=stats)
+        assert _to_json(result, complete=True) == serial_json
+        assert stats.lease_expiries >= 1 and stats.retries >= 1
+
     def test_kill_plus_hang_completes_without_manual_resume(
-            self, victim, serial_json, small_spec, tmp_path):
+            self, victim, serial_json, small_spec, tmp_path, clock,
+            constants):
         """The issue's acceptance scenario: one poison cell (SIGKILL
         every attempt) and one hanging cell in the same campaign.  The
         hang is retried, the poison is quarantined, nothing needs
         ``--resume``, and the checkpoint equals the clean serial bytes
-        minus the quarantined cell's records."""
+        minus the quarantined cell's records.  Real processes die and
+        hang, but leases run on the fake clock: it moves only when the
+        hang is dispatched, straight past that lease's deadline (holds
+        are zero, so no hold waits on a clock that stands still)."""
         spec = CampaignSpec(sweeps=(("pool1", (40, 80, 120)),),
                             eval_images=16, seed=5)
         # The poison rides in the first dispatch wave; the hang sits at
         # the back of the queue so it runs (and overstays its lease) in
-        # a later, crash-free round.
+        # a later round.
         poison = ("pool1", 40)
         hung = ("pool1", 120)
+        constants(HOLD_BASE_S=0.0)
 
         def hostile(target, count, attempt):
             if (target, count) == poison:
                 return ("kill", 0)
             if (target, count) == hung and attempt == 0:
+                clock.t += 7.0   # past the 6 s lease granted just now
                 return ("hang", 120.0)
             return None
 

@@ -174,13 +174,23 @@ class TestCommands:
         assert "increasing" in err and err.count("\n") == 1
 
     def test_torn_resume_file_is_one_line_exit_two(self, tmp_path, capsys):
+        """A torn checkpoint, and a whole one with an ill-typed strike
+        count, are one-line errors naming the file."""
+        import json
+
+        ill_typed = {"format_version": 2, "complete": False,
+                     "spec": {"sweeps": [["pool1", [40]]],
+                              "blind_counts": ["40"], "eval_images": 8,
+                              "bank_cells": None, "seed": 1},
+                     "clean_accuracy": 0.875, "sweeps": [], "failures": []}
         torn = tmp_path / "ck.json"
-        torn.write_text("{")
-        assert main(["campaign", "--images", "8", "--resume", str(torn),
-                     "-o", str(tmp_path / "c.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: ConfigError: ")
-        assert str(torn) in err and err.count("\n") == 1
+        for text in ("{", json.dumps(ill_typed)):
+            torn.write_text(text)
+            assert main(["campaign", "--images", "8", "--resume", str(torn),
+                         "-o", str(tmp_path / "c.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: ConfigError: ")
+            assert str(torn) in err and err.count("\n") == 1
 
     def test_campaign_chaos_flag(self, tmp_path, capsys):
         target = tmp_path / "c.json"
