@@ -95,9 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(CHAOS_PRESETS),
                           help="run under a chaos-injection preset")
     campaign.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="shard campaign cells across N worker "
-                               "processes (byte-identical to the serial "
-                               "run; default 1)")
+                          help="shard campaign cells across N local "
+                               "worker processes (at most 32) on a private "
+                               "loopback broker (byte-identical to the "
+                               "serial run; default 1)")
     campaign.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                           metavar="POLICY",
                           help="dtype policy: fxp is the exact fixed-point "
@@ -106,14 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--max-retries", type=int, default=None,
                           metavar="N",
                           help="re-dispatches allowed per cell after a "
-                               "worker crash or lease expiry (pool and "
-                               "broker; default from SupervisorConfig)")
+                               "worker crash or lease expiry (--workers "
+                               "and --broker; default from "
+                               "SupervisorConfig)")
     campaign.add_argument("--cell-timeout", type=float, default=None,
                           metavar="SECONDS",
-                          help="per-cell lease deadline (pool and broker); "
-                               "a cell still running when it lapses is "
-                               "cancelled and retried (default from "
-                               "SupervisorConfig)")
+                          help="per-cell lease deadline (--workers and "
+                               "--broker); a cell still running when it "
+                               "lapses is cancelled and retried (default "
+                               "from SupervisorConfig)")
     campaign.add_argument("--cache-dir", default=None, metavar="DIR",
                           help="content-addressed cell-result cache: cells "
                                "already computed for this exact recipe are "
@@ -133,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--local-workers", type=int, default=None,
                           metavar="N",
                           help="worker daemons the broker spawns on this "
-                               "host (default from ServiceConfig; remote "
-                               "workers can attach either way)")
+                               "host, at most 32 (default from "
+                               "ServiceConfig; remote workers can attach "
+                               "either way)")
 
     serve = sub.add_parser("serve",
                            help="run a campaign as a broker service "
@@ -626,7 +629,7 @@ def _cmd_defend(args) -> int:
                          seed=args.seed)
     # The grid runs as a campaign: every (bank, defense) column becomes
     # an arms:<layer>:<defense>@<bank> sweep, which buys the supervisor,
-    # worker pool, cell cache, and checkpoint/resume machinery for free.
+    # local workers, cell cache, and checkpoint/resume machinery for free.
     # Cells are seed-isolated, so the result is bit-identical to a
     # direct ArmsRaceStudy.sweep at every worker count.
     spec = race.campaign_spec([(c, args.strikes) for c in args.cells],

@@ -389,22 +389,23 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """The lease policy of both campaign transports (docs/reliability.md
-    §3c), passed as ``run_campaign(supervisor=...)``.
+    """The lease policy of every multi-worker campaign
+    (docs/reliability.md §3c), passed as ``run_campaign(supervisor=...)``.
 
-    ``workers>1`` campaigns run on supervised process pools and
-    ``service=`` campaigns through the socket broker; both report to one
-    lease book, which retries lost cells after an exponential hold,
-    cancels cells at their lease deadline and quarantines poison cells —
-    so a campaign survives crashes, hangs and repeat offenders without a
-    manual resume.  Only these two values are settable; the rest of the
-    policy is constants in :mod:`repro.core.supervisor`.
+    ``workers>1`` and ``service=`` campaigns both run through the
+    campaign broker and report to one lease book, which retries lost
+    cells after an exponential hold, cancels cells at their lease
+    deadline and quarantines poison cells — so a campaign survives
+    crashes, hangs and repeat offenders without a manual resume.  Only
+    these two values are settable; the rest of the policy is constants
+    in :mod:`repro.core.supervisor`.
     """
 
     #: Lease deadline per granted cell.  A cell still running at its
-    #: deadline is presumed hung and reclaimed: the pool is torn down,
-    #: the broker re-queues it.  It is also how the broker recovers a
-    #: result lost in delivery.  ``None`` disables leases.
+    #: deadline is presumed hung and reclaimed: the broker re-queues it
+    #: and terminates the local worker running it.  It is also how the
+    #: broker recovers a result lost in delivery.  ``None`` disables
+    #: leases.
     cell_timeout_s: Optional[float] = 120.0
     #: Worker-fatal losses plus lease expiries allowed per cell; one more
     #: and the cell fails with kind="timeout"/"quarantined" instead of

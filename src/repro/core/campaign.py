@@ -21,14 +21,15 @@ is fault-isolated and resumable:
   JSON to an uninterrupted run.
 
 Because every cell runs under its own stream, cells are also
-*embarrassingly parallel*.  ``run_campaign`` has three execution
-paths — serial, the supervised process pool (``workers=N``,
-:mod:`repro.core.supervisor`), and the socket broker (``service=``,
-:mod:`repro.core.service`) — with the guarantee, enforced by
+*embarrassingly parallel*.  ``run_campaign`` has two execution paths —
+serial, and the campaign broker (:mod:`repro.core.service`) under the
+lease book of :mod:`repro.core.supervisor`, either private to its own
+local workers (``workers=N``) or served to any worker that joins
+(``service=``) — with the guarantee, enforced by
 ``tests/core/test_parallel_parity.py`` and its siblings, that the final
 campaign JSON is byte-identical to the serial run, including
 interrupted-and-resumed runs.  :func:`_execute_cell` is the single
-source of truth all three call.
+source of truth both call.
 
 File format v2 adds the ``failures`` and ``complete`` fields; v1 files
 still load.
@@ -47,7 +48,7 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SupervisorConfig
+from ..config import ServiceConfig, SupervisorConfig
 from ..errors import ConfigError, ReproError
 from .attack import DeepStrike
 from .blind import BlindAttack
@@ -118,11 +119,11 @@ class CellFailure:
 
     ``kind`` classifies how the cell died: ``"error"`` (an in-cell
     :class:`~repro.errors.ReproError`, the classic case), or — a verdict
-    of the lease book behind the pool and the broker — ``"quarantined"``
-    (the cell lost its worker ``QUARANTINE_AFTER`` times) or
-    ``"timeout"`` (the cell kept overrunning its lease until its retry
-    budget ran out).  Pre-supervisor v2 checkpoints have no ``kind``
-    field and load as ``"error"``.
+    of the lease book behind every multi-worker campaign —
+    ``"quarantined"`` (the cell lost its worker ``QUARANTINE_AFTER``
+    times) or ``"timeout"`` (the cell kept overrunning its lease until
+    its retry budget ran out).  Pre-supervisor v2 checkpoints have no
+    ``kind`` field and load as ``"error"``.
     """
 
     target_layer: str
@@ -182,7 +183,7 @@ def _execute_cell(attack: DeepStrike, blind_box: Dict[str, BlindAttack],
     """Run one ``(target, count)`` cell under its derived RNG stream.
 
     The single source of truth for cell execution: the serial loop and
-    every parallel worker (:mod:`repro.core.executor`) call exactly this
+    every worker (:mod:`repro.core.service.worker`) call exactly this
     function, which is what makes a ``workers=N`` campaign byte-identical
     to the serial run.  ``blind_box`` caches the lazily built
     :class:`BlindAttack` across calls (one per process); ``clean`` is the
@@ -291,13 +292,14 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         injector's cell killer) makes identical decisions at every
         worker count.
     workers:
-        Shard pending cells across this many supervised worker
-        processes (``supervisor`` below).  ``1`` (the default) runs the
-        serial path.  Per-cell reseeding makes the final result
-        byte-identical either way.  Forked pool workers run on
-        ``attack`` itself, as does both transports' in-process last
-        rung; spawned pool workers and broker workers rebuild it from
-        its :class:`~repro.core.executor.WorkerRecipe`, which refuses a
+        Shard pending cells across this many local worker processes
+        (at most ``MAX_WORKERS``), leased by a private campaign broker
+        on an ephemeral loopback port that answers only the workers it
+        spawned.  ``1`` (the default) runs the serial path.  Per-cell
+        reseeding makes the final result byte-identical either way.
+        Forked workers run on ``attack`` itself, as does the in-process
+        last rung; under a spawn start they rebuild it from its
+        :class:`~repro.core.executor.WorkerRecipe`, which refuses a
         victim the zoo cannot rebuild with :class:`ConfigError`.
     cache:
         A :class:`~repro.core.cellcache.CellCache` (or a directory path
@@ -306,33 +308,35 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
         already cached are merged without recomputation before any
         cell is dispatched; newly computed cells are stored once, on
         the way out.  This process is the cache's only reader and
-        writer — pool and broker workers never touch it.  Cache hits
-        preserve the byte-parity contract: a warm run emits the same
-        JSON as a cold serial run.
+        writer — workers never touch it.  Cache hits preserve the
+        byte-parity contract: a warm run emits the same JSON as a cold
+        serial run.
     supervisor:
         A :class:`~repro.config.SupervisorConfig`, the lease policy of
-        both transports (:mod:`repro.core.supervisor`); ``None`` takes
-        its defaults.  Lost workers' cells are retried after a backoff,
-        cells are cancelled at their lease deadline, poison cells are
-        quarantined, and repeated pool deaths degrade the worker count
-        rather than aborting.  It decides where and when a cell runs,
-        never its outcome, so it is no part of a cell's cache address.
+        every multi-worker campaign (:mod:`repro.core.supervisor`);
+        ``None`` takes its defaults.  Lost workers' cells are retried
+        after a backoff, cells are reclaimed at their lease deadline,
+        poison cells are quarantined, and dead or hung local workers
+        are replaced until a budget is spent, then the campaign
+        finishes in-process rather than aborting.  It decides where and
+        when a cell runs, never its outcome, so it is no part of a
+        cell's cache address.
     service:
-        A :class:`~repro.config.ServiceConfig`: run the campaign as a
-        socket-served broker (:mod:`repro.core.service`) instead of a
-        local pool.  This process binds ``host:port``, spawns
-        ``service.local_workers`` worker daemons, and leases pending
-        cells to whoever registers (``repro work --broker`` attaches
-        more workers from anywhere).  The shared lease book, plus
-        missed-heartbeat eviction and work stealing, keeps the merged
-        checkpoint byte-identical to a serial run; if no worker stays
-        alive for the broker's grace period it finishes the remaining
-        cells in-process.  No broker binds when every cell is already
-        settled (resumed or cached).  Mutually exclusive with
-        ``workers > 1``.
+        A :class:`~repro.config.ServiceConfig`: serve the campaign to
+        any worker that joins (:mod:`repro.core.service`) instead of
+        only to private local workers.  This process binds
+        ``host:port``, spawns ``service.local_workers`` worker daemons,
+        and leases pending cells to whoever registers (``repro work
+        --broker`` attaches more workers from anywhere).  The lease
+        book, plus missed-heartbeat eviction and work stealing, keeps
+        the merged checkpoint byte-identical to a serial run; if no
+        worker stays alive for the broker's grace period it finishes
+        the remaining cells in-process.  No broker binds when every
+        cell is already settled (resumed or cached).  Mutually
+        exclusive with ``workers > 1``.
     fault_hook:
-        Supervisor/service test-and-chaos hook ``(target, count,
-        attempt) -> directive`` consulted at each dispatch; see
+        Test-and-chaos hook ``(target, count, attempt) -> directive``
+        consulted at each dispatch to a worker; see
         :meth:`repro.chaos.ChaosInjector.cell_fault`.
     shard_hook:
         Service-only hook ``(target, count, attempt) -> directive``
@@ -415,7 +419,7 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
     driver = _Driver(plan_spec, images, labels, clean, outcomes, failures,
                      policy=supervisor or SupervisorConfig(),
                      checkpoint_path=checkpoint_path, fault_hook=fault_hook,
-                     stats=stats, steal=service is not None)
+                     stats=stats)
     driver.stats.cache_hits += len(cached)
     if cached:
         driver._checkpoint()
@@ -424,15 +428,14 @@ def run_campaign(attack: DeepStrike, images: np.ndarray,
             driver.run_in_process(attack, {}, before_cell)
             return driver.result()
         driver.prelude(before_cell)
-        if service is not None:
-            from .service import run_service
+        from .service import run_service
 
+        if service is None:   # private: only its own local workers
+            run_service(driver, attack, ServiceConfig(local_workers=workers),
+                        private=True)
+        else:
             run_service(driver, attack, service, shard_hook=shard_hook,
                         on_bound=on_bound)
-        else:
-            from .supervisor import run_supervised
-
-            run_supervised(driver, attack, workers)
         return driver.result()
     finally:
         if cache_obj is not None:

@@ -22,8 +22,8 @@ and the broker's socket settings are no part of the config: they are
 
 The campaign process is the only reader and writer: ``run_campaign``
 merges every cached cell before it dispatches any, on whichever path,
-and stores each computed cell once on the way out; pool and broker
-workers never open the cache.  Entries are JSON files written with the
+and stores each computed cell once on the way out; campaign workers
+never open the cache.  Entries are JSON files written with the
 same fsync-then-``os.replace`` discipline as campaign checkpoints, and
 each carries an integrity digest over its payload.  Reads are paranoid:
 a truncated, corrupt, tampered, key-mismatched or ill-typed entry is a

@@ -1,32 +1,32 @@
-"""Process-parallel campaign workers: the recipe and the pool entry points.
+"""How a campaign worker gets its attack: adopted, or rebuilt from a recipe.
 
 Every campaign cell runs under its own blake2s-derived RNG stream,
 which makes cells independent of execution *order*; this module makes
 them independent of execution *process*.  ``run_campaign(..., workers=N)``
-shards the pending ``(target, strike-count)`` cells across a process
-pool run by the self-healing supervisor (:mod:`repro.core.supervisor`),
-which builds its pools and workers from the entry points here:
+and ``run_campaign(..., service=...)`` lease pending ``(target,
+strike-count)`` cells to worker processes through the campaign broker
+(:mod:`repro.core.service.broker`), whose workers get their attack
+stack here:
 
-* **Forked workers adopt, spawned workers rebuild, none unpickle.**  A
-  forked worker inherits the submitting process's live
+* **Forked local workers adopt, everyone else rebuilds, none unpickle.**
+  A local worker started by fork inherits the submitting process's live
   :class:`~repro.core.attack.DeepStrike` with the rest of its memory and
-  adopts it in :func:`_init_worker`: victim, engine, and the clean stage
-  codes that measuring the campaign's clean baseline cached for the
-  very ``images`` array the worker receives.  A spawned worker (and every
-  broker worker) receives a :class:`WorkerRecipe` — victim *zoo name*,
-  frozen :class:`~repro.config.SimulationConfig`, striker bank size —
-  and rebuilds the attack from it (:func:`_build_state`).  Either way no
-  live engine is pickled across the process boundary, and every cell
-  reseeds the engine stream, so neither start method moves an output
-  byte.
-* **Fault isolation matches the serial loop.**  A
-  :class:`~repro.errors.ReproError` inside a worker cell comes back from
-  :func:`_worker_cell` as a structured
-  :class:`~repro.core.campaign.CellFailure` record.
+  adopts it through its ``Process`` arguments: victim, engine, and the
+  clean stage codes that measuring the campaign's clean baseline cached
+  for the very ``images`` array the worker receives.  A worker that
+  must rebuild — a local worker under a spawn start, or a remote
+  ``repro work`` daemon — receives a :class:`WorkerRecipe` (victim *zoo
+  name*, frozen :class:`~repro.config.SimulationConfig`, striker bank
+  size) in its ``job`` frame and rebuilds the attack from it
+  (:func:`_build_state`).  Either way no live engine is pickled across
+  the process boundary, and every cell reseeds the engine stream, so
+  neither start method moves an output byte.
+* **Chaos directives** (:func:`_apply_fault`) kill or stall a worker
+  the way a segfault or a wedged cell would.
 
-The supervisor looks ``ProcessPoolExecutor`` up through this module at
-call time, so a test can patch the pool construction of the whole
-parallel layer in one place.  The differential tests in
+The broker looks :func:`_mp_context` up through this module at call
+time, so a test can switch the start method of every local worker in
+one place.  The differential tests in
 ``tests/core/test_parallel_parity.py`` enforce the headline guarantee:
 ``workers ∈ {1, 2, 4}`` produce byte-identical final campaign JSON,
 including interrupted-and-resumed runs and runs under a chaos preset.
@@ -37,16 +37,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401 (patch point)
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ..config import SimulationConfig, default_config
-from ..errors import ReproError
 from .attack import DEFAULT_ATTACK_CELLS, DeepStrike
-from .campaign import _execute_cell, _failure_from
 
 __all__ = ["WorkerRecipe"]
 
@@ -56,12 +53,12 @@ class WorkerRecipe:
     """Everything a worker process needs to rebuild the attack.
 
     Deliberately *data only*: a zoo victim name, a frozen
-    :class:`SimulationConfig` and the striker bank size.  A spawned pool
-    worker or a broker worker loads the victim's cached weights by name
+    :class:`SimulationConfig` and the striker bank size.  A worker that
+    rebuilds loads the victim's cached weights by name
     (:func:`repro.zoo.load_quantized`), rebuilds the engine and
     :class:`DeepStrike` from the config, and relies on per-cell
     reseeding for parity — so nothing stateful ever crosses the process
-    boundary.  (A forked pool worker needs no recipe: it adopts the
+    boundary.  (A forked local worker needs no recipe: it adopts the
     attack it inherited.)
     """
 
@@ -79,14 +76,9 @@ class WorkerRecipe:
                    bank_cells=attack.bank_cells, config=attack.config)
 
 
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class _WorkerState:
-    """Per-process attack stack (set once by the initializer)."""
+    """A worker's attack stack and the campaign's evaluation slice."""
 
     attack: DeepStrike
     blind_box: dict
@@ -97,14 +89,11 @@ class _WorkerState:
     clean: Optional[float] = None
 
 
-_STATE: Optional[_WorkerState] = None
-
-
 def _build_state(recipe: WorkerRecipe, images: np.ndarray,
                  labels: np.ndarray,
                  clean: Optional[float] = None) -> _WorkerState:
-    """Rebuild the attack stack from a recipe (shared by spawned pool
-    workers and the broker's worker daemon).
+    """Rebuild the attack stack from a recipe (every worker that does
+    not adopt the caller's attack).
     The engine takes the 1x28x28 input every zoo victim uses.  The RNG
     seeds here are irrelevant: every cell reseeds the engine stream
     from its blake2s-derived cell seed before executing."""
@@ -120,30 +109,14 @@ def _build_state(recipe: WorkerRecipe, images: np.ndarray,
                         images=images, labels=labels, clean=clean)
 
 
-def _init_worker(recipe: WorkerRecipe, images: np.ndarray,
-                 labels: np.ndarray, clean: Optional[float] = None,
-                 attack: Optional[DeepStrike] = None) -> None:
-    """Set this worker's attack stack (runs once per process).
-
-    A forked worker gets the submitting process's live ``attack`` —
-    inherited with the parent's memory, never unpickled — and adopts it;
-    whatever the worker's cells write to it lands in the worker's own
-    copy-on-write pages, never in the parent's attack.  A spawned worker
-    gets ``attack=None`` and rebuilds the stack from ``recipe``.
-    """
-    global _STATE
-    _STATE = (_build_state(recipe, images, labels, clean) if attack is None
-              else _WorkerState(attack=attack, blind_box={}, images=images,
-                                labels=labels, clean=clean))
-
-
 def _apply_fault(fault) -> None:
-    """Honour a supervisor chaos directive inside the worker.
+    """Honour a chaos directive inside the worker.
 
     ``("kill", _)`` dies the way a segfault/OOM-kill does (no Python
-    teardown, pool breaks); ``("hang", seconds)`` stalls the cell so its
-    lease expires.  Directives are issued per ``(cell, attempt)`` by the
-    dispatching process — see :meth:`repro.chaos.ChaosInjector.cell_fault`.
+    teardown, a nonzero exit); ``("hang", seconds)`` stalls the cell so
+    its lease expires.  Directives are issued per ``(cell, attempt)`` by
+    the dispatching process — see
+    :meth:`repro.chaos.ChaosInjector.cell_fault`.
     """
     if not fault:
         return
@@ -154,34 +127,8 @@ def _apply_fault(fault) -> None:
         time.sleep(float(fault[1]))
 
 
-def _worker_cell(target: str, count: int, base_seed: int, fault=None):
-    """Execute one cell in a worker; runs in the pool process.
-
-    Returns ``("outcome", AttackOutcome)`` or — for any in-cell
-    :class:`ReproError`, preserving the serial loop's fault isolation —
-    ``("failure", CellFailure)``.  Non-``ReproError`` exceptions
-    propagate and surface in the parent, exactly as they do serially.
-    """
-    _apply_fault(fault)
-    state = _STATE
-    if state is None:  # pragma: no cover - pool always runs the initializer
-        raise RuntimeError("campaign worker used before initialization")
-    try:
-        outcome = _execute_cell(state.attack, state.blind_box, state.images,
-                                state.labels, base_seed, target, count,
-                                clean=state.clean)
-        return "outcome", outcome
-    except ReproError as exc:
-        return "failure", _failure_from(target, count, exc)
-
-
-# ---------------------------------------------------------------------------
-# Submitting side
-# ---------------------------------------------------------------------------
-
-
 def _mp_context():
     """Fork where the platform offers it (cheapest start, inherits the
-    loaded interpreter), else spawn."""
+    loaded interpreter and the caller's attack), else spawn."""
     return mp.get_context(
         "fork" if "fork" in mp.get_all_start_methods() else "spawn")

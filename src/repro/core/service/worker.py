@@ -2,12 +2,15 @@
 
 A worker owns no campaign state and touches no cell cache — the
 campaign process alone reads and fills that.  It registers with the
-broker (:mod:`~repro.core.service.broker`), receives the *job* — a
-data-only :class:`~repro.core.executor.WorkerRecipe`, the evaluation
-slice, the clean baseline and the base seed — rebuilds the attack stack
-exactly like a spawned pool worker, then loops: lease a cell, execute
-it under its blake2s-derived seed, deliver the result, ask for the
-next.
+broker (:mod:`~repro.core.service.broker`) and receives the *job*: the
+base seed, the clean baseline, the beat cadence and, for a worker that
+rebuilds the attack, a data-only
+:class:`~repro.core.executor.WorkerRecipe` and the evaluation slice.  A
+job the worker cannot run is refused with
+:class:`~repro.errors.ProtocolError`.  A forked local worker adopts the
+caller's attack instead of rebuilding it.  Then it loops: lease a cell,
+execute it under its blake2s-derived seed, deliver the result, ask for
+the next.
 
 Delivery is *at-least-once* by design.  The worker retries failed
 exchanges on fresh connections, chaos shard directives make it
@@ -22,7 +25,7 @@ partitioned re-registers simply by talking again.
 
 Chaos surfaces, both honoured between lease and delivery:
 
-* ``fault`` — the supervisor-era per-cell directives, applied via
+* ``fault`` — the per-cell directives, applied via
   :func:`repro.core.executor._apply_fault` (``kill`` dies like an OOM
   kill, no teardown; ``hang`` stalls past the lease);
 * ``shard`` — the service-era delivery directives
@@ -43,7 +46,7 @@ from typing import Dict, Optional, Tuple
 from ...errors import ProtocolError, ReproError
 from .. import executor as _exec
 from ..campaign import _execute_cell, _failure_from, _outcome_to_payload
-from .protocol import decode_array, decode_recipe, recv_msg, send_msg
+from .protocol import _leaf_matches, decode_array, decode_recipe, recv_msg, send_msg
 
 __all__ = ["WorkerReport", "run_worker"]
 
@@ -124,10 +127,46 @@ class _Heartbeat:
 
 def run_worker(address: Tuple[str, int], *,
                worker_id: Optional[str] = None) -> WorkerReport:
-    """Serve one broker until its campaign is done; returns a report."""
-    report = WorkerReport(worker_id=worker_id or _default_worker_id())
-    hello = {"type": "hello", "worker": report.worker_id}
-    job = None
+    """Serve one broker until its campaign is done; returns a report.
+    A broker whose job this worker cannot run is refused with
+    :class:`~repro.errors.ProtocolError`."""
+    return _serve(address, worker_id or _default_worker_id(), None)
+
+
+def _read_job(job: dict, adopted) -> Tuple[object, int, float]:
+    """The attack stack, base seed and beat cadence of a ``job`` reply.
+
+    A reply the worker cannot run is refused with ProtocolError: another
+    frame type, a base seed that is no int, a clean baseline that is
+    neither a float nor null, a beat cadence that is not positive, or —
+    for a worker that rebuilds the attack (``adopted`` is None) — an
+    undecodable recipe or array.
+    """
+    if job.get("type") != "job":
+        raise ProtocolError(f"the broker answered hello with "
+                            f"{job.get('type')!r:.40}, not a job")
+    seed, clean, interval = (job.get(key) for key in (
+        "base_seed", "clean", "heartbeat_interval_s"))
+    if not (_leaf_matches(int, seed) and _leaf_matches(Optional[float], clean)
+            and _leaf_matches(float, interval) and interval > 0):
+        raise ProtocolError(f"unrunnable job: base_seed {seed!r:.40}, "
+                            f"clean {clean!r:.40}, heartbeat_interval_s "
+                            f"{interval!r:.40}")
+    if adopted is None:
+        adopted = _exec._build_state(decode_recipe(job.get("recipe")),
+                                     decode_array(job.get("images")),
+                                     decode_array(job.get("labels")), clean)
+    return adopted, seed, float(interval)
+
+
+def _serve(address: Tuple[str, int], worker_id: str,
+           adopted) -> WorkerReport:
+    """:func:`run_worker` as ``worker_id``, on the ``adopted`` attack
+    stack of a forked local worker, or (None) on one rebuilt from the
+    job's recipe; the entry point of the broker's local workers (module
+    level, so a spawn start can import it)."""
+    report = WorkerReport(worker_id=worker_id)
+    hello = {"type": "hello", "worker": worker_id}
     for attempt in range(JOIN_TRIES):
         try:
             job = _rpc(address, hello)
@@ -136,17 +175,9 @@ def run_worker(address: Tuple[str, int], *,
             if attempt == JOIN_TRIES - 1:
                 raise
             time.sleep(JOIN_PAUSE_S)
-    assert job is not None and job.get("type") == "job", job
+    state, base_seed, interval = _read_job(job, adopted)
 
-    recipe = decode_recipe(job["recipe"])
-    images = decode_array(job["images"])
-    labels = decode_array(job["labels"])
-    clean = job.get("clean")
-    base_seed = int(job["base_seed"])
-    state = _exec._build_state(recipe, images, labels, clean)
-
-    heart = _Heartbeat(address, report.worker_id,
-                       float(job.get("heartbeat_interval_s", 0.25)))
+    heart = _Heartbeat(address, worker_id, interval)
     heart.start()
     failures = 0
     try:

@@ -1,42 +1,39 @@
-"""One lease book under two transports: the campaign failure policy.
+"""One lease book under one transport: the campaign failure policy.
 
-``run_campaign`` runs pending cells serially, on a process pool
-(``workers>1``) or through the socket broker (``service=``,
-:mod:`repro.core.service.broker`).  The failure policy of the two
-fault-tolerant transports exists once, here:
+``run_campaign`` runs pending cells serially or, with more than one
+worker, through the socket broker (:mod:`repro.core.service.broker`):
+``workers=N`` alone on a private loopback broker that answers only the
+local workers it spawned, ``service=`` on a broker any worker may join.
+The failure policy exists once, here:
 
 * :class:`_LeaseBook` is the pure lease state machine and the only code
   that decides a leased cell's fate: granting, settling exactly once,
   lease expiry, a lost worker with or without blame, re-running alone
   the cells one crash blamed together, the exponential hold before a
-  reclaimed cell re-dispatches, and the quarantine or timeout verdict
-  once a cell's retry budget is spent.  It reads time only
-  through :data:`_monotonic`, the one clock hook of both transports.
+  reclaimed cell re-dispatches, an idle worker's steal of a stale
+  lease, and the quarantine or timeout verdict once a cell's retry
+  budget is spent.  It reads time only through :data:`_monotonic`, the
+  one clock hook of the lease machinery.
 * :class:`_Driver`, built once per campaign by
   :func:`~repro.core.campaign.run_campaign` and handed to whichever
   path runs it, owns everything around the book: the lease policy, the
   ``before_cell`` prelude, the merge into ``outcomes``/``failures`` with
   a checkpoint after every settle, the verdict records,
   :class:`SupervisorStats`, and :meth:`_Driver.run_in_process` — the
-  one in-process cell loop behind the serial path and both transports'
-  last rung, which runs on the caller's own attack.
-* The pool transport (:func:`run_supervised`) only reports events to
-  the book: a ``BrokenProcessPool`` loses every lease the pool held,
-  with blame; an expired lease tears the pool down, losing the other
-  in-flight leases without blame.  It wakes on ``wait(FIRST_COMPLETED)``
-  bounded by the book's next deadline, and keeps its degradation
-  ladder: ``DEGRADE_AFTER`` pool deaths at one size halve the workers,
-  ``SERIAL_FALLBACK_AFTER`` deaths in all finish the campaign in-process.
-  Forked pool workers adopt the caller's attack; spawned ones rebuild it
-  from the :class:`~repro.core.executor.WorkerRecipe` derived from it.
+  one in-process cell loop behind the serial path and the broker's last
+  rung, which runs on the caller's own attack.
+
+The broker only reports events to the book: a local worker's process
+exit or a remote worker's silence loses its leases with blame, an
+expired lease is reclaimed (and a local worker holding it terminated),
+a ``bye`` loses leases without blame.
 
 Retries re-derive the same per-cell RNG stream, so a campaign that
 crashed, hung, healed and degraded merges into checkpoint JSON
 byte-identical to an undisturbed serial run (minus quarantined cells'
 failure records) — ``tests/core/test_supervisor.py`` enforces it.
-Pools are built through :mod:`repro.core.executor` and checkpoints
-written through :mod:`repro.core.campaign`, both looked up at call time
-so tests can patch them.
+Checkpoints are written through :mod:`repro.core.campaign`, looked up
+at call time so tests can patch the writer.
 """
 
 from __future__ import annotations
@@ -44,8 +41,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -54,7 +49,6 @@ import numpy as np
 from ..config import SupervisorConfig
 from ..errors import ReproError
 from . import campaign as _campaign
-from . import executor as _exec
 from .campaign import (
     CampaignResult,
     CampaignSpec,
@@ -66,33 +60,34 @@ from .campaign import (
 )
 from .evaluation import AttackOutcome
 
-__all__ = ["SupervisorStats", "run_supervised"]
+__all__ = ["SupervisorStats"]
 
 #: The one clock of the lease machinery — monotonic, so a frozen or
 #: jumping *wall* clock can never expire (or immortalize) a lease.
-#: Module-level so tests can substitute a fake clock for both transports.
+#: Module-level so tests can substitute a fake clock for book and broker.
 _monotonic = time.monotonic
 
 Cell = Tuple[str, int]
 Verdicts = List[Tuple[Cell, CellFailure]]
 
-#: Ceiling on the pool size whatever ``workers=`` asks for (a
-#: fat-fingered ``--workers 4000`` should not fork-bomb the host).
+#: Ceiling on the local workers a broker spawns, whatever ``workers=``
+#: or ``local_workers`` asks for (a fat-fingered ``--workers 4000``
+#: should not fork-bomb the host).
 MAX_WORKERS = 32
 #: The policy beyond ``SupervisorConfig``: blames that quarantine a
 #: cell; an incident's hold (s), the base times the factor per earlier
-#: incident, capped; pool deaths at one size before halving, and in all
-#: before the in-process rung (also the broker's local-respawn budget);
-#: the lease age (s) after which an idle broker worker may steal it.
+#: incident, capped; the local workers replaced after dying or
+#: overrunning a lease before the in-process rung; the lease age (s)
+#: after which an idle worker may steal it.
 QUARANTINE_AFTER = 2
 HOLD_BASE_S, HOLD_FACTOR, HOLD_MAX_S = 0.05, 2.0, 2.0
-DEGRADE_AFTER, SERIAL_FALLBACK_AFTER = 2, 6
+SERIAL_FALLBACK_AFTER = 6
 STEAL_AFTER_S = 30.0
 
 
 @dataclass
 class SupervisorStats:
-    """Counters of one campaign run, on any path (serial, pool, broker).
+    """Counters of one campaign run, on either path (serial, broker).
 
     ``dispatched`` counts cells handed to an executor — retries and
     steals included, cache hits excluded — which is how warm-cache runs
@@ -105,14 +100,14 @@ class SupervisorStats:
     completed: int = 0
     cache_hits: int = 0
     retries: int = 0
-    worker_crashes: int = 0   # pool deaths and missed-heartbeat evictions
+    worker_crashes: int = 0   # local worker deaths and heartbeat evictions
     lease_expiries: int = 0   # leases reclaimed at their deadline
     quarantined: int = 0
     exhausted: int = 0        # cells timed out once their budget ran out
-    degradations: int = 0     # pool worker-count halvings
+    degradations: int = 0     # local workers replaced (died or overran)
     serial_fallback: bool = False
     backoff_s: float = 0.0    # total hold before re-dispatch
-    workers_joined: int = 0   # broker only from here on
+    workers_joined: int = 0   # distinct workers that registered
     steals: int = 0           # second leases granted to idle workers
     duplicates_dropped: int = 0  # deliveries refused by the exactly-once gate
 
@@ -136,15 +131,12 @@ class _LeaseBook:
     *leased* to one or more workers, *settled* by its first delivery, or
     *convicted* with a quarantine/timeout verdict.  Blames (worker-fatal
     losses) and expiries spend the cell's retry budget; a blameless loss
-    does not; ``steal`` lets idle workers steal stale leases (broker
-    only).  Methods are unsynchronized — :class:`_Driver` serializes
+    does not.  Methods are unsynchronized — :class:`_Driver` serializes
     access under its lock.
     """
 
-    def __init__(self, cells: List[Cell], policy: SupervisorConfig,
-                 steal: bool) -> None:
+    def __init__(self, cells: List[Cell], policy: SupervisorConfig) -> None:
         self.policy = policy
-        self.steal = steal
         self.order = {cell: i for i, cell in enumerate(cells)}
         self.queue: List[Cell] = list(cells)
         self.ready_at: Dict[Cell, float] = {}
@@ -197,8 +189,6 @@ class _LeaseBook:
         return cell, attempt, not ready
 
     def _stale(self, worker: str, now: float) -> Optional[Cell]:
-        if not self.steal:
-            return None
         held = [(min(lease.granted for lease in leases), cell)
                 for cell, leases in self.leases.items()
                 if worker not in {lease.worker for lease in leases}]
@@ -224,14 +214,15 @@ class _LeaseBook:
 
     # -- losing leases --------------------------------------------------------
 
-    def expire(self) -> Tuple[int, Verdicts]:
-        """Reclaim every lease past its deadline: ``(leases expired,
-        new verdicts)``."""
+    def expire(self) -> Tuple[List[str], Verdicts]:
+        """Reclaim every lease past its deadline: ``(the worker of each
+        expired lease, new verdicts)``."""
         now = _monotonic()
-        count, lost = self._drop(
+        dropped, lost = self._drop(
             lambda lease: lease.deadline is not None and now > lease.deadline,
             self.expiries)
-        return count, self._reclaim(lost, isolate=False)
+        return [lease.worker for lease in dropped], \
+            self._reclaim(lost, isolate=False)
 
     def lose(self, worker: str, *, blame: bool) -> Verdicts:
         """Reclaim every lease ``worker`` held.  With ``blame`` (its
@@ -239,30 +230,34 @@ class _LeaseBook:
         worker-fatal attempt, and cells blamed together re-run alone;
         without (torn down for another cell's sake, or departed) they
         re-queue with their budget intact."""
-        count, lost = self._drop(lambda lease: lease.worker == worker,
-                                 self.blames if blame else None)
+        dropped, lost = self._drop(lambda lease: lease.worker == worker,
+                                   self.blames if blame else None)
         if blame:
-            return self._reclaim(lost, isolate=count > 1)
+            return self._reclaim(lost, isolate=len(dropped) > 1)
         self._requeue(lost, 0.0)
         return []
 
     def _drop(self, doomed: Callable[[_Lease], bool],
-              charge: Optional[Dict[Cell, int]]) -> Tuple[int, List[Cell]]:
+              charge: Optional[Dict[Cell, int]]
+              ) -> Tuple[List[_Lease], List[Cell]]:
         """Remove the leases ``doomed`` picks, charging each to its cell;
-        returns their count and the cells left with no lease."""
-        count, lost = 0, []
+        returns them and the cells left with no lease."""
+        dropped: List[_Lease] = []
+        lost: List[Cell] = []
         for cell, leases in list(self.leases.items()):
-            keep = [lease for lease in leases if not doomed(lease)]
-            dropped = len(leases) - len(keep)
-            count += dropped
+            gone = [lease for lease in leases if doomed(lease)]
+            if not gone:
+                continue
+            dropped += gone
             if charge is not None:
-                charge[cell] += dropped
+                charge[cell] += len(gone)
+            keep = [lease for lease in leases if not doomed(lease)]
             if keep:
                 self.leases[cell] = keep
-            elif dropped:
+            else:
                 del self.leases[cell]
                 lost.append(cell)
-        return count, lost
+        return dropped, lost
 
     def _reclaim(self, cells: List[Cell], *, isolate: bool) -> Verdicts:
         """One incident: convict the cells whose budget is spent, hold the
@@ -334,8 +329,7 @@ class _Driver:
                  failures: Dict[Cell, CellFailure], *,
                  policy: SupervisorConfig, checkpoint_path=None,
                  fault_hook: Optional[Callable] = None,
-                 stats: Optional[SupervisorStats] = None,
-                 steal: bool = False) -> None:
+                 stats: Optional[SupervisorStats] = None) -> None:
         policy.validate()
         self.spec = spec
         self.images = images
@@ -349,7 +343,7 @@ class _Driver:
         self.lock = threading.RLock()
         pending = [c for c in spec.cells()
                    if c not in outcomes and c not in failures]
-        self.book = _LeaseBook(pending, policy, steal)
+        self.book = _LeaseBook(pending, policy)
 
     def result(self) -> CampaignResult:
         self.stats.backoff_s += self.book.held_s
@@ -410,12 +404,14 @@ class _Driver:
             self._checkpoint()
         return True
 
-    def expire(self) -> int:
+    def expire(self) -> List[str]:
+        """Reclaim the leases past their deadline; returns the worker of
+        each."""
         with self.lock:
-            count, verdicts = self.book.expire()
-            self.stats.lease_expiries += count
+            workers, verdicts = self.book.expire()
+            self.stats.lease_expiries += len(workers)
             self._convict(verdicts)
-        return count
+        return workers
 
     def lose(self, worker: str, *, blame: bool) -> None:
         with self.lock:
@@ -437,9 +433,9 @@ class _Driver:
                        before_cell: Optional[Callable] = None) -> None:
         """Run the book's cells in this process until it is done: the
         serial path (``before_cell`` fires right before each cell) and
-        both transports' last rung (chaos directives are ignored — there
-        is no worker to kill — but in-cell ``ReproError``s still fail
-        only their cell).  A ``KeyboardInterrupt`` propagates with the
+        the broker's last rung (chaos directives are ignored — there is
+        no worker to kill — but in-cell ``ReproError``s still fail only
+        their cell).  A ``KeyboardInterrupt`` propagates with the
         last checkpoint valid on disk."""
         while True:
             with self.lock:
@@ -465,107 +461,8 @@ class _Driver:
                 self.settle(cell, "outcome", outcome)
 
     def fall_back(self, attack) -> None:
-        """The last rung: no pool or worker left, finish in-process on
-        the caller's own ``attack`` (this is the submitting process)."""
+        """The last rung: no worker left, finish in-process on the
+        caller's own ``attack`` (this is the submitting process)."""
         self.stats.serial_fallback = True
         self.run_in_process(attack, {})
 
-
-# ---------------------------------------------------------------------------
-# The pool transport
-# ---------------------------------------------------------------------------
-
-
-def _hard_shutdown(pool) -> None:
-    """Tear a pool down without waiting on hung or dead workers (their
-    handles are taken first: ``shutdown`` drops the pool's own)."""
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-
-def _pool_round(driver: _Driver, attack, size: int, name: str) -> bool:
-    """Serve the book from one fresh pool of ``size`` workers until it
-    drains, or until isolation starts or ends; True if the pool died.
-
-    Forked workers adopt the live ``attack`` (inherited, not pickled);
-    spawned workers rebuild it from its recipe.  Grants are incremental
-    (never more cells out than workers) so a lease times execution, not
-    queueing.
-    """
-    book = driver.book
-    ctx = _exec._mp_context()
-    forked = ctx.get_start_method() == "fork"
-    pool = _exec.ProcessPoolExecutor(
-        max_workers=size, mp_context=ctx, initializer=_exec._init_worker,
-        initargs=(None if forked else _exec.WorkerRecipe.from_attack(attack),
-                  driver.images, driver.labels, driver.clean,
-                  attack if forked else None))
-    isolating = book.isolating()
-    futures: Dict[object, Cell] = {}
-    died = True
-    try:
-        while True:
-            while len(futures) < size and book.isolating() == isolating:
-                granted = driver.grant(name)
-                if granted is None:
-                    break
-                cell, _, fault = granted
-                futures[pool.submit(_exec._worker_cell, cell[0], cell[1],
-                                    driver.spec.seed, fault)] = cell
-            if not futures:
-                if book.done() or book.isolating() != isolating:
-                    died = False
-                    return False
-                time.sleep(book.next_event() or 0.0)   # reclaimed cells on hold
-                continue
-            done, _ = wait(futures, timeout=book.next_event(),
-                           return_when=FIRST_COMPLETED)
-            crashed = [f for f in done
-                       if isinstance(f.exception(), BrokenProcessPool)]
-            for future in done:
-                cell = futures.pop(future)
-                if future not in crashed:
-                    driver.settle(cell, *future.result())
-            if crashed:   # settled results first, then every lease left
-                driver.lose(name, blame=True)
-                return True
-            if driver.expire():
-                driver.lose(name, blame=False)
-                return True
-    finally:
-        if died:   # a dead pool, an expired lease, or an interrupt
-            _hard_shutdown(pool)
-        else:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-def run_supervised(driver: _Driver, attack, workers: int) -> None:
-    """Settle the pending cells of ``driver`` on supervised process
-    pools of up to ``workers`` processes, under the driver's lease
-    policy.
-
-    :func:`~repro.core.campaign.run_campaign` builds the driver and
-    runs its ``before_cell`` prelude; this transport only moves cells.
-    Forked workers adopt the caller's ``attack`` and the in-process rung
-    runs on it, while spawned workers rebuild it from its recipe.
-    """
-    size = max(1, min(workers, MAX_WORKERS))
-    deaths = at_size = 0   # the degradation ladder
-    while not driver.book.done():
-        if deaths >= SERIAL_FALLBACK_AFTER:
-            driver.fall_back(attack)
-            break
-        if not _pool_round(driver, attack,
-                           1 if driver.book.isolating() else size,
-                           f"pool-{deaths}"):
-            continue
-        deaths += 1
-        at_size += 1
-        if at_size >= DEGRADE_AFTER and size > 1:
-            size, at_size = size // 2, 0
-            driver.stats.degradations += 1

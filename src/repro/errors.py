@@ -94,7 +94,8 @@ class ProtocolError(ReproError):
     payload that is not a JSON object.  The broker treats a connection
     raising this as dead (the worker's leases are reclaimed by the
     heartbeat sweep); a worker treats it as a failed exchange and
-    retries on a fresh connection.
+    retries on a fresh connection.  A worker also refuses with it a
+    ``job`` frame it cannot run (``repro work`` exits 2 on one line).
     """
 
 
@@ -103,11 +104,10 @@ class WorkerCrashError(ReproError):
 
     An in-cell :class:`ReproError` is recorded as a ``CellFailure`` and
     the campaign survives it; a crashed worker (segfault, OOM kill,
-    ``os._exit``) means results were lost in flight and the pool is
-    broken.  The lease book both campaign transports share
-    (:mod:`repro.core.supervisor`) re-dispatches only the lost cells; a
-    cell blamed for repeated worker deaths is recorded as a
-    ``CellFailure`` with this error type and ``kind="quarantined"``.
+    ``os._exit``) loses the cells it held in flight.  The campaign's
+    lease book (:mod:`repro.core.supervisor`) re-dispatches only the
+    lost cells; a cell blamed for repeated worker deaths is recorded as
+    a ``CellFailure`` with this error type and ``kind="quarantined"``.
     """
 
     def __init__(self, message: str, target_layer: str = "",
@@ -120,10 +120,11 @@ class WorkerCrashError(ReproError):
 class CellLeaseExpiredError(ReproError):
     """A campaign cell overran its lease deadline and was cancelled.
 
-    Both campaign transports grant every cell under a lease
+    The campaign broker grants every cell under a lease
     (``SupervisorConfig.cell_timeout_s``); a cell still running at its
-    deadline is presumed hung and reclaimed, and the cell is retried.  A cell that *keeps* timing out until its retry budget runs
-    out is recorded as a ``CellFailure`` with this error type and
+    deadline is presumed hung and reclaimed, and the cell is retried.
+    A cell that *keeps* timing out until its retry budget runs out is
+    recorded as a ``CellFailure`` with this error type and
     ``kind="timeout"``.
     """
 

@@ -1,8 +1,8 @@
 """Clock-discipline rule.
 
 Lease deadlines, holds before re-dispatch, and heartbeat eviction —
-the lease book and both of its transports, the process pool and the
-socket broker — read time through one injectable hook,
+the lease book and its one transport, the campaign broker — read time
+through one injectable hook,
 ``repro.core.supervisor._monotonic``, looked up at call time, so tests
 can freeze or jump time and pin the lease machinery deterministically
 (``tests/core/test_supervisor.py::TestClockDiscipline``).  A bare
@@ -44,8 +44,8 @@ class ClockDisciplineRule(Rule):
     rule_id = "REPRO-CLK001"
     title = "clocks arrive through injection points"
     contract = ("Deterministic modules read time only through the "
-                "injectable hook (supervisor._monotonic, used by the pool "
-                "and the broker alike), never by calling "
+                "injectable hook (supervisor._monotonic, used by the lease "
+                "book and the broker alike), never by calling "
                 "time.*/datetime.* directly.")
     hint = ("take the clock through the module's injection point "
             "(_monotonic / clock= parameter) so tests can freeze or "

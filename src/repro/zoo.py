@@ -236,5 +236,6 @@ def zoo_name(quantized: QuantizedModel) -> str:
     if name not in MODEL_BUILDERS:
         raise ConfigError(f"victim '{quantized.name}' is no zoo model "
                           f"{sorted(MODEL_BUILDERS)}, so no worker can "
-                          "rebuild it; run it serially or on a forked pool")
+                          "rebuild it; run it serially or with forked "
+                          "--workers")
     return name

@@ -17,7 +17,7 @@ class FakeClock:
 @pytest.fixture
 def clock(monkeypatch):
     """The one lease clock hook (``supervisor._monotonic``), faked — the
-    book, the pool transport and the broker all read time through it."""
+    book and the broker both read time through it."""
     from repro.core import supervisor
 
     fake = FakeClock()
@@ -52,9 +52,9 @@ def lease_book(clock, constants):
 
     constants(HOLD_BASE_S=1.0, HOLD_MAX_S=1.0)
 
-    def make(cells=(("pool1", 40), ("pool1", 80)), steal=False, **policy):
+    def make(cells=(("pool1", 40), ("pool1", 80)), **policy):
         defaults = dict(cell_timeout_s=10.0, max_retries=3)
         defaults.update(policy)
-        return _LeaseBook(list(cells), SupervisorConfig(**defaults), steal)
+        return _LeaseBook(list(cells), SupervisorConfig(**defaults))
 
     return make

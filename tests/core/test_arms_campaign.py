@@ -2,7 +2,7 @@
 
 The tentpole contract of the defended-sweep orchestration layer: an
 ``arms:<layer>:<defense>@<bank>`` campaign cell executed by
-``run_campaign`` — serially, under a process pool, from a warm cell
+``run_campaign`` — serially, on local workers, from a warm cell
 cache, or after a kill-and-resume — is *the same bytes* as the cell a
 direct :meth:`ArmsRaceStudy.sweep` computes.  Cells are seed-isolated
 (the study's own blake2s scheme), so every execution strategy is

@@ -10,6 +10,7 @@ isolation and hook-ordering contracts the parallel path must preserve.
 
 import multiprocessing as mp
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -77,8 +78,8 @@ class TestByteParity:
     def test_pool_matches_serial_under_each_start_method(
             self, victim, small_spec, serial_json, start, monkeypatch):
         """Forked workers adopt the live attack; spawned workers rebuild
-        it from the recipe derived from it, the only pool path where fork
-        is missing."""
+        it from the recipe derived from it, the only local-worker path
+        where fork is missing."""
         if start not in mp.get_all_start_methods():
             pytest.skip(f"no {start} start method on this platform")
         monkeypatch.setattr(executor_mod, "_mp_context",
@@ -91,8 +92,8 @@ class TestByteParity:
     def test_forked_workers_never_rebuild_the_attack(
             self, victim, small_spec, serial_json, monkeypatch):
         """Forked children inherit this patch, so a worker (or the last
-        rung) that rebuilt the attack from its recipe would break the
-        pool; adopting the caller's attack never calls it."""
+        rung) that rebuilt the attack from its recipe would crash;
+        adopting the caller's attack never calls it."""
         def no_rebuild(*args, **kwargs):
             raise AssertionError("the attack was rebuilt from its recipe")
 
@@ -121,8 +122,8 @@ class TestResumeParity:
         def interrupting_write(path, text):
             orig(path, text)
             writes.append(text)
-            if len(writes) == 2:
-                raise KeyboardInterrupt  # what SIGINT raises
+            if len(writes) == 2:   # a real Ctrl-C: settles run on the
+                os.kill(os.getpid(), signal.SIGINT)   # broker's threads
 
         # The one checkpoint writer every path looks up at call time.
         monkeypatch.setattr(campaign_mod, "_atomic_write_text",
@@ -155,14 +156,17 @@ class TestResumeParity:
     def test_fully_complete_resume_skips_pool(self, victim, small_spec,
                                               serial_json, tmp_path,
                                               monkeypatch):
-        """Nothing pending: the parallel path must not even build a pool."""
+        """Nothing pending: the parallel path must not even bind a
+        broker."""
+        from repro.core.service import CampaignBroker
+
         ckpt = tmp_path / "ckpt.json"
         run(victim, small_spec, checkpoint_path=ckpt)
 
         def explode(*args, **kwargs):
-            raise AssertionError("pool built with no pending cells")
+            raise AssertionError("broker bound with no pending cells")
 
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", explode)
+        monkeypatch.setattr(CampaignBroker, "start", explode)
         resumed = run(victim, small_spec, workers=4, resume_from=ckpt)
         assert _to_json(resumed, complete=True) == serial_json
 
@@ -238,7 +242,7 @@ class TestDispatchSemantics:
 
 
 class TestRebuiltVictims:
-    """Workers that rebuild the attack (spawned pool workers, broker
+    """Workers that rebuild the attack (spawned local workers, remote
     workers) rebuild the caller's own zoo victim, and a victim the zoo
     cannot rebuild is refused where they would."""
 
@@ -269,7 +273,8 @@ class TestRebuiltVictims:
     def test_non_zoo_victim_is_refused_before_a_broker_binds(
             self, probe_quantized):
         """The probe model is no zoo victim: a served campaign is refused
-        before binding, while a forked pool adopts the attack and runs.
+        before binding, while forked private workers adopt the attack and
+        run.
         (The probe is no classifier; its labels broadcast over the final
         feature map.)"""
         from repro.accel import AcceleratorEngine

@@ -1,18 +1,20 @@
 """Campaign-service contract: remote leases heal, parity survives the wire.
 
-The broker's promise is the supervisor's, extended across a socket: a
-campaign whose workers are killed, partitioned, or duplicated must
-still converge — with no manual intervention — to JSON byte-identical
-to a clean serial run.  The shared lease book (`_LeaseBook`) and the
-broker's heartbeat and frame handling are driven here with a fake
-monotonic clock, the wire protocol with socketpairs, and the whole
-service end-to-end with real broker-spawned worker processes.
+The broker is the one transport of every multi-worker campaign: a
+campaign whose workers are killed, hung, partitioned, or duplicated
+must still converge — with no manual intervention — to JSON
+byte-identical to a clean serial run.  The shared lease book
+(`_LeaseBook`) and the broker's heartbeat and frame handling are driven
+here with a fake monotonic clock, the wire protocol with socketpairs,
+the worker's job checks with a fake broker on a loopback socket, and
+the whole service end-to-end with real broker-spawned worker processes.
 """
 
 import json
 import multiprocessing as mp
 import socket
 import struct
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.core.campaign import _to_json
 from repro.core.cellcache import CellCache
 from repro.core.evaluation import AttackOutcome
 from repro.core.executor import WorkerRecipe
-from repro.core.service import CampaignBroker, parse_address
+from repro.core.service import CampaignBroker, parse_address, run_worker
 from repro.core.service.protocol import (
     MAX_FRAME_BYTES,
     decode_array,
@@ -37,7 +39,7 @@ from repro.core.service.protocol import (
     recv_msg,
     send_msg,
 )
-from repro.core.supervisor import SupervisorStats, _Driver
+from repro.core.supervisor import MAX_WORKERS, SupervisorStats, _Driver
 from repro.errors import ProtocolError
 
 from .jsonfuzz import JSON_VALUES, ill_typed, replaced, value_paths
@@ -255,14 +257,14 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 
 
-def broker_over(sweeps=(("pool1", (40, 80)),)):
+def broker_over(sweeps=(("pool1", (40, 80)),), config=ServiceConfig()):
     """An unstarted broker leasing ``sweeps``, pool1@40 and pool1@80 by
     default (no sockets: tests call its message handler and sweep
     directly)."""
     spec = CampaignSpec(sweeps=sweeps, eval_images=4, seed=5)
     driver = _Driver(spec, np.zeros((4, 1, 28, 28)), np.zeros(4, dtype=int),
-                     1.0, {}, {}, policy=SupervisorConfig(), steal=True)
-    return CampaignBroker(WorkerRecipe(), driver, config=ServiceConfig())
+                     1.0, {}, {}, policy=SupervisorConfig())
+    return CampaignBroker(WorkerRecipe(), driver, config=config)
 
 
 class TestLeaseBook:
@@ -308,13 +310,13 @@ class TestLeaseBook:
         b = lease_book(cell_timeout_s=0.001)
         b.grant("w")
         for _ in range(50):  # clock frozen: sweep forever, nothing expires
-            assert b.expire() == (0, [])
+            assert b.expire() == ([], [])
 
     def test_jumped_clock_expires_the_lease(self, lease_book, clock):
         b = lease_book()
         cell, _, _ = b.grant("w")
         clock.t += 11.0
-        assert b.expire() == (1, [])
+        assert b.expire() == (["w"], [])
         assert b.expiries[cell] == 1 and cell in b.queue
 
     def test_reclaimed_cell_waits_out_exactly_the_exponential_hold(
@@ -338,7 +340,7 @@ class TestLeaseBook:
     def test_idle_worker_steals_only_stale_leases_of_others(self, lease_book,
                                                             clock, constants):
         constants(STEAL_AFTER_S=5.0)
-        b = lease_book(cells=[("pool1", 40)], steal=True)
+        b = lease_book(cells=[("pool1", 40)])
         cell, _, _ = b.grant("a")
         assert b.grant("b") is None       # lease too young to steal
         clock.t += 6.0                    # past STEAL_AFTER_S
@@ -451,34 +453,122 @@ class TestResultFrames:
 class TestRespawn:
     def test_only_crashed_local_workers_are_replaced_within_budget(
             self, constants, monkeypatch):
-        """A nonzero exit (an error, or a signal) is replaced and a clean
-        exit never is; replacements stop after ``SERIAL_FALLBACK_AFTER``
-        per campaign."""
+        """A nonzero exit (an error, or a signal) is blamed and replaced
+        and a clean exit never is; replacements stop after
+        ``SERIAL_FALLBACK_AFTER`` per campaign and count as
+        degradations."""
         constants(SERIAL_FALLBACK_AFTER=2)
-        spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
-                            seed=5)
-        driver = _Driver(spec, np.zeros((4, 1, 28, 28)),
-                         np.zeros(4, dtype=int), 1.0, {}, {},
-                         policy=SupervisorConfig())
-        broker = CampaignBroker(WorkerRecipe(), driver,
-                                config=ServiceConfig())
+        broker = broker_over(sweeps=(("pool1", (40,)),))
         spawned = []
 
         def spawn():
             spawned.append(SimpleNamespace(exitcode=None))
-            return spawned[-1]
+            broker._local[f"new-{len(spawned)}"] = spawned[-1]
 
         monkeypatch.setattr(broker, "_spawn_local", spawn)
-        broker._local_procs = [SimpleNamespace(exitcode=code)
-                               for code in (0, None, 13, -9)]
-        broker._respawn()
-        assert [p.exitcode for p in broker._local_procs] == [0, None,
-                                                            None, None]
-        assert broker._local_procs[2:] == spawned
+        broker._local = {name: SimpleNamespace(exitcode=code)
+                         for name, code in (("clean", 0), ("alive", None),
+                                            ("crashed", 13), ("killed", -9))}
+        broker._sweep()
+        assert sorted(broker._local) == ["alive", "new-1", "new-2"]
+        stats = broker.driver.stats
+        assert (stats.worker_crashes, stats.degradations) == (2, 2)
         spawned[0].exitcode = 13
-        broker._respawn()   # the budget of two is spent
+        broker._sweep()   # the budget of two is spent
         assert len(spawned) == 2
-        assert broker._local_procs[2].exitcode == 13
+        assert sorted(broker._local) == ["alive", "new-2"]
+        assert stats.worker_crashes == 3
+
+    def test_local_workers_are_capped_at_max_workers(self, monkeypatch):
+        """``local_workers`` beyond ``MAX_WORKERS`` (``repro serve
+        --local-workers 4000``) spawns ``MAX_WORKERS``; no process starts
+        here."""
+        broker = broker_over(config=ServiceConfig(local_workers=4000))
+        spawned = []
+        monkeypatch.setattr(broker, "_spawn_local",
+                            lambda: spawned.append(None))
+        try:
+            broker.start()
+        finally:
+            broker.close()
+        assert len(spawned) == MAX_WORKERS
+
+
+# ---------------------------------------------------------------------------
+# The worker's side of the job frame
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fake_broker():
+    """Start a one-shot broker on a loopback socket that answers the
+    first frame it gets with ``reply``; returns its address."""
+    servers = []
+
+    def start(reply):
+        server = socket.create_server(("127.0.0.1", 0))
+        servers.append(server)
+
+        def answer():
+            conn, _ = server.accept()
+            with conn:
+                recv_msg(conn)
+                send_msg(conn, reply)
+
+        threading.Thread(target=answer, daemon=True).start()
+        return server.getsockname()[:2]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+JOB = {"type": "job", "protocol": 1, "heartbeat_interval_s": 0.25,
+       "clean": 0.9, "base_seed": 5,
+       "recipe": encode_recipe(WorkerRecipe()),
+       "images": encode_array(np.zeros((2, 1, 28, 28))),
+       "labels": encode_array(np.zeros(2, dtype=int))}
+
+
+def without(frame, key):
+    return {k: v for k, v in frame.items() if k != key}
+
+
+class TestJobFrame:
+    @pytest.mark.parametrize("reply", [
+        {"type": "ok"},
+        {**JOB, "type": "wait"},
+        without(JOB, "base_seed"),
+        {**JOB, "base_seed": "5"},
+        {**JOB, "base_seed": 5.0},
+        {**JOB, "base_seed": True},
+        {**JOB, "clean": "0.9"},
+        {**JOB, "clean": [0.9]},
+        without(JOB, "heartbeat_interval_s"),
+        {**JOB, "heartbeat_interval_s": 0},
+        {**JOB, "heartbeat_interval_s": -0.25},
+        {**JOB, "heartbeat_interval_s": "fast"},
+        without(JOB, "recipe"),
+        {**JOB, "recipe": {"bank_cells": "many"}},
+        without(JOB, "images"),
+        {**JOB, "labels": {"dtype": "i8", "data": "xx"}},
+    ])
+    def test_unrunnable_job_is_a_protocol_error(self, fake_broker, reply):
+        """A hello reply the worker cannot run — not a job, a base seed
+        that is no int, a clean baseline that is neither a float nor
+        null, a beat cadence that is not positive, an undecodable recipe
+        or array — is refused with ProtocolError."""
+        with pytest.raises(ProtocolError):
+            run_worker(fake_broker(reply), worker_id="w")
+
+    def test_repro_work_refuses_in_one_line(self, fake_broker, capsys):
+        from repro.cli import main
+
+        host, port = fake_broker(without(JOB, "base_seed"))
+        assert main(["work", "--broker", f"{host}:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ProtocolError:")
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -672,3 +762,100 @@ class TestDistributedParity:
                      fault_hook=injector.cell_fault,
                      shard_hook=injector.shard_fault, stats=stats)
         assert _to_json(result, complete=True) == serial_json
+
+
+class TestLocalWorkers:
+    """The broker watches its own local workers by their process, in
+    served and private (``workers=N``) campaigns alike."""
+
+    def test_killed_local_worker_is_blamed_without_waiting_for_beats(
+            self, victim, spec3, serial_json, constants):
+        """With heartbeat eviction and the no-worker grace at 60 s and a
+        30 s lease, a worker killed mid-cell is blamed at once — not
+        expired — and replaced."""
+        def fault(target, count, attempt):
+            return ("kill", 0) if (target, count, attempt) == \
+                ("pool1", 40, 0) else None
+
+        constants(HEARTBEAT_TIMEOUT_S=60.0, NO_WORKER_GRACE_S=60.0)
+        stats = SupervisorStats()
+        result = run(victim, spec3, service=ServiceConfig(local_workers=2),
+                     supervisor=SupervisorConfig(cell_timeout_s=30.0),
+                     fault_hook=fault, stats=stats)
+        assert _to_json(result, complete=True) == serial_json
+        assert (stats.worker_crashes, stats.lease_expiries) == (1, 0)
+        assert stats.degradations == 1
+
+    def test_hung_sole_worker_is_terminated_and_replaced(
+            self, victim, spec3, serial_json):
+        """The only local worker hangs 120 s past its 1 s lease: it is
+        terminated (its cell charged only the expiry) and replaced, and
+        the campaign does not wait out the hang."""
+        def fault(target, count, attempt):
+            return ("hang", 120.0) if (target, count, attempt) == \
+                ("pool1", 80, 0) else None
+
+        stats = SupervisorStats()
+        result = run(victim, spec3, service=ServiceConfig(local_workers=1),
+                     supervisor=SupervisorConfig(cell_timeout_s=1.0),
+                     fault_hook=fault, stats=stats)
+        assert _to_json(result, complete=True) == serial_json
+        assert stats.lease_expiries >= 1 and stats.worker_crashes == 0
+        assert stats.degradations >= 1
+        assert stats.serial_fallback is False
+
+    def test_spent_budget_reaches_the_last_rung_at_once(
+            self, victim, spec3, serial_json, constants):
+        """Workers killed on every cell spend a respawn budget of two;
+        with no worker left the broker finishes in-process at once
+        instead of waiting out a 60 s grace."""
+        constants(SERIAL_FALLBACK_AFTER=2, NO_WORKER_GRACE_S=60.0,
+                  QUARANTINE_AFTER=10, HOLD_BASE_S=0.01, HOLD_MAX_S=0.05)
+        stats = SupervisorStats()
+        result = run(victim, spec3, service=ServiceConfig(local_workers=2),
+                     supervisor=SupervisorConfig(max_retries=10),
+                     fault_hook=lambda *cell: ("kill", 0), stats=stats)
+        assert _to_json(result, complete=True) == serial_json
+        assert (stats.worker_crashes, stats.degradations) == (4, 2)
+        assert stats.serial_fallback is True
+
+    def test_private_campaign_answers_only_its_own_workers(
+            self, victim, spec3, serial_json, monkeypatch):
+        """``workers=2`` serves a loopback broker that refuses a hello, a
+        lease and a result from any id it did not spawn."""
+        replies = []
+        spawn = CampaignBroker._spawn_local
+
+        def spawn_then_intrude(broker):
+            spawn(broker)
+            for msg in ({"type": "hello", "worker": "intruder"},
+                        {"type": "lease", "worker": "intruder"},
+                        {**result_frame(), "worker": "intruder"}):
+                with socket.create_connection(broker.address) as sock:
+                    send_msg(sock, msg)
+                    replies.append(recv_msg(sock))
+
+        monkeypatch.setattr(CampaignBroker, "_spawn_local",
+                            spawn_then_intrude)
+        stats = SupervisorStats()
+        result = run(victim, spec3, workers=2, stats=stats)
+        assert _to_json(result, complete=True) == serial_json
+        assert [reply["type"] for reply in replies] == ["error"] * 6
+        assert stats.workers_joined == 2
+
+
+class TestMergeFailures:
+    @pytest.mark.parametrize("transport", [
+        {"workers": 2}, {"service": ServiceConfig(local_workers=2)}],
+        ids=["workers", "service"])
+    def test_checkpoint_failure_raises_the_serial_error(
+            self, victim, spec3, tmp_path, transport):
+        """A checkpoint that cannot be written fails a multi-worker
+        campaign with the serial path's error; it does not just drop the
+        delivering worker's connection."""
+        ckpt = tmp_path / "missing" / "ckpt.json"
+        with pytest.raises(FileNotFoundError):
+            run(victim, spec3, checkpoint_path=ckpt)
+        with pytest.raises(FileNotFoundError):
+            run(victim, spec3, checkpoint_path=ckpt, **transport)
+        assert not ckpt.parent.exists()

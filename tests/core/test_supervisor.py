@@ -1,11 +1,11 @@
 """Self-healing supervisor contract: crashes heal, parity survives.
 
-The supervised executor's promise extends the parallel byte-parity
-contract into hostile territory: a campaign whose workers are killed,
-whose cells hang past their lease, and whose pool degrades all the way
-to in-process serial must still converge — without manual ``--resume`` —
-to the same final JSON a clean serial run produces (minus only the
-failure records of genuinely poisoned cells).
+The lease book's promise extends the parallel byte-parity contract into
+hostile territory: a ``workers=N`` campaign whose local workers are
+killed, whose cells hang past their lease, and whose respawn budget
+runs out all the way to in-process serial must still converge — without
+manual ``--resume`` — to the same final JSON a clean serial run
+produces (minus only the failure records of genuinely poisoned cells).
 """
 
 import json
@@ -121,8 +121,8 @@ class TestQuarantine:
 
     def test_innocent_bystanders_are_never_quarantined(
             self, victim, small_spec):
-        """Cells sharing a pool with the poison get group-blamed once,
-        then prove themselves in isolation — only the poison falls."""
+        """Cells that run beside the poison are never charged for its
+        deaths — only the poison falls."""
         poison = ("pool1", 40)
         result = run(victim, small_spec, workers=2,
                      fault_hook=kill_cell(poison))
@@ -134,7 +134,7 @@ class TestQuarantine:
 @pytest.fixture
 def driver_over(clock, constants):
     """Factory for a driver leasing ``cells`` on the fake clock,
-    reported to by hand the way the pool transport reports (1 s holds)."""
+    reported to by hand the way the broker reports (1 s holds)."""
     constants(HOLD_BASE_S=1.0, HOLD_MAX_S=1.0)
 
     def make(cells, stats=None, **policy):
@@ -153,13 +153,15 @@ OUTCOME = object()   # settled payloads are opaque to the driver
 
 
 class TestLeases:
-    """Lease expiry on the fake clock, reported the way the pool reports
-    it (``TestAcceptance::test_real_hang_outlasts_its_lease`` is the
-    real-process proof that a hung pool is torn down and retried)."""
+    """Lease expiry on the fake clock, reported the way the broker
+    reports it (``TestAcceptance::test_real_hang_outlasts_its_lease`` is
+    the real-process proof that a hung worker is terminated and its cell
+    retried)."""
 
     def test_hanging_cell_cancelled_and_retried(self, clock, driver_over):
-        """A cell stalling past its lease is reclaimed, its pool-mate is
-        re-queued without blame, and the retry completes."""
+        """A cell stalling past its lease is reclaimed, the hung worker's
+        other lease is re-queued without blame, and the retry
+        completes."""
         stats = SupervisorStats()
         driver = driver_over([("pool1", 40), ("pool1", 80), ("pool1", 120)],
                              stats)
@@ -168,8 +170,8 @@ class TestLeases:
         clock.t += 1.0
         mate = driver.grant("pool-0")[0]                 # lease ends at 106
         clock.t += 4.5
-        assert driver.expire() == 1
-        driver.lose("pool-0", blame=False)   # the teardown takes the mate
+        assert driver.expire() == ["pool-0"]
+        driver.lose("pool-0", blame=False)   # terminating it takes the mate
         book = driver.book
         assert book.expiries[hung] == 1 and book.blames[mate] == 0
         assert driver.grant("pool-1")[:2] == (mate, 1)   # blameless: no hold
@@ -191,9 +193,9 @@ class TestLeases:
                              max_retries=1)
         hung = driver.grant("pool-0")[0]
         driver.settle(driver.grant("pool-0")[0], "outcome", OUTCOME)
-        for _ in range(2):
+        for holder in ("pool-0", "pool-1"):
             clock.t += 5.5
-            assert driver.expire() == 1
+            assert driver.expire() == [holder]
             clock.t += 1.0
             if not driver.book.done():
                 assert driver.grant("pool-1")[0] == hung
@@ -205,7 +207,8 @@ class TestLeases:
 
 
 class TestPoolLeaseEvents:
-    """The pool transport's events on the shared book (fake clock)."""
+    """Local workers' events on the shared book (fake clock): a death
+    with blame, a termination without."""
 
     def test_crash_blames_every_in_flight_lease(self, lease_book):
         b = lease_book(cells=[("pool1", 40), ("pool1", 80), ("pool1", 120)])
@@ -255,8 +258,8 @@ class TestPoolLeaseEvents:
 
     def test_in_process_rung_counts_grants_like_the_transports(
             self, clock, driver_over, monkeypatch):
-        """The fallback loop counts a re-grant as a retry, as the pool
-        and the broker do."""
+        """The fallback loop counts a re-grant as a retry, as the broker
+        does."""
         from repro.core import supervisor as sup_mod
 
         monkeypatch.setattr(sup_mod, "_execute_cell",
@@ -274,11 +277,11 @@ class TestPoolLeaseEvents:
 class TestDegradation:
     def test_repeated_carnage_falls_back_to_in_process_serial(
             self, victim, small_spec, serial_json, constants, monkeypatch):
-        """Kill everything on every attempt with a tiny incident budget:
-        the supervisor degrades, abandons pools, and still finishes with
-        byte parity (directives cannot reach the in-process path).  The
-        last rung runs on the caller's attack: rebuilding one from the
-        recipe would raise here."""
+        """Kill everything on every attempt with a tiny respawn budget:
+        the broker replaces dead workers until the budget is spent, then
+        finishes in-process with byte parity (directives cannot reach
+        the in-process path).  The last rung runs on the caller's
+        attack: rebuilding one from the recipe would raise here."""
         from repro.core import executor as executor_mod
 
         def kill_everything(target, count, attempt):
@@ -288,7 +291,7 @@ class TestDegradation:
             raise AssertionError("the attack was rebuilt from its recipe")
 
         monkeypatch.setattr(executor_mod, "_build_state", no_rebuild)
-        constants(DEGRADE_AFTER=1, SERIAL_FALLBACK_AFTER=2,
+        constants(SERIAL_FALLBACK_AFTER=2,
                   QUARANTINE_AFTER=10, HOLD_BASE_S=0.01, HOLD_MAX_S=0.05)
 
         stats = SupervisorStats()
@@ -302,56 +305,11 @@ class TestDegradation:
         assert stats.quarantined == 0
 
 
-class TestDegradationLadderBoundary:
-    def test_halving_stops_at_one_worker(self, constants, monkeypatch):
-        """The ladder's boundary arithmetic: 4 -> 2 -> 1, then pool
-        deaths at size 1 must not halve below the floor (and must not
-        count as degradations); the fifth death ends pooling."""
-        from repro.core import supervisor as sup_mod
-        from repro.core.supervisor import run_supervised
-
-        sizes, rungs = [], []
-        monkeypatch.setattr(sup_mod, "_pool_round",
-                            lambda driver, attack, size, name:
-                            sizes.append(size) or True)
-        monkeypatch.setattr(sup_mod._Driver, "fall_back",
-                            lambda driver, attack: rungs.append("serial"))
-        spec = CampaignSpec(sweeps=(("pool1", (40,)),), eval_images=4,
-                            seed=0)
-        constants(DEGRADE_AFTER=1, SERIAL_FALLBACK_AFTER=5)
-        stats = SupervisorStats()
-        driver = _Driver(spec, np.zeros((4, 8, 8)), np.zeros(4, dtype=int),
-                         1.0, {}, {}, policy=SupervisorConfig(), stats=stats)
-        run_supervised(driver, None, workers=4)
-        assert sizes == [4, 2, 1, 1, 1]
-        assert stats.degradations == 2
-        assert rungs == ["serial"]
-
-    def test_two_workers_degrade_once_then_serial(self, victim, small_spec,
-                                                  serial_json, constants):
-        """From workers=2 the ladder has exactly one halving (2 -> 1)
-        before the serial rung; parity survives the whole descent."""
-        def kill_everything(target, count, attempt):
-            return ("kill", 0)
-
-        constants(DEGRADE_AFTER=1, SERIAL_FALLBACK_AFTER=3,
-                  QUARANTINE_AFTER=10, HOLD_BASE_S=0.01, HOLD_MAX_S=0.05)
-        stats = SupervisorStats()
-        result = run(victim, small_spec, workers=2,
-                     fault_hook=kill_everything,
-                     supervisor=SupervisorConfig(max_retries=10),
-                     stats=stats)
-        assert _to_json(result, complete=True) == serial_json
-        assert stats.degradations == 1
-        assert stats.serial_fallback is True
-
-
 class TestClockDiscipline:
     """Lease deadlines live on the one injectable monotonic clock hook
-    (``supervisor._monotonic``, read by the book, the pool and the
-    broker alike) — wall time never enters the lease machinery, so a
-    frozen or jumping system clock cannot expire (or immortalize) a
-    healthy cell."""
+    (``supervisor._monotonic``, read by the book and the broker alike) —
+    wall time never enters the lease machinery, so a frozen or jumping
+    system clock cannot expire (or immortalize) a healthy cell."""
 
     def test_frozen_clock_never_expires_leases(self, victim, small_spec,
                                                serial_json, monkeypatch):
@@ -398,7 +356,7 @@ class TestAcceptance:
     def test_real_hang_outlasts_its_lease(self, victim, small_spec,
                                           serial_json):
         """The one real-time hang: a worker stalls past a short lease
-        on the real monotonic clock; the pool is torn down and the cell
+        on the real monotonic clock; it is terminated and the cell
         retried, with the serial bytes."""
         def hang_once(target, count, attempt):
             return (("hang", 120.0)

@@ -209,8 +209,8 @@ class TestCommands:
 
     def test_broker_campaign_honours_policy_flags(self, tmp_path, capsys,
                                                   monkeypatch):
-        """--max-retries/--cell-timeout reach the broker's lease book,
-        not only the process pool."""
+        """--max-retries/--cell-timeout reach a served broker's lease
+        book, not only a --workers campaign's."""
         import multiprocessing as mp
 
         if "fork" not in mp.get_all_start_methods():
