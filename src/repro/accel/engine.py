@@ -115,12 +115,13 @@ class AcceleratorEngine:
             self.rng,
         )
         self._plan_by_name: Dict[str, LayerPlan] = {p.name: p for p in self.plans}
-        # Dtype policy: "fxp" is the exact int64 reference, "fp32" runs
-        # the big matmuls as float32 sgemm.
+        # Dtype policy: "fxp" is the exact fixed-point reference (its
+        # MACs run as float64 dgemm, exact by construction), "fp32" runs
+        # them as float32 sgemm.
         self.dtype_policy = self.config.dtype_policy
-        # Per-stage float32 weight/bias twins for the fp32 fast path,
+        # Per-stage GEMM weight/bias twins in the policy's float dtype,
         # built lazily.
-        self._fp32_cache: Dict[str, tuple] = {}
+        self._gemm_cache: Dict[str, tuple] = {}
         # Reusable draw buffers for the batched uniform matrices: the
         # same (images, ops) shapes recur every batch of a campaign
         # cell, and rng.random(out=...) halves the draw cost versus a
@@ -145,9 +146,6 @@ class AcceleratorEngine:
         # on the *identity* of the images array (campaigns evaluate one
         # fixed test slice over and over).
         self._stage_cache: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
-        # Small im2col cache keyed on (input array identity, stage): the
-        # fp32 forward pass and the conv injector unfold the same input.
-        self._unfold_cache: List[Tuple[np.ndarray, str, tuple]] = []
 
     #: Exposure-cache entries kept before the cache is dropped wholesale.
     _EXPOSURE_CACHE_MAX = 64
@@ -196,41 +194,71 @@ class AcceleratorEngine:
             return codes.astype(np.float32)
         return codes
 
-    def _fp32_params(self, stage) -> tuple:
-        """Float32 weight/bias twins of a MAC stage."""
-        cached = self._fp32_cache.get(stage.name)
+    def _gemm_params(self, stage) -> tuple:
+        """``(weights, bias, row_sum, bias_max)`` of a MAC stage: the
+        ``(OUT, fan-in)`` weight matrix and the bias in the policy's
+        float dtype (float64 under fxp, float32 under fp32), the largest
+        absolute weight-row sum and the largest absolute bias code."""
+        cached = self._gemm_cache.get(stage.name)
         if cached is None:
-            w32 = stage.w_codes.reshape(
-                stage.w_codes.shape[0], -1).astype(np.float32)
-            cached = (w32, stage.b_codes.astype(np.float32))
-            self._fp32_cache[stage.name] = cached
+            dtype = np.float32 if self.dtype_policy == "fp32" \
+                else np.float64
+            w_mat = stage.w_codes.reshape(stage.w_codes.shape[0], -1)
+            cached = (w_mat.astype(dtype), stage.b_codes.astype(dtype),
+                      int(np.abs(w_mat).sum(axis=1).max()),
+                      int(np.abs(stage.b_codes).max()))
+            self._gemm_cache[stage.name] = cached
         return cached
+
+    #: Every integer below this magnitude is exact in float64.
+    _EXACT_F64 = 1 << 53
 
     def _forward_stage(self, stage, codes: np.ndarray) -> np.ndarray:
         """One stage forward under the active dtype policy.
 
-        ``dtype_policy="fxp"`` is the exact int64 reference
-        (``stage.forward_codes``, the byte-parity tier).  ``"fp32"``
-        runs conv/dense MACs as float32 sgemm and the tanh lookup in
+        Conv and dense stages of both tiers run as one GEMM (im2col
+        first for a conv) in the policy's float dtype.  Under ``"fxp"``
+        it is float64 dgemm cast back to int64, equal to the int64
+        reference (``stage.forward_codes``) by construction: every
+        product and partial sum is an integer no larger than the input's
+        largest magnitude times the stage's largest absolute weight-row
+        sum, so while that bound plus the largest bias stays below 2**53
+        (below 2**25 for 8-bit codes at the victims' fan-in of at most
+        1,600) nothing rounds, whatever order or FMA fusion BLAS picks.
+        The bound is checked on every call; an input that breaks it
+        raises :class:`SimulationError`, with no int64 fallback.
+        ``"fp32"`` runs the MACs as float32 sgemm and the tanh lookup in
         float32 — every intermediate code is still an integer *value*,
         but rounding at the float32 tanh boundary may differ from the
         float64 reference by one code, so this tier is pinned by
         differential tolerance tests
         (``tests/accel/test_backend_parity.py``), not bytes.
         """
-        if self.dtype_policy != "fp32":
-            return stage.forward_codes(codes)
         kind = stage.kind
-        if kind == "conv":
-            w32, b32 = self._fp32_params(stage)
-            cols, out_h, out_w = self._unfold(stage, codes)
-            acc = cols @ w32.T + b32
-            return acc.reshape(codes.shape[0], out_h, out_w,
-                               -1).transpose(0, 3, 1, 2)
-        if kind == "dense":
-            w32, b32 = self._fp32_params(stage)
-            return codes @ w32.T + b32
-        if kind == "tanh":
+        fxp = self.dtype_policy != "fp32"
+        if kind in ("conv", "dense"):
+            w_mat, bias, row_sum, bias_max = self._gemm_params(stage)
+            if fxp and codes.size:
+                peak = max(int(codes.max()), -int(codes.min()))
+                if peak * row_sum + bias_max >= self._EXACT_F64:
+                    raise SimulationError(
+                        f"{stage.name}: input codes up to {peak} can "
+                        f"round a float64 accumulation")
+            x = codes.astype(w_mat.dtype, copy=False)
+            if kind == "conv":
+                cols, out_h, out_w = im2col(x, stage.w_codes.shape[-1],
+                                            stage.stride, stage.pad)
+                acc = cols @ w_mat.T
+            else:
+                acc = x @ w_mat.T
+            acc += bias
+            if fxp:
+                acc = acc.astype(np.int64)
+            if kind == "conv":
+                return acc.reshape(codes.shape[0], out_h, out_w,
+                                   -1).transpose(0, 3, 1, 2)
+            return acc
+        if kind == "tanh" and not fxp:
             fmt = stage.act_format
             real = codes.astype(np.float32, copy=False) * np.float32(
                 2.0 ** (-stage.acc_frac_bits))
@@ -346,7 +374,7 @@ class AcceleratorEngine:
         """Inject one layer's strikes into its freshly computed codes.
 
         ``x_in`` is the layer's input (its rollback checkpoint); ``codes``
-        is ``stage.forward_codes(x_in)``, possibly mutated in place.
+        is ``_forward_stage(stage, x_in)``, possibly mutated in place.
         """
         plan = self._plan_by_name[entry.layer_name]
         if plan.stage_index != index:
@@ -910,28 +938,6 @@ class AcceleratorEngine:
             flat_idx, weights=delta, minlength=flat_acc.size
         ).astype(flat_acc.dtype).reshape(flat_acc.shape)
 
-    #: Slots in the im2col cache: enough for every conv of the victim
-    #: plus the batches an injection unfolds.
-    _UNFOLD_CACHE_MAX = 4
-
-    def _unfold(self, stage: QConv, x_codes: np.ndarray
-                ) -> Tuple[np.ndarray, int, int]:
-        """im2col of a conv's input, cached per input-array identity.
-
-        The fp32 forward pass unfolds the very arrays the injectors then
-        gather from; the unfolded input is a pure function of
-        ``x_codes``, so both share these slots.
-        """
-        for entry in self._unfold_cache:
-            if entry[0] is x_codes and entry[1] == stage.name:
-                return entry[2]
-        out = im2col(x_codes, stage.w_codes.shape[-1],
-                     stage.stride, stage.pad)
-        self._unfold_cache.append((x_codes, stage.name, out))
-        if len(self._unfold_cache) > self._UNFOLD_CACHE_MAX:
-            self._unfold_cache.pop(0)
-        return out
-
     def _fault_conv(self, stage: QConv, plan: LayerPlan, entry: StruckCycles,
                     x_codes: np.ndarray, acc: np.ndarray) -> np.ndarray:
         """Inject into a convolution's accumulators.
@@ -945,21 +951,34 @@ class AcceleratorEngine:
         the op issued ``lanes`` earlier (same slice, previous cycle), not
         ``op - 1``; ops in a layer's first cycle follow idle slices
         (previous product 0).
+
+        Candidate products are gathered straight from the zero-padded
+        layer input: no cell unfolds its batch.  The exposure record's
+        gather dict keeps each exposed op's flat offset into one padded
+        input image, taken from the stage's ``(r, j)`` offset table —
+        the im2col of an image of element indices, so the two orders
+        cannot drift apart.
         """
-        # forward_codes returns a transposed (non-contiguous) view whose
+        # The conv GEMM returns a transposed (non-contiguous) view whose
         # reshape would silently copy; make it contiguous so the reshaped
         # accumulator view below aliases the array we return.
         acc = np.ascontiguousarray(acc)
         n_images = acc.shape[0]
         oc = acc.shape[1]
         r_total = acc.shape[2] * acc.shape[3]
-        cols = self._unfold(stage, x_codes)[0]
+        pad = stage.pad
+        x_pad = np.pad(x_codes, ((0, 0), (0, 0), (pad, pad), (pad, pad))) \
+            if pad else np.ascontiguousarray(x_codes)
+        image_size = int(np.prod(x_pad.shape[1:]))
         w_mat = stage.w_codes.reshape(oc, -1)
         k_total = w_mat.shape[1]
 
         record = self._exposure(plan, entry)
         gather = record.get("conv")
         if gather is None:
+            index_image = np.arange(image_size).reshape((1,) + x_pad.shape[1:])
+            table = im2col(index_image, stage.w_codes.shape[-1],
+                           stage.stride, 0)[0].reshape(-1)
             ops = record["ops"]
             r_idx = ops // (oc * k_total)
             rem = ops % (oc * k_total)
@@ -972,10 +991,10 @@ class AcceleratorEngine:
             po_idx = prem // k_total
             pj_idx = prem % k_total
             gather = {
-                # Input gathers as flat im2col offsets (r * K + j): one
+                # Input gathers as flat offsets into a padded image: one
                 # take per product instead of a multi-array fancy index.
-                "rj": r_idx * k_total + j_idx,
-                "prj": pr_idx * k_total + pj_idx,
+                "x": table[r_idx * k_total + j_idx],
+                "px": table[pr_idx * k_total + pj_idx],
                 "w_cur": w_mat[o_idx, j_idx],
                 # A zero weight zeroes the previous product exactly
                 # where the slice was idle (layer's first cycle).
@@ -989,29 +1008,28 @@ class AcceleratorEngine:
                 # offsets likewise fit int32.
                 gather["w_cur"] = gather["w_cur"].astype(np.float32)
                 gather["w_prev"] = gather["w_prev"].astype(np.float32)
-                for key in ("rj", "prj", "targets"):
+                for key in ("x", "px", "targets"):
                     gather[key] = gather[key].astype(np.int32)
             record["conv"] = gather
 
-        rk = r_total * k_total
-        flat_cols = cols.reshape(n_images * rk)
+        flat_x = x_pad.reshape(n_images * image_size)
         g = gather
 
         def products(img, pos):
-            base = img * rk
-            p_cur = np.take(flat_cols, base + g["rj"][pos]) * g["w_cur"][pos]
-            p_prev = np.take(flat_cols, base + g["prj"][pos]) * g["w_prev"][pos]
+            base = img * image_size
+            p_cur = np.take(flat_x, base + g["x"][pos]) * g["w_cur"][pos]
+            p_prev = np.take(flat_x, base + g["px"][pos]) * g["w_prev"][pos]
             return p_cur, p_prev
 
         dense = None
         if self._wants_dense_products(record, n_images):
-            # Keyed on the layer-input identity, not the unfolded view:
-            # replay passes unfold fresh ``x_in[pending]`` slices that
-            # can evict the im2col cache slot, while the clean stage
-            # codes feeding a full-rate injection stay pinned upstream.
+            # Keyed on the layer-input identity, not the padded copy
+            # (a fresh array every call): the clean stage codes feeding
+            # a full-rate injection stay pinned upstream, so one build
+            # serves every cell on that batch.
             dense = self._dense_products(
-                record, x_codes, flat_cols.reshape(n_images, rk),
-                g["rj"], g["w_cur"], g["prj"], g["w_prev"],
+                record, x_codes, flat_x.reshape(n_images, image_size),
+                g["x"], g["w_cur"], g["px"], g["w_prev"],
             )
         img, pos, delta = self._mac_faults_batch(record, n_images, products,
                                                  entry.force_class, dense)

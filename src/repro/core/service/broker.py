@@ -52,7 +52,7 @@ import multiprocessing as mp
 import secrets
 import socket
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ...config import ServiceConfig
 from ...errors import ConfigError, ProtocolError
@@ -108,6 +108,8 @@ class CampaignBroker:
         # Local workers by id: in service, and out of it for good.
         self._local: Dict[str, mp.process.BaseProcess] = {}
         self._retired: Dict[str, mp.process.BaseProcess] = {}
+        # Local workers that adopt the caller's attack (forked ones).
+        self._adopters: Set[str] = set()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -139,6 +141,8 @@ class CampaignBroker:
         with self.driver.lock:   # known before it can say hello
             proc.start()
             self._local[worker] = proc
+            if adopted is not None:
+                self._adopters.add(worker)
 
     def _retire(self, worker: str, *, blame: bool, replace: bool) -> None:
         """Take a local worker out of service for good: its leases are
@@ -229,7 +233,7 @@ class CampaignBroker:
                 self.driver.stats.workers_joined += 1
             self.beats[worker] = _sup._monotonic()
         if kind == "hello":
-            return self._job()
+            return self._job(worker)
         if kind == "beat":
             return {"type": "ok"}
         if kind == "lease":
@@ -238,10 +242,11 @@ class CampaignBroker:
             return self._result(msg)
         return {"type": "error", "message": f"unknown message type {kind!r}"}
 
-    def _job(self) -> dict:
-        """The ``hello`` reply: the base seed, clean baseline and beat
-        cadence, plus — for a worker that rebuilds the attack — the
-        recipe and evaluation slice."""
+    def _job(self, worker: str) -> dict:
+        """The ``hello`` reply to ``worker``: the base seed, clean
+        baseline and beat cadence, plus — for a worker that rebuilds the
+        attack — the recipe and evaluation slice, which an adopting
+        local worker would never decode."""
         job = {
             "type": "job",
             "protocol": PROTOCOL_VERSION,
@@ -249,7 +254,7 @@ class CampaignBroker:
             "clean": self.driver.clean,
             "base_seed": self.driver.spec.seed,
         }
-        if self.recipe is not None:
+        if self.recipe is not None and worker not in self._adopters:
             job.update(recipe=encode_recipe(self.recipe),
                        images=encode_array(self.driver.images),
                        labels=encode_array(self.driver.labels))

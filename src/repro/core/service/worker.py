@@ -10,7 +10,8 @@ job the worker cannot run is refused with
 :class:`~repro.errors.ProtocolError`.  A forked local worker adopts the
 caller's attack instead of rebuilding it.  Then it loops: lease a cell,
 execute it under its blake2s-derived seed, deliver the result, ask for
-the next.
+the next.  Every worker runs its GEMMs on one BLAS thread
+(:func:`_one_blas_thread`): it shares the host's cores with its peers.
 
 Delivery is *at-least-once* by design.  The worker retries failed
 exchanges on fresh connections, chaos shard directives make it
@@ -36,6 +37,7 @@ Chaos surfaces, both honoured between lease and delivery:
 
 from __future__ import annotations
 
+import ctypes
 import os
 import socket
 import threading
@@ -72,6 +74,37 @@ class WorkerReport:
         return {k: getattr(self, k) for k in (
             "worker_id", "executed", "failures_delivered",
             "duplicates_sent", "results_dropped")}
+
+
+def _one_blas_thread(maps: str = "/proc/self/maps") -> None:
+    """Cap every OpenBLAS mapped into this process (numpy's bundled
+    one, and scipy's) at one thread.
+
+    A worker shares the host's cores with its peers and the campaign
+    process, and numpy's OpenBLAS otherwise starts a thread per core for
+    each of the engine's GEMMs; two workers on two cores then overrun
+    them.  A silent no-op where the memory map is unreadable or maps no
+    OpenBLAS with a thread setter.
+    """
+    try:
+        with open(maps) as lines:
+            paths = {line.split(None, 5)[5].strip() for line in lines
+                     if "openblas" in line.rsplit("/", 1)[-1].lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)   # void f(int num_threads)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def _default_worker_id() -> str:
@@ -129,7 +162,8 @@ def run_worker(address: Tuple[str, int], *,
                worker_id: Optional[str] = None) -> WorkerReport:
     """Serve one broker until its campaign is done; returns a report.
     A broker whose job this worker cannot run is refused with
-    :class:`~repro.errors.ProtocolError`."""
+    :class:`~repro.errors.ProtocolError`.  The calling process's
+    OpenBLAS stays capped at one thread afterwards."""
     return _serve(address, worker_id or _default_worker_id(), None)
 
 
@@ -164,7 +198,9 @@ def _serve(address: Tuple[str, int], worker_id: str,
     """:func:`run_worker` as ``worker_id``, on the ``adopted`` attack
     stack of a forked local worker, or (None) on one rebuilt from the
     job's recipe; the entry point of the broker's local workers (module
-    level, so a spawn start can import it)."""
+    level, so a spawn start can import it).  The worker's GEMMs run on
+    one BLAS thread."""
+    _one_blas_thread()
     report = WorkerReport(worker_id=worker_id)
     hello = {"type": "hello", "worker": worker_id}
     for attempt in range(JOIN_TRIES):

@@ -35,6 +35,82 @@ class TestCleanPath:
         np.testing.assert_allclose(out, lenet_engine.infer_clean(images))
 
 
+class TestExactGemm:
+    """Under fxp the engine runs conv and dense MACs as float64 GEMMs;
+    the int64 ``forward_codes`` chain is the reference they must equal
+    exactly."""
+
+    @pytest.fixture(scope="class")
+    def cnn7(self):
+        from repro.zoo import get_pretrained
+
+        return get_pretrained(model_name="cnn7")
+
+    @pytest.mark.parametrize("name", ["victim", "cnn7"])
+    def test_clean_stage_codes_equal_the_int64_chain(self, request, name):
+        """Every stage on every test image of LeNet-5 and CNN-7 (in
+        batches, to keep the unfolded inputs small)."""
+        model = request.getfixturevalue(name).quantized
+        images = request.getfixturevalue(name).dataset.test_images
+        engine = AcceleratorEngine(model, rng=np.random.default_rng(0))
+        for start in range(0, images.shape[0], 250):
+            batch = images[start:start + 250]
+            codes = engine.clean_stage_codes(batch)
+            reference = model.quantize_input(batch)
+            assert len(codes) == len(model.stages) + 1
+            np.testing.assert_array_equal(codes[0], reference)
+            for stage, got in zip(model.stages, codes[1:]):
+                reference = stage.forward_codes(reference)
+                assert got.dtype == np.int64, stage.name
+                np.testing.assert_array_equal(got, reference,
+                                              err_msg=stage.name)
+
+    @pytest.mark.parametrize("fill", ["-128", "+127", "mixed"])
+    def test_extreme_codes_at_the_largest_fan_in(self, victim, fill):
+        """Every weight code at -128 and every input code at an 8-bit
+        extreme (all -128, all +127, or a random mix), at fc1's fan-in
+        of 1,600 and a conv of the same fan-in, with the 32-bit bias
+        format's extremes."""
+        from repro.nn.quantize import QConv, QDense
+
+        engine = AcceleratorEngine(victim.quantized,
+                                   rng=np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+
+        def extreme(shape):
+            if fill == "mixed":
+                return rng.choice(np.array([-128, 127]), size=shape)
+            return np.full(shape, int(fill), dtype=np.int64)
+
+        fan_in = max(s.w_codes[0].size for s in victim.quantized.stages
+                     if s.kind in ("conv", "dense"))
+        assert fan_in == 1600
+        bias = np.array([-(2 ** 31), 2 ** 31 - 1, 0, 7])
+        dense = QDense("extreme_dense", np.full((4, fan_in), -128,
+                                                dtype=np.int64), bias)
+        conv = QConv("extreme_conv", np.full((4, 64, 5, 5), -128,
+                                             dtype=np.int64), bias,
+                     stride=1, pad=2)
+        for stage, x in ((dense, extreme((3, fan_in))),
+                         (conv, extreme((3, 64, 7, 7)))):
+            got = engine._forward_stage(stage, x)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, stage.forward_codes(x))
+
+    def test_input_past_the_float64_bound_raises(self, victim):
+        from repro.errors import SimulationError
+
+        engine = AcceleratorEngine(victim.quantized,
+                                   rng=np.random.default_rng(0))
+        conv1 = victim.quantized.stage("conv1")
+        x = np.zeros((1, 1, 28, 28), dtype=np.int64)
+        # conv1's largest absolute weight-row sum is at least 1, so a
+        # 2**53 input can round an accumulation.
+        x[0, 0, 14, 14] = -(2 ** 53)
+        with pytest.raises(SimulationError, match="conv1"):
+            engine._forward_stage(conv1, x)
+
+
 class TestInjection:
     def test_deep_strikes_corrupt_conv_outputs(self, lenet_engine, victim):
         images = victim.dataset.test_images[:8]

@@ -1,0 +1,89 @@
+"""Golden bytes: both tiers' output pinned to digests recorded once.
+
+Every other byte test compares two paths that share one arithmetic
+(serial against workers, cached against computed, resumed against
+uninterrupted), so a deterministic slip in the engine's forward pass or
+its injection gather would pass them all.  These digests were recorded
+from the int64 forward pass and the im2col injection gather; a change
+that moves one byte of either tier's campaign JSON, or of the attacked
+scores beneath it, fails here.
+
+The campaign's 16 images keep every cell at full accuracy, so its JSON
+pins the strike pricing and the clean pass; the attacked scores pin the
+injected arithmetic itself, whose faults move scores long before they
+move a prediction.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.accel import AcceleratorEngine
+from repro.config import default_config
+from repro.core import CampaignSpec, DeepStrike, run_campaign
+from repro.core.campaign import _to_json
+
+SPEC = CampaignSpec(sweeps=(("conv1", (500,)), ("conv2", (1500,)),
+                            ("fc1", (500,)), ("pool1", (40,))),
+                    blind_counts=(1500,), eval_images=16, seed=0)
+
+CAMPAIGN_DIGESTS = {
+    "fxp": "f566a0c41ec7c0b857d9ca648e78826a2756a892e8778812ab69d0a00cac41b4",
+    "fp32": "f566a0c41ec7c0b857d9ca648e78826a2756a892e8778812ab69d0a00cac41b4",
+}
+
+SCORE_DIGESTS = {
+    "fxp": "5cc7ca5f3c4b4d7327010bce38d547d7868df750b224e3f8adb9e0025574d013",
+    "fp32": "fab015ce1ba964b08d5606a76db092215f9bcac1464ae482f0076384282cee2f",
+}
+
+
+def digest(data: bytes) -> str:
+    return hashlib.blake2s(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def victim():
+    from repro.zoo import get_pretrained
+
+    return get_pretrained()
+
+
+def fresh_attack(victim, dtype):
+    config = dataclasses.replace(default_config(), dtype_policy=dtype)
+    engine = AcceleratorEngine(victim.quantized, config=config,
+                               rng=np.random.default_rng(0))
+    return DeepStrike(engine, rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+def test_campaign_json_matches_recorded_digest(victim, dtype):
+    result = run_campaign(fresh_attack(victim, dtype),
+                          victim.dataset.test_images,
+                          victim.dataset.test_labels, SPEC)
+    text = _to_json(result, complete=True)
+    assert digest(text.encode()) == CAMPAIGN_DIGESTS[dtype]
+
+
+@pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+def test_attacked_scores_match_recorded_digest(victim, dtype):
+    """Each of the spec's layer cells, then all four layers at once,
+    through the full forward pass on one continuing engine stream."""
+    attack = fresh_attack(victim, dtype)
+    engine = attack.engine
+    images = victim.dataset.test_images[:SPEC.eval_images]
+    clean = engine.infer_clean(images)
+    plans = [attack.plan_for_layer(layer, counts[0]).struck
+             for layer, counts in SPEC.sweeps]
+    scores = [engine.infer_under_attack(images, struck) for struck in plans]
+    scores.append(engine.infer_under_attack(
+        images, [entry for struck in plans for entry in struck]))
+    # Every MAC layer's strikes moved some score (pool1@40 rarely
+    # faults); the digest would otherwise pin only the clean pass.
+    for layer_scores in scores[:3] + scores[4:]:
+        assert not np.array_equal(layer_scores, clean)
+    data = b"".join(np.ascontiguousarray(s, dtype=np.float64).tobytes()
+                    for s in scores)
+    assert digest(data) == SCORE_DIGESTS[dtype]

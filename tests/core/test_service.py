@@ -843,6 +843,89 @@ class TestLocalWorkers:
         assert [reply["type"] for reply in replies] == ["error"] * 6
         assert stats.workers_joined == 2
 
+    def test_only_rebuilding_workers_get_the_recipe_and_slice(
+            self, victim, spec3, serial_json, service, monkeypatch):
+        """A served campaign's forked local workers adopt the caller's
+        attack, so their job frames carry no recipe and no evaluation
+        slice; a remote worker's hello still gets both, and the served
+        bytes are the serial run's."""
+        frames = {}
+        job = CampaignBroker._job
+
+        def recorded_job(broker, worker):
+            frames[worker] = frame = job(broker, worker)
+            return frame
+
+        def remote_hello(address):
+            with socket.create_connection(address) as sock:
+                send_msg(sock, {"type": "hello", "worker": "remote"})
+                recv_msg(sock)
+
+        monkeypatch.setattr(CampaignBroker, "_job", recorded_job)
+        result = run(victim, spec3, service=service, on_bound=remote_hello)
+        assert _to_json(result, complete=True) == serial_json
+        rebuild = {"recipe", "images", "labels"}
+        local = [frame for worker, frame in frames.items()
+                 if worker != "remote"]
+        assert local and all(not rebuild & frame.keys() for frame in local)
+        assert rebuild <= frames["remote"].keys()
+
+
+class TestBlasCap:
+    @staticmethod
+    def openblas_threads(set_to=None):
+        """Thread counts of the OpenBLAS libraries this process maps
+        that report one (none where the memory map is unreadable), each
+        first set to ``set_to`` threads when given."""
+        import ctypes
+
+        try:
+            with open("/proc/self/maps") as lines:
+                paths = {line.split(None, 5)[5].strip() for line in lines
+                         if "openblas" in line.rsplit("/", 1)[-1].lower()}
+        except OSError:
+            return {}
+        counts = {}
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_{}_num_threads64_",
+                         "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads"):
+                if hasattr(lib, name.format("get")):
+                    if set_to is not None:
+                        getattr(lib, name.format("set"))(set_to)
+                    counts[path] = getattr(lib, name.format("get"))()
+                    break
+        return counts
+
+    def test_forked_worker_runs_one_blas_thread(self):
+        from repro.core.service.worker import _one_blas_thread
+
+        if not self.openblas_threads():
+            pytest.skip("numpy maps no OpenBLAS here")
+        parent, child = mp.get_context("fork").Pipe()
+
+        def cap_and_report():
+            # Undo any cap an in-process worker left on this process.
+            self.openblas_threads(set_to=2)
+            _one_blas_thread()
+            child.send(self.openblas_threads())
+
+        proc = mp.get_context("fork").Process(target=cap_and_report)
+        proc.start()
+        assert parent.poll(30), "the forked child never reported"
+        counts = parent.recv()
+        proc.join(timeout=10)
+        assert proc.exitcode == 0
+        assert counts and set(counts.values()) == {1}
+
+    def test_unreadable_memory_map_is_a_silent_no_op(self, tmp_path):
+        from repro.core.service.worker import _one_blas_thread
+
+        before = self.openblas_threads()
+        assert _one_blas_thread(str(tmp_path / "missing")) is None
+        assert self.openblas_threads() == before
+
 
 class TestMergeFailures:
     @pytest.mark.parametrize("transport", [
