@@ -451,21 +451,18 @@ class AcceleratorEngine:
 
     def accuracy_under_attack(self, images: np.ndarray, labels: np.ndarray,
                               struck: Sequence[StruckCycles],
-                              batch_size: Optional[int] = None,
                               stage_codes: Optional[List[np.ndarray]] = None,
                               ) -> float:
         """Top-1 accuracy with strikes applied to every inference.
 
-        ``batch_size=None`` takes ``config.accel.eval_batch_size`` —
+        Evaluates in batches of ``config.accel.eval_batch_size`` —
         except under the fp32 dtype policy, which evaluates the whole
         set as one batch: batch boundaries are part of the byte-parity
         RNG stream only in the fixed-point tier, and fp32's stream is
         already redefined (see :meth:`_sparse_candidates`).
         """
-        if batch_size is None:
-            batch_size = (images.shape[0] if self.dtype_policy == "fp32"
-                          else self.config.accel.eval_batch_size)
-            batch_size = max(batch_size, 1)
+        batch_size = max(images.shape[0] if self.dtype_policy == "fp32"
+                         else self.config.accel.eval_batch_size, 1)
         correct = 0
         for start in range(0, images.shape[0], batch_size):
             window = slice(start, start + batch_size)

@@ -9,9 +9,10 @@ Subcommands::
     python -m repro characterize    # the Fig 6(b) DSP fault sweep
     python -m repro scan            # DRC + bitstream scan of attack RTL
     python -m repro report          # regenerate headline results -> markdown
+    python -m repro campaign        # the Fig 5(b) study -> JSON (--broker
+                                    # serves its cells to `repro work`)
     python -m repro defend          # detection study + arms race -> JSON
     python -m repro bench           # engine hot-path micro-benchmarks
-    python -m repro serve           # run a campaign as a broker service
     python -m repro work            # attach a worker to a running broker
     python -m repro cache gc        # prune a cell cache to a size bound
     python -m repro lint            # AST contract linter (--strict in CI)
@@ -138,29 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "host, at most 32 (default from "
                                "ServiceConfig; remote workers can attach "
                                "either way)")
-
-    serve = sub.add_parser("serve",
-                           help="run a campaign as a broker service "
-                                "(campaign --broker with serving "
-                                "defaults)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="0 picks a free port (printed at startup)")
-    serve.add_argument("--local-workers", type=int, default=2, metavar="N")
-    serve.add_argument("-o", "--output", default="campaign.json")
-    serve.add_argument("--images", type=int, default=120)
-    serve.add_argument("--seed", type=int, default=1)
-    serve.add_argument("--checkpoint", default=None, metavar="JSON")
-    serve.add_argument("--resume", default=None, metavar="JSON")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cell-result cache: cached cells are merged "
-                            "before the broker binds, computed ones are "
-                            "stored when it closes (workers never read "
-                            "it)")
-    serve.add_argument("--sweep", action="append", default=None,
-                       metavar="LAYER=N1,N2,...")
-    serve.add_argument("--chaos", default=None,
-                       choices=sorted(CHAOS_PRESETS))
 
     work = sub.add_parser("work",
                           help="attach a worker daemon to a running "
@@ -439,8 +417,10 @@ def _cmd_report(args) -> int:
 
 
 def _parse_sweep_args(items: List[str], images: int, seed: int):
-    """Turn repeated ``--sweep LAYER=N1,N2`` flags into a CampaignSpec."""
+    """Turn repeated ``--sweep LAYER=N1,N2`` flags into a CampaignSpec
+    (:class:`~repro.errors.ConfigError` for a malformed flag)."""
     from .core.campaign import CampaignSpec
+    from .errors import ConfigError
 
     sweeps = []
     for item in items:
@@ -451,7 +431,7 @@ def _parse_sweep_args(items: List[str], images: int, seed: int):
         except ValueError:
             parsed = ()
         if not layer or not parsed:
-            raise SystemExit(
+            raise ConfigError(
                 f"bad --sweep '{item}' (expected LAYER=N1,N2,...)"
             )
         sweeps.append((layer, parsed))
@@ -475,8 +455,6 @@ def _cmd_campaign(args) -> int:
 
             config = dataclasses.replace(default_config(),
                                          dtype_policy=args.dtype)
-        victim, _, attack, _ = _sensor_and_attack(args.seed, 5500,
-                                                  config=config)
         if args.sweep:
             spec = _parse_sweep_args(args.sweep, args.images, args.seed)
         elif args.resume:
@@ -485,6 +463,8 @@ def _cmd_campaign(args) -> int:
             spec = dataclasses.replace(CampaignSpec.fig5b_default(),
                                        eval_images=args.images,
                                        seed=args.seed)
+        victim, _, attack, _ = _sensor_and_attack(args.seed, 5500,
+                                                  config=config)
         before_cell = None
         fault_hook = None
         shard_hook = None
@@ -545,17 +525,6 @@ def _cmd_campaign(args) -> int:
             print(f"  {failure.target_layer} x{failure.n_strikes}: "
                   f"{failure.error_type}: {failure.message}")
     return 0
-
-
-def _cmd_serve(args) -> int:
-    """``repro campaign --broker`` with serving defaults: bind, print
-    the address, lease cells to whoever attaches, write the result."""
-    args.broker = f"{args.host}:{args.port}"
-    for name, value in (("show", None), ("workers", 1),
-                        ("max_retries", None), ("cell_timeout", None),
-                        ("dtype", None)):
-        setattr(args, name, value)
-    return _cmd_campaign(args)
 
 
 def _cmd_work(args) -> int:
@@ -764,7 +733,6 @@ _COMMANDS = {
     "scan": _cmd_scan,
     "report": _cmd_report,
     "campaign": _cmd_campaign,
-    "serve": _cmd_serve,
     "work": _cmd_work,
     "cache": _cmd_cache,
     "defend": _cmd_defend,

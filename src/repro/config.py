@@ -265,8 +265,8 @@ class AcceleratorConfig:
     bram_current_per_access: float = ua(200.0)
     activity_jitter: float = 0.18  # cycle-to-cycle activity modulation
     interlayer_stall_cycles: int = 400
-    #: Images per batch in accuracy_under_attack when the caller does not
-    #: pass an explicit batch_size.  Part of the batched RNG stream
+    #: Images per batch in accuracy_under_attack (fxp; fp32 takes the
+    #: whole set as one batch).  Part of the batched RNG stream
     #: contract (docs/performance.md): changing it changes where batch
     #: boundaries fall and therefore the sampled fault outcomes.
     eval_batch_size: int = 64

@@ -353,39 +353,23 @@ class DeepStrike:
         return np.argmax(self.engine._dequantize_scores(codes), axis=1)
 
     def execute(self, images: np.ndarray, labels: np.ndarray,
-                plan: AttackPlan, batch_size: Optional[int] = None,
-                engine: Optional[AcceleratorEngine] = None,
+                plan: AttackPlan,
                 clean_accuracy: Optional[float] = None) -> AttackOutcome:
         """Run attacked inference over a test set and measure accuracy.
 
-        ``engine`` executes the plan against a different victim engine —
-        e.g. a :class:`~repro.defense.HardenedAcceleratorEngine` in the
-        arms-race study — while the plan itself stays priced against the
-        planning engine's schedule (the two must share a model).
+        The engine's cached clean stage codes give both the clean
+        baseline and the attacked pass's untouched prefix.
         ``clean_accuracy`` supplies an already measured clean baseline
         (campaigns measure it once for all cells).
         """
-        victim = engine if engine is not None else self.engine
-        # The stage-code fast path rides on the base injection loop;
-        # engines that override it (the hardened runtime) recompute
-        # their own forward pass.
-        reuses_clean_codes = (
-            type(victim).infer_under_attack
-            is AcceleratorEngine.infer_under_attack
-        )
-        stage_codes = victim.clean_stage_codes(images) \
-            if reuses_clean_codes else None
+        stage_codes = self.engine.clean_stage_codes(images)
         if clean_accuracy is None:
-            if stage_codes is not None:
-                preds = np.argmax(
-                    victim._dequantize_scores(stage_codes[-1]), axis=1
-                )
-            else:
-                preds = victim.predict_clean(images)
+            preds = np.argmax(
+                self.engine._dequantize_scores(stage_codes[-1]), axis=1
+            )
             clean_accuracy = float((preds == labels).mean())
-        attacked = victim.accuracy_under_attack(
-            images, labels, plan.struck, batch_size=batch_size,
-            stage_codes=stage_codes,
+        attacked = self.engine.accuracy_under_attack(
+            images, labels, plan.struck, stage_codes=stage_codes,
         )
         return AttackOutcome(
             target_layer=plan.target_layer,

@@ -11,13 +11,10 @@ comparison the paper draws.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..accel.engine import AcceleratorEngine
 from ..errors import SchedulerError
-from .attack import DEFAULT_ATTACK_CELLS, AttackPlan, DeepStrike
+from .attack import AttackPlan, DeepStrike
 from .scheme import AttackScheme
 
 __all__ = ["BlindAttack"]
@@ -25,11 +22,6 @@ __all__ = ["BlindAttack"]
 
 class BlindAttack(DeepStrike):
     """DeepStrike's machinery with the guidance removed."""
-
-    def __init__(self, engine: AcceleratorEngine,
-                 bank_cells: int = DEFAULT_ATTACK_CELLS,
-                 rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__(engine, bank_cells=bank_cells, rng=rng)
 
     def plan_random(self, n_strikes: int) -> AttackPlan:
         """Strikes at random cycles over the whole inference."""

@@ -82,12 +82,20 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.sweeps:
             raise ConfigError("a campaign needs at least one target sweep")
+        targets = [layer for layer, _ in self.sweeps]
+        if self.blind_counts:
+            targets.append(BLIND_TARGET)
+        if len(set(targets)) != len(targets):
+            raise ConfigError(f"sweep targets must be distinct: {targets}")
         for layer, counts in self.sweeps:
             if not counts:
                 raise ConfigError(f"target '{layer}' has no strike counts")
-            if list(counts) != sorted(counts):
+        for layer, counts in (*self.sweeps, (BLIND_TARGET,
+                                             self.blind_counts)):
+            if any(a >= b for a, b in zip(counts, counts[1:])):
                 raise ConfigError(
-                    f"strike counts for '{layer}' must be increasing"
+                    f"strike counts for '{layer}' must be strictly "
+                    f"increasing, got {list(counts)}"
                 )
         if self.eval_images < 1:
             raise ConfigError("eval_images must be >= 1")

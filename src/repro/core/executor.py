@@ -55,7 +55,7 @@ class WorkerRecipe:
     Deliberately *data only*: a zoo victim name, a frozen
     :class:`SimulationConfig` and the striker bank size.  A worker that
     rebuilds loads the victim's cached weights by name
-    (:func:`repro.zoo.load_quantized`), rebuilds the engine and
+    (:func:`repro.zoo.get_pretrained`), rebuilds the engine and
     :class:`DeepStrike` from the config, and relies on per-cell
     reseeding for parity — so nothing stateful ever crosses the process
     boundary.  (A forked local worker needs no recipe: it adopts the
@@ -98,9 +98,9 @@ def _build_state(recipe: WorkerRecipe, images: np.ndarray,
     seeds here are irrelevant: every cell reseeds the engine stream
     from its blake2s-derived cell seed before executing."""
     from ..accel import AcceleratorEngine
-    from ..zoo import load_quantized
+    from ..zoo import get_pretrained
 
-    quantized = load_quantized(recipe.victim_name)
+    quantized = get_pretrained(model_name=recipe.victim_name).quantized
     engine = AcceleratorEngine(quantized, config=recipe.config,
                                rng=np.random.default_rng(0))
     attack = DeepStrike(engine, bank_cells=recipe.bank_cells,

@@ -19,12 +19,7 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by the fast path
-    from scipy.signal import lfilter, lfiltic
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy ships with the toolchain
-    _HAVE_SCIPY = False
+from scipy.signal import lfilter, lfiltic
 
 from ..config import PDNConfig
 from ..errors import SimulationError
@@ -136,8 +131,7 @@ class PowerDistributionNetwork:
         (``scipy.signal.lfilter``) instead of a per-tick Python loop;
         :meth:`step` is the reference implementation the fast path is
         pinned against (``tests/fpga/test_pdn.py`` and the hypothesis
-        property suite) to float64 resolution.  Without scipy the loop
-        fallback :meth:`_simulate_loop` runs instead.
+        property suite) to float64 resolution.
         """
         currents = np.asarray(load_current, dtype=np.float64)
         if currents.ndim != 1:
@@ -148,10 +142,7 @@ class PowerDistributionNetwork:
             raise SimulationError("negative load current in trace")
         cfg = self.config
         i_total = currents + cfg.idle_current
-        if _HAVE_SCIPY:
-            volts = self._simulate_lfilter(i_total)
-        else:
-            volts = self._simulate_loop(i_total)
+        volts = self._simulate_lfilter(i_total)
         if self.rng is not None and cfg.noise_sigma_v > 0:
             volts += self.rng.normal(0.0, cfg.noise_sigma_v,
                                      size=volts.shape[0])
@@ -182,20 +173,10 @@ class PowerDistributionNetwork:
             raise SimulationError("negative load current in trace")
         cfg = self.config
         i_total = traces + cfg.idle_current
-        if _HAVE_SCIPY:
-            num, den, zi, num_p, den_p, zp = self._recurrence_filters()
-            y, _ = lfilter(num, den, i_total, zi=np.tile(zi, (n_rows, 1)))
-            yp, _ = lfilter(num_p, den_p, i_total,
-                            zi=np.tile(zp, (n_rows, 1)))
-            volts = cfg.v_nominal - y - yp - cfg.r_static * i_total
-        else:
-            saved = self.state
-            rows = []
-            for row in i_total:
-                self.state = saved
-                rows.append(self._simulate_loop(row))
-            self.state = saved
-            volts = np.stack(rows)
+        num, den, zi, num_p, den_p, zp = self._recurrence_filters()
+        y, _ = lfilter(num, den, i_total, zi=np.tile(zi, (n_rows, 1)))
+        yp, _ = lfilter(num_p, den_p, i_total, zi=np.tile(zp, (n_rows, 1)))
+        volts = cfg.v_nominal - y - yp - cfg.r_static * i_total
         if self.rng is not None and cfg.noise_sigma_v > 0:
             volts += self.rng.normal(0.0, cfg.noise_sigma_v,
                                      size=volts.shape)
@@ -256,26 +237,6 @@ class PowerDistributionNetwork:
         self._y_res = y_last
         self._y_res_vel = (y_last - y_prev) / self.dt
         self._y_prompt = float(yp[-1])
-        return volts
-
-    def _simulate_loop(self, i_total: np.ndarray) -> np.ndarray:
-        """Reference scalar evaluation (identical to repeated _advance)."""
-        cfg = self.config
-        n = i_total.shape[0]
-        volts = np.empty(n, dtype=np.float64)
-        zeta, omega_n, dt = cfg.damping_ratio, self._omega_n, self.dt
-        alpha = self._alpha_prompt
-        y, vel, yp = self._y_res, self._y_res_vel, self._y_prompt
-        r_res, r_prompt = cfg.r_resonant, cfg.r_prompt
-        two_zeta_wn = 2.0 * zeta * omega_n
-        wn2 = omega_n * omega_n
-        for k in range(n):
-            i_k = i_total[k]
-            vel += dt * (wn2 * (r_res * i_k - y) - two_zeta_wn * vel)
-            y += dt * vel
-            yp += alpha * (r_prompt * i_k - yp)
-            volts[k] = cfg.v_nominal - y - yp - cfg.r_static * i_k
-        self._y_res, self._y_res_vel, self._y_prompt = y, vel, yp
         return volts
 
     # -- analysis helpers -----------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -32,7 +33,7 @@ from .nn import (
 from .nn.model import build_cnn7
 
 __all__ = ["MODEL_BUILDERS", "PretrainedVictim", "get_pretrained",
-           "load_quantized", "default_cache_dir", "zoo_name"]
+           "default_cache_dir", "zoo_name"]
 
 #: Victim architectures the zoo can train (all share the training recipe).
 MODEL_BUILDERS = {
@@ -57,14 +58,27 @@ RECIPE = {
 
 @dataclass
 class PretrainedVictim:
-    """Everything the attack experiments need about the victim model."""
+    """Everything the attack experiments need about the victim model.
+
+    The two clean accuracies score the whole test split, so they are
+    computed on first read: a campaign that never prints them never
+    pays for them.
+    """
 
     model: Sequential
     quantized: QuantizedModel
     dataset: SyntheticMNIST
-    float_accuracy: float
-    quantized_accuracy: float
     name: str = "lenet5"
+
+    @cached_property
+    def float_accuracy(self) -> float:
+        return evaluate_accuracy(self.model, self.dataset.test_images,
+                                 self.dataset.test_labels)
+
+    @cached_property
+    def quantized_accuracy(self) -> float:
+        return self.quantized.accuracy(self.dataset.test_images,
+                                       self.dataset.test_labels)
 
     def summary(self) -> str:
         return (
@@ -155,7 +169,10 @@ def _atomic_savez(path: Path, payload: dict) -> None:
 def get_pretrained(cache_dir: Optional[Path] = None,
                    force_retrain: bool = False,
                    model_name: str = "lenet5") -> PretrainedVictim:
-    """Load (or train and cache) a victim model and its dataset."""
+    """Load (or train and cache) a victim model and its dataset.
+
+    The one victim loader, campaign workers that rebuild their attack
+    included; it scores nothing (see :class:`PretrainedVictim`)."""
     if model_name not in MODEL_BUILDERS:
         raise ReproError(
             f"unknown victim '{model_name}'; have {sorted(MODEL_BUILDERS)}"
@@ -190,46 +207,12 @@ def get_pretrained(cache_dir: Optional[Path] = None,
         )
         _atomic_savez(path, payload)
 
-    quantized = quantize_model(model)
-    float_acc = evaluate_accuracy(model, dataset.test_images, dataset.test_labels)
-    q_acc = quantized.accuracy(dataset.test_images, dataset.test_labels)
-    return PretrainedVictim(
-        model=model,
-        quantized=quantized,
-        dataset=dataset,
-        float_accuracy=float_acc,
-        quantized_accuracy=q_acc,
-        name=model_name,
-    )
-
-
-def load_quantized(model_name: str = "lenet5",
-                   cache_dir: Optional[Path] = None) -> QuantizedModel:
-    """Fast path to a victim's quantized model (campaign workers).
-
-    Skips the float/quantized accuracy evaluations — most of
-    :func:`get_pretrained`'s wall clock once the cache is warm — because
-    a campaign worker only needs the weights.  A cache miss (or corrupt
-    archive) falls back to the full :func:`get_pretrained` train-and-
-    cache path, so concurrent workers racing on a cold cache all
-    converge on the same deterministic artifact.
-    """
-    if model_name not in MODEL_BUILDERS:
-        raise ReproError(
-            f"unknown victim '{model_name}'; have {sorted(MODEL_BUILDERS)}"
-        )
-    directory = Path(cache_dir) if cache_dir is not None \
-        else default_cache_dir()
-    path = directory / f"{model_name}_victim_{_recipe_key(model_name)}.npz"
-    if path.exists():
-        loaded = _load_cached(path, model_name)
-        if loaded is not None:
-            return quantize_model(loaded[0])
-    return get_pretrained(cache_dir=cache_dir, model_name=model_name).quantized
+    return PretrainedVictim(model=model, quantized=quantize_model(model),
+                            dataset=dataset, name=model_name)
 
 
 def zoo_name(quantized: QuantizedModel) -> str:
-    """The name :func:`load_quantized` rebuilds ``quantized`` by
+    """The name :func:`get_pretrained` rebuilds ``quantized`` by
     (``lenet5`` for ``lenet5_q``); :class:`~repro.errors.ConfigError`
     for a model the zoo does not build."""
     name = quantized.name.removesuffix("_q")

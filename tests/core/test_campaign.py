@@ -49,8 +49,22 @@ class TestSpec:
             CampaignSpec(sweeps=())
 
     def test_unsorted_counts_rejected(self):
-        with pytest.raises(ConfigError):
-            CampaignSpec(sweeps=(("conv2", (100, 50)),))
+        """Counts must be strictly increasing (blind ones too) and
+        targets distinct, or one cell would run or be written twice."""
+        for sweeps, blind in (
+                ((("conv2", (100, 50)),), ()),
+                ((("pool1", (40, 40)),), ()),
+                ((("pool1", (40,)),), (1500, 1500)),
+                ((("pool1", (40,)),), (4500, 1500))):
+            with pytest.raises(ConfigError, match="strictly increasing"):
+                CampaignSpec(sweeps=sweeps, blind_counts=blind)
+        for sweeps, blind in (
+                ((("pool1", (40,)), ("pool1", (80,))), ()),
+                ((("blind", (40,)),), (1500,))):
+            with pytest.raises(ConfigError, match="distinct"):
+                CampaignSpec(sweeps=sweeps, blind_counts=blind)
+        # A sweep may be named "blind" when there is no blind baseline.
+        CampaignSpec(sweeps=(("blind", (40,)),))
 
 
 class TestRun:

@@ -113,10 +113,14 @@ class TestAtomicPersistence:
                                 ("spec", "eval_images"), 16.0)
         clean_str = replaced(json.loads(checkpoint_text),
                              ("clean_accuracy",), "0.9375")
+        # A hand-edited spec that would run one cell twice.
+        count_twice = replaced(json.loads(checkpoint_text),
+                               ("spec", "sweeps", 0, 1), [40, 40])
         for text in ("{", "[]", json.dumps({"format_version": 2}),
                      json.dumps(spec_int), json.dumps(outcome_key),
                      json.dumps(outcome_str), json.dumps(count_str),
-                     json.dumps(images_float), json.dumps(clean_str)):
+                     json.dumps(images_float), json.dumps(clean_str),
+                     json.dumps(count_twice)):
             path.write_text(text)
             with pytest.raises(ConfigError, match="v99.json"):
                 load_campaign(path)

@@ -160,20 +160,6 @@ class TestBatch:
         np.testing.assert_array_equal(pdn.simulate(np.full(200, 0.5)),
                                       after_burst)
 
-    def test_loop_fallback_matches_per_row_reference(self, pdn, monkeypatch):
-        """Without scipy the batch runs the scalar loop per row — still
-        pure, still row-for-row equal to simulate."""
-        import repro.fpga.pdn as pdn_mod
-
-        monkeypatch.setattr(pdn_mod, "_HAVE_SCIPY", False)
-        pdn.settle(0.15)
-        snap = pdn.state
-        batch = pdn.simulate_batch(self.traces())
-        assert pdn.state == snap
-        for row, trace in zip(batch, self.traces()):
-            pdn.state = snap
-            np.testing.assert_array_equal(row, pdn.simulate(trace))
-
     def test_noise_is_drawn_row_major_on_top_of_the_clean_rows(self, config):
         """On a noisy network the batch adds one rng.normal matrix over
         the deterministic rows — reconstructable stream, untouched state."""

@@ -53,6 +53,13 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--backend", "numpy"])
 
+    def test_serve_command_gone(self):
+        """`repro serve` was `repro campaign --broker` under a second
+        name; it is now a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--local-workers", "2"])
+        assert exc.value.code == 2
+
     def test_work_cache_dir_flag_gone(self):
         """Workers never touch the cell cache: `repro work --cache-dir`
         is a usage error."""
@@ -63,9 +70,10 @@ class TestParser:
 
     def test_bad_sweep_syntax_rejected(self):
         from repro.cli import _parse_sweep_args
+        from repro.errors import ConfigError
 
         for bad in ("pool1", "pool1=", "=40", "pool1=4x"):
-            with pytest.raises(SystemExit):
+            with pytest.raises(ConfigError, match="bad --sweep"):
                 _parse_sweep_args([bad], images=16, seed=1)
 
 
@@ -165,13 +173,24 @@ class TestCommands:
         assert final["complete"] is True
         assert sum(len(s["outcomes"]) for s in final["sweeps"]) == 2
 
-    def test_library_error_is_one_line_exit_two(self, tmp_path, capsys):
-        """A ReproError reaches the user as one stderr line, exit 2."""
-        assert main(["campaign", "--images", "8", "--sweep", "pool1=80,40",
-                     "-o", str(tmp_path / "c.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: ConfigError: ")
-        assert "increasing" in err and err.count("\n") == 1
+    def test_library_error_is_one_line_exit_two(self, tmp_path, capsys,
+                                                monkeypatch):
+        """A ReproError reaches the user as one stderr line, exit 2; a
+        bad --sweep is refused before the victim loads."""
+        import repro.zoo
+
+        def no_load(**_):
+            raise AssertionError("victim loaded before --sweep parsed")
+
+        monkeypatch.setattr(repro.zoo, "get_pretrained", no_load)
+        for sweep, words in (("pool1=80,40", "increasing"),
+                             ("pool1", "bad --sweep 'pool1'")):
+            assert main(["campaign", "--images", "8", "--sweep", sweep,
+                         "-o", str(tmp_path / "c.json")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: ConfigError: ")
+            assert words in err and err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
 
     def test_torn_resume_file_is_one_line_exit_two(self, tmp_path, capsys):
         """A torn checkpoint, and a whole one with an ill-typed strike

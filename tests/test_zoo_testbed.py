@@ -35,27 +35,72 @@ class TestZoo:
         assert "victim" in victim.summary()
 
 
+@pytest.fixture()
+def fast_zoo(monkeypatch):
+    """Zoo with training stubbed out and a tiny dataset recipe."""
+    from repro import zoo
+
+    calls = []
+
+    def fake_train(dataset, model_name):
+        calls.append(model_name)
+        return zoo.MODEL_BUILDERS[model_name](
+            rng=np.random.default_rng(0)
+        )
+
+    monkeypatch.setattr(zoo, "_train", fake_train)
+    monkeypatch.setitem(zoo.RECIPE, "n_train", 30)
+    monkeypatch.setitem(zoo.RECIPE, "n_test", 12)
+    return zoo, calls
+
+
+class TestLazyAccuracy:
+    def test_load_scores_nothing_until_asked(self, fast_zoo, tmp_path,
+                                             monkeypatch):
+        """Neither a cold nor a warm load scores the victim; each clean
+        accuracy is computed on first read, once, and equals a direct
+        evaluation on the test split."""
+        from repro.nn import QuantizedModel
+
+        zoo, _ = fast_zoo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the victim was scored at load")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zoo, "evaluate_accuracy", refuse)
+            patch.setattr(QuantizedModel, "accuracy", refuse)
+            zoo.get_pretrained(cache_dir=tmp_path)          # cold
+            victim = zoo.get_pretrained(cache_dir=tmp_path)  # warm
+            assert victim.quantized.stages
+            assert victim.dataset.n_test == 12
+
+        images = victim.dataset.test_images
+        labels = victim.dataset.test_labels
+        want_float = zoo.evaluate_accuracy(victim.model, images, labels)
+        want_q = victim.quantized.accuracy(images, labels)
+        scored = []
+        real_float, real_q = zoo.evaluate_accuracy, QuantizedModel.accuracy
+
+        def count_float(*args):
+            scored.append("float")
+            return real_float(*args)
+
+        def count_q(*args):
+            scored.append("q")
+            return real_q(*args)
+
+        monkeypatch.setattr(zoo, "evaluate_accuracy", count_float)
+        monkeypatch.setattr(QuantizedModel, "accuracy", count_q)
+        for _ in range(2):
+            assert victim.float_accuracy == want_float
+            assert victim.quantized_accuracy == want_q
+        assert scored == ["float", "q"]
+
+
 class TestCacheRobustness:
     """A damaged cache file is a miss (delete + retrain), never a crash,
     and saves are atomic."""
-
-    @pytest.fixture()
-    def fast_zoo(self, monkeypatch):
-        """Zoo with training stubbed out and a tiny dataset recipe."""
-        from repro import zoo
-
-        calls = []
-
-        def fake_train(dataset, model_name):
-            calls.append(model_name)
-            return zoo.MODEL_BUILDERS[model_name](
-                rng=np.random.default_rng(0)
-            )
-
-        monkeypatch.setattr(zoo, "_train", fake_train)
-        monkeypatch.setitem(zoo.RECIPE, "n_train", 30)
-        monkeypatch.setitem(zoo.RECIPE, "n_test", 12)
-        return zoo, calls
 
     def _cache_path(self, zoo, tmp_path):
         return tmp_path / f"lenet5_victim_{zoo._recipe_key('lenet5')}.npz"
