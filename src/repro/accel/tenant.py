@@ -40,12 +40,14 @@ class VictimAccelerator(Tenant):
         self.rng = rng
         self._tpc = config.clock.ticks_per_victim_cycle
         self._period = engine.schedule.total_cycles + self.gap_cycles
-        # Pre-resolve per-cycle current levels for one inference period.
-        self._levels = np.full(self._period, STALL_CURRENT, dtype=np.float64)
+        # Pre-resolve per-cycle current levels for one inference period,
+        # as a list: the per-tick lookup then stays on Python floats.
+        levels = np.full(self._period, STALL_CURRENT, dtype=np.float64)
         for window in engine.schedule.windows():
-            self._levels[window.start_cycle:window.end_cycle] = layer_current(
+            levels[window.start_cycle:window.end_cycle] = layer_current(
                 window, config.accel
             )
+        self._levels = levels.tolist()
         self._jitter = config.accel.activity_jitter
 
         params = sum(
@@ -75,4 +77,4 @@ class VictimAccelerator(Tenant):
         level = self._levels[self.cycle_of_tick(tick)]
         if self.rng is not None and self._jitter > 0 and level > STALL_CURRENT:
             level *= 1.0 + self._jitter * (2.0 * self.rng.random() - 1.0)
-        return float(level)
+        return level

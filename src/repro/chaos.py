@@ -237,21 +237,21 @@ class ChaosInjector:
         again after another debounce interval — exactly the failure the
         closed loop must survive.
         """
-        orig = detector.observe_word
+        orig = detector._advance
 
-        def observe_word(word) -> bool:
-            fired = orig(word)
+        def advance(hw: int) -> bool:
+            fired = orig(hw)
             if fired and self.rng.random() < self.spec.trigger_drop_prob:
                 self.stats["dropped_triggers"] += 1
                 detector.state = DetectorState.ARMED
                 return False
             return fired
 
-        detector.observe_word = observe_word
+        detector._advance = advance
         try:
             yield
         finally:
-            del detector.observe_word
+            del detector._advance
 
     @contextlib.contextmanager
     def on_link(self, link) -> Iterator[None]:

@@ -8,6 +8,8 @@ the RAM over the remote channel to retarget the attack at run time
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..errors import SchemeError
@@ -27,7 +29,9 @@ class SignalRAM:
             raise SchemeError("signal RAM needs at least one BRAM block")
         self.bram_blocks = bram_blocks
         self.capacity_bits = bram_blocks * BRAM36_BITS
-        self._bits = np.zeros(0, dtype=np.uint8)
+        # A list, not an array: :meth:`read` runs once per victim cycle
+        # of the co-simulation.
+        self._bits: List[int] = []
         self._pointer = 0
         self._armed = False
 
@@ -43,7 +47,7 @@ class SignalRAM:
                 f"scheme of {arr.size} bits exceeds signal RAM capacity "
                 f"{self.capacity_bits} ({self.bram_blocks} BRAM36)"
             )
-        self._bits = arr.copy()
+        self._bits = arr.tolist()
         self.rewind()
 
     def load_scheme(self, scheme: AttackScheme) -> None:
@@ -51,13 +55,13 @@ class SignalRAM:
 
     @property
     def loaded_bits(self) -> int:
-        return int(self._bits.size)
+        return len(self._bits)
 
     # -- replay ----------------------------------------------------------
 
     def arm(self) -> None:
         """Start replaying from the current pointer (detector trigger)."""
-        if self._bits.size == 0:
+        if not self._bits:
             raise SchemeError("cannot arm an empty signal RAM")
         self._armed = True
 
@@ -74,7 +78,7 @@ class SignalRAM:
 
     @property
     def exhausted(self) -> bool:
-        return self._pointer >= self._bits.size
+        return self._pointer >= len(self._bits)
 
     def read(self) -> int:
         """One replay step: the current Start bit (0 when idle/exhausted).
@@ -84,12 +88,12 @@ class SignalRAM:
         """
         if not self._armed or self.exhausted:
             return 0
-        bit = int(self._bits[self._pointer])
+        bit = self._bits[self._pointer]
         self._pointer += 1
         return bit
 
     def peek(self, index: int) -> int:
         """Random-access read (the remote host's verify path)."""
-        if not 0 <= index < self._bits.size:
+        if not 0 <= index < len(self._bits):
             raise SchemeError(f"bit index {index} out of range")
-        return int(self._bits[index])
+        return self._bits[index]

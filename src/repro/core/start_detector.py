@@ -12,12 +12,13 @@ started").
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from typing import List, Optional
 
 import numpy as np
 
 from ..errors import SchedulerError
-from ..sensors.encoder import zone_bits_from_readout
+from ..sensors.encoder import zone_bits_from_readout, zone_sample_indices
 
 __all__ = ["DetectorState", "DNNStartDetector"]
 
@@ -75,6 +76,9 @@ class DNNStartDetector:
         self.l_carry = l_carry
         self.zones = zones
         self.fraction = fraction
+        # Ascending zone taps; a clean thermometer capture of readout r
+        # sets the bits whose tap lies below r.
+        self._taps = zone_sample_indices(l_carry, zones, fraction)
         self.reset()
 
     def reset(self) -> None:
@@ -90,12 +94,20 @@ class DNNStartDetector:
         return self._advance(hw)
 
     def observe_readout(self, readout: int) -> bool:
-        """Feed one ones-count readout (zone word derived internally)."""
-        word = zone_bits_from_readout(readout, self.l_carry, self.zones,
-                                      self.fraction)
-        return self.observe_word(word)
+        """Feed one ones-count readout.
+
+        The zone word's Hamming weight is the number of taps below the
+        readout (:func:`~repro.sensors.encoder.zone_bits_from_readout`
+        summed), counted on the int without building the word.
+        """
+        return self._advance(bisect_left(self._taps, readout))
 
     def _advance(self, hw: int) -> bool:
+        """Feed one zone-word Hamming weight; True on the trigger edge.
+
+        Both streaming inputs end here, so a hook wrapping this method
+        (the chaos injector's trigger drop) sees every edge.
+        """
         if self.state is DetectorState.IDLE:
             if self._debounce_step(hw == self.arm_hw):
                 self.state = DetectorState.ARMED
@@ -134,9 +146,9 @@ class DNNStartDetector:
         completed (i.e. trigger latency is included).
         """
         self.reset()
-        arr = np.asarray(readouts)
-        for k in range(start, arr.shape[0]):
-            if self.observe_readout(int(arr[k])):
+        values = np.asarray(readouts)[start:].tolist()
+        for k, value in enumerate(values, start):
+            if self.observe_readout(int(value)):
                 return k
         return None
 

@@ -176,6 +176,7 @@ class FaultCharacterization:
 
         expected_log: List[int] = []
         struck_ops: List[int] = []
+        struck_set = set()
         results: dict = {}
         dup = rnd = 0
         tick = 0
@@ -191,8 +192,9 @@ class FaultCharacterization:
             expected_log.append(DSP48Slice.compute(a, b, d))
             if striking:
                 struck_ops.append(op_index)
+                struck_set.add(op_index)
             retired_index = op_index - dsp.depth
-            if retired_index >= 0 and retired_index in set(struck_ops):
+            if retired_index in struck_set:
                 results[retired_index] = out.value
             tick += 1
         for idx in struck_ops:

@@ -119,9 +119,12 @@ class CloudFPGA:
         if ticks < 0:
             raise SimulationError("ticks must be >= 0")
         tenants = self.tenants()
-        volts = np.empty(ticks, dtype=np.float64)
-        for k in range(ticks):
-            tick = self.clock.tick
+        observers = [tenant.on_voltage for tenant in tenants]
+        clock, step, hooks = self.clock, self.pdn.step, self._trace_hooks
+        # Python floats throughout: one array is built at the end.
+        volts = []
+        for _ in range(ticks):
+            tick = clock.tick
             load = 0.0
             for tenant in tenants:
                 draw = tenant.current_draw(tick)
@@ -130,14 +133,14 @@ class CloudFPGA:
                         f"tenant '{tenant.name}' drew negative current"
                     )
                 load += draw
-            v = self.pdn.step(load)
-            volts[k] = v
-            for tenant in tenants:
-                tenant.on_voltage(tick, v)
-            for hook in self._trace_hooks:
+            v = step(load)
+            volts.append(v)
+            for observe in observers:
+                observe(tick, v)
+            for hook in hooks:
                 hook(tick, load, v)
-            self.clock.advance()
-        return volts
+            clock.tick = tick + 1
+        return np.array(volts, dtype=np.float64)
 
     def simulate_activity(self, load_current: np.ndarray) -> np.ndarray:
         """Vectorized voltage response to a precomputed aggregate current

@@ -47,7 +47,22 @@ class GateDelayModel:
 
     def factor(self, voltage: ArrayLike) -> ArrayLike:
         """Delay multiplier relative to nominal voltage (>= some small
-        speedup above nominal, rapidly growing below it)."""
+        speedup above nominal, rapidly growing below it).
+
+        A float voltage (the co-simulation's per-tick path) is computed
+        on Python floats.  Their ``**`` calls libm ``pow``, as numpy's
+        scalar power does, so it equals the 0-d form bit for bit;
+        numpy's array ``power`` may not (docs/performance.md), so ticks
+        never go through an array.
+        """
+        if isinstance(voltage, float):
+            # Comparisons, not max()/min(): those builtins cost more per
+            # call than the whole law.
+            headroom = float(voltage) - self.config.v_threshold
+            if headroom < self.MIN_HEADROOM:
+                headroom = self.MIN_HEADROOM
+            out = (self._nominal_headroom / headroom) ** self.config.alpha
+            return self.MAX_FACTOR_CAP if out > self.MAX_FACTOR_CAP else out
         v = np.asarray(voltage, dtype=np.float64)
         headroom = np.maximum(v - self.config.v_threshold, self.MIN_HEADROOM)
         out = np.minimum(

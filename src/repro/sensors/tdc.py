@@ -17,6 +17,7 @@ sets the dynamic range and LSB size).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -81,8 +82,21 @@ class TDCSensor:
     # -- sampling API ----------------------------------------------------------
 
     def readout(self, voltage: float) -> int:
-        """Single ones-count readout (0..l_carry) at an instantaneous voltage."""
-        return int(self.stages_traversed(np.float64(voltage)))
+        """Single ones-count readout (0..l_carry) at an instantaneous voltage.
+
+        The closed loop's per-tick sample, computed on Python floats: the
+        operations and the one jitter draw of :meth:`stages_traversed` on
+        a 0-d voltage, in the same order, so the readout is the same.
+        """
+        cfg = self.config
+        factor = self.delay_model.factor(float(voltage))
+        window = self.theta - cfg.l_lut * cfg.lut_stage_delay_nominal * factor
+        if self.rng is not None and cfg.jitter_sigma > 0:
+            window = window + self.rng.normal(0.0, cfg.jitter_sigma)
+        stages = math.floor(window / (cfg.carry_stage_delay_nominal * factor))
+        if stages < 0:
+            return 0
+        return cfg.l_carry if stages > cfg.l_carry else stages
 
     def capture(self, voltage: float) -> np.ndarray:
         """Raw carry-chain capture vector (thermometer code)."""

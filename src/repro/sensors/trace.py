@@ -154,13 +154,14 @@ class ReadoutTrace:
 
 def _runs(mask: np.ndarray) -> List[tuple]:
     """Run-length encode a boolean mask into (value, start, end) tuples."""
-    runs = []
-    start = 0
-    for k in range(1, len(mask) + 1):
-        if k == len(mask) or mask[k] != mask[start]:
-            runs.append((bool(mask[start]), start, k))
-            start = k
-    return runs
+    arr = np.asarray(mask)
+    if arr.shape[0] == 0:
+        return []
+    edges = (np.flatnonzero(arr[1:] != arr[:-1]) + 1).tolist()
+    starts = [0] + edges
+    ends = edges + [arr.shape[0]]
+    return [(bool(value), s, e)
+            for value, s, e in zip(arr[starts].tolist(), starts, ends)]
 
 
 def _normalize(runs: List[tuple], total: int) -> List[tuple]:

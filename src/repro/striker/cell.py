@@ -98,7 +98,10 @@ class StrikerCell:
         """
         if not enabled:
             return 0.0 if np.isscalar(voltage) else np.zeros_like(np.asarray(voltage))
-        v = np.asarray(voltage, dtype=np.float64)
+        # A float (the co-simulation's per-tick draw) stays a Python
+        # float: the same operations, without numpy's 0-d overhead.
+        v = float(voltage) if isinstance(voltage, float) \
+            else np.asarray(voltage, dtype=np.float64)
         v_nom = self.delay_model.config.v_nominal
         scale = (v / v_nom) * (self.oscillation_frequency(v) / self._f_nominal)
         out = self.config.current_per_cell * scale

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DNNStartDetector, DetectorState, SideChannelProfiler
 from repro.errors import ProfilingError, SchedulerError
+from repro.sensors.encoder import zone_bits_from_readout
 
 
 class TestDetector:
@@ -58,6 +59,24 @@ class TestDetector:
         det = DNNStartDetector()
         hw = det.detector_input_trace(np.array([92, 86, 60, 10]))
         assert list(hw) == [4, 3, 2, 0]
+
+    @pytest.mark.parametrize("geometry", [
+        {},
+        {"l_carry": 64, "zones": 4, "fraction": 0.3},
+    ])
+    def test_integer_weight_equals_zone_word(self, geometry):
+        """observe_readout's weight, counted on the int, equals the
+        summed zone word for every readout (and a few outside the
+        chain, where a custom readout filter could put one)."""
+        det = DNNStartDetector(**geometry)
+        seen = []
+        det._advance = seen.append
+        readouts = range(-3, det.l_carry + 4)
+        for readout in readouts:
+            det.observe_readout(readout)
+        words = zone_bits_from_readout(np.array(readouts), det.l_carry,
+                                       det.zones, det.fraction)
+        assert seen == words.sum(axis=1).tolist()
 
     def test_bad_thresholds_rejected(self):
         with pytest.raises(SchedulerError):

@@ -70,3 +70,16 @@ class TestCosimCrossValidation:
         vec = harness.run(16000, trials=4000)
         cosim = harness.run_cosim(16000, trials=120)
         assert cosim.total_rate == pytest.approx(vec.total_rate, abs=0.2)
+
+    @pytest.mark.parametrize("n_cells, duplication, random", [
+        (8000, 0.02, 0.0),
+        (16000, 29 / 150, 0.3),
+        (24000, 0.24, 0.76),
+    ])
+    def test_cosim_rates_pinned(self, n_cells, duplication, random):
+        """Recorded from the run that rebuilt the struck-op set on every
+        tick; keeping the set as ops are issued moves no rate."""
+        rates = FaultCharacterization(seed=3).run_cosim(n_cells, trials=150)
+        assert rates.trials == 150
+        assert (rates.duplication_rate, rates.random_rate) == (
+            duplication, random)

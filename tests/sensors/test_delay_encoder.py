@@ -48,6 +48,29 @@ class TestGateDelayModel:
         with pytest.raises(ConfigError):
             GateDelayModel(DelayModelConfig(v_threshold=1.2))
 
+    @pytest.mark.parametrize("alpha", [1.3, 2.5])
+    def test_float_path_equals_0d_path_bit_for_bit(self, alpha):
+        """The co-simulation's float branch against the numpy 0-d form
+        it replaced, on a dense grid across the MIN_HEADROOM knee and,
+        at alpha 2.5, the MAX_FACTOR_CAP clamp."""
+        model = GateDelayModel(DelayModelConfig(alpha=alpha))
+        knee = model.config.v_threshold + GateDelayModel.MIN_HEADROOM
+        cap = model.voltage_for_factor(GateDelayModel.MAX_FACTOR_CAP)
+        edges = np.array([knee, cap])
+        grid = np.concatenate([
+            np.linspace(0.3, 1.2, 20_001),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+        ])
+        fast = np.array([model.factor(float(v)) for v in grid])
+        ref = np.array([model.factor(np.asarray(v)) for v in grid])
+        assert type(model.factor(0.95)) is float
+        np.testing.assert_array_equal(fast.view(np.int64), ref.view(np.int64))
+        clamped = ref == ref.max()
+        assert clamped.any() and not clamped.all()
+        if alpha > 2:
+            assert ref.max() == GateDelayModel.MAX_FACTOR_CAP
+            assert (ref[grid < knee] == GateDelayModel.MAX_FACTOR_CAP).all()
+
 
 class TestEncoder:
     def test_thermometer_shape_and_count(self):

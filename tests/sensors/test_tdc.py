@@ -15,6 +15,7 @@ from repro.sensors import (
     calibrate_theta,
 )
 from repro.sensors.calibration import theta_for_target
+from repro.sensors.trace import _runs
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,28 @@ class TestTDCSensor:
                           rng=np.random.default_rng(3))
         values = {noisy.readout(0.99) for _ in range(64)}
         assert len(values) > 1
+
+    def test_readout_equals_0d_array_path(self, calibrated):
+        """The float readout against the path it replaced, on a grid
+        that saturates at both ends of the chain."""
+        sensor, _ = calibrated
+        grid = np.linspace(0.3, 1.3, 20_001)
+        fast = [sensor.readout(float(v)) for v in grid]
+        ref = [int(sensor.stages_traversed(np.float64(v))) for v in grid]
+        assert fast == ref
+        assert all(type(r) is int for r in fast)
+        assert min(fast) == 0 and max(fast) == sensor.config.l_carry
+
+    def test_jittered_readout_consumes_the_same_draw(self, delay_model_module):
+        cfg = default_config()
+        theta = theta_for_target(cfg.tdc, delay_model_module)
+        fast_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        fast = TDCSensor(cfg.tdc, delay_model_module, theta, rng=fast_rng)
+        ref = TDCSensor(cfg.tdc, delay_model_module, theta, rng=ref_rng)
+        for v in np.linspace(0.93, 1.0, 2001):
+            assert fast.readout(float(v)) == \
+                int(ref.stages_traversed(np.float64(v)))
+            assert fast_rng.normal() == ref_rng.normal()
 
 
 class TestCalibration:
@@ -188,3 +211,35 @@ class TestReadoutTrace:
         assert segments[-1].end == 600
         for a, b in zip(segments, segments[1:]):
             assert a.end == b.start
+
+    def test_runs_equal_the_element_loop(self):
+        """The vectorized run-length encoder against the per-element
+        loop it replaced, on random and degenerate masks."""
+        rng = np.random.default_rng(11)
+        masks = [np.zeros(0, dtype=bool), np.ones(1, dtype=bool),
+                 np.zeros(1, dtype=bool), np.ones(500, dtype=bool),
+                 np.zeros(500, dtype=bool)]
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            if rng.random() < 0.5:
+                masks.append(rng.random(n) < rng.random())
+            else:  # long runs, like a smoothed activity mask
+                lengths = rng.integers(1, 60, size=n // 10 + 1)
+                values = np.arange(lengths.size) % 2 == rng.integers(2)
+                masks.append(np.repeat(values, lengths))
+        for mask in masks:
+            runs = _runs(mask)
+            assert runs == _element_loop_runs(mask)
+            assert all(type(v) is bool and type(s) is int and type(e) is int
+                       for v, s, e in runs)
+
+
+def _element_loop_runs(mask):
+    """The per-element loop :func:`repro.sensors.trace._runs` replaced."""
+    runs = []
+    start = 0
+    for k in range(1, len(mask) + 1):
+        if k == len(mask) or mask[k] != mask[start]:
+            runs.append((bool(mask[start]), start, k))
+            start = k
+    return runs

@@ -73,6 +73,14 @@ class TestCellModel:
         assert currents.shape == (10,)
         assert np.all(np.diff(currents) > 0)
 
+    def test_float_current_equals_0d_form(self, cell):
+        """The per-tick float branch against the 0-d form it replaced."""
+        grid = np.linspace(0.3, 1.2, 5001)
+        fast = np.array([cell.current(float(v)) for v in grid])
+        ref = np.array([cell.current(np.asarray(v)) for v in grid])
+        assert type(cell.current(0.95)) is float
+        np.testing.assert_array_equal(fast.view(np.int64), ref.view(np.int64))
+
 
 class TestBank:
     def test_budget_scales_with_cells(self):
