@@ -237,21 +237,21 @@ class ChaosInjector:
         again after another debounce interval — exactly the failure the
         closed loop must survive.
         """
-        orig = detector._advance
+        orig = detector.observe_readout
 
-        def advance(hw: int) -> bool:
-            fired = orig(hw)
+        def observe_readout(readout: int) -> bool:
+            fired = orig(readout)
             if fired and self.rng.random() < self.spec.trigger_drop_prob:
                 self.stats["dropped_triggers"] += 1
                 detector.state = DetectorState.ARMED
                 return False
             return fired
 
-        detector._advance = advance
+        detector.observe_readout = observe_readout
         try:
             yield
         finally:
-            del detector._advance
+            del detector.observe_readout
 
     @contextlib.contextmanager
     def on_link(self, link) -> Iterator[None]:

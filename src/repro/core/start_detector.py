@@ -88,13 +88,8 @@ class DNNStartDetector:
 
     # -- streaming interface ----------------------------------------------------------
 
-    def observe_word(self, word: np.ndarray) -> bool:
-        """Feed one 5-bit zone word; returns True on the trigger edge."""
-        hw = int(np.count_nonzero(word))
-        return self._advance(hw)
-
     def observe_readout(self, readout: int) -> bool:
-        """Feed one ones-count readout.
+        """Feed one ones-count readout; returns True on the trigger edge.
 
         The zone word's Hamming weight is the number of taps below the
         readout (:func:`~repro.sensors.encoder.zone_bits_from_readout`
@@ -103,11 +98,7 @@ class DNNStartDetector:
         return self._advance(bisect_left(self._taps, readout))
 
     def _advance(self, hw: int) -> bool:
-        """Feed one zone-word Hamming weight; True on the trigger edge.
-
-        Both streaming inputs end here, so a hook wrapping this method
-        (the chaos injector's trigger drop) sees every edge.
-        """
+        """Feed one zone-word Hamming weight; True on the trigger edge."""
         if self.state is DetectorState.IDLE:
             if self._debounce_step(hw == self.arm_hw):
                 self.state = DetectorState.ARMED

@@ -19,7 +19,7 @@ Two execution paths are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -175,8 +175,7 @@ class FaultCharacterization:
                                                 self.config.pdn)
 
         expected_log: List[int] = []
-        struck_ops: List[int] = []
-        struck_set = set()
+        struck_ops: Set[int] = set()
         results: dict = {}
         dup = rnd = 0
         tick = 0
@@ -191,10 +190,9 @@ class FaultCharacterization:
             op_index = len(expected_log)
             expected_log.append(DSP48Slice.compute(a, b, d))
             if striking:
-                struck_ops.append(op_index)
-                struck_set.add(op_index)
+                struck_ops.add(op_index)
             retired_index = op_index - dsp.depth
-            if retired_index in struck_set:
+            if retired_index in struck_ops:
                 results[retired_index] = out.value
             tick += 1
         for idx in struck_ops:
