@@ -1,31 +1,20 @@
-"""Analysis helpers: metrics, report tables, and the experiment registry."""
+"""Analysis helpers: metrics, report tables, and ASCII plots.
 
-from .metrics import accuracy_drop_series, monotone_fraction, series_auc
-from .reports import fixed_table, markdown_table
-from .experiments import EXPERIMENTS, Experiment, experiment
+The arms-race table (:mod:`repro.analysis.armsrace`) is not re-exported:
+it imports :mod:`repro.defense`, and with it scipy and networkx, which
+commands that print no arms race do not need.
+"""
+
 from .ascii_plot import bar_chart, line_chart, sparkline
-from .confusion import ClassFlow, attack_class_flow, confusion_matrix, per_class_recall
-from .armsrace import (arms_race_markdown, arms_race_rows, arms_race_table,
-                       dose_response_series)
+from .metrics import monotone_fraction, series_auc
+from .reports import fixed_table, markdown_table
 
 __all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "ClassFlow",
-    "accuracy_drop_series",
-    "arms_race_markdown",
-    "arms_race_rows",
-    "arms_race_table",
-    "attack_class_flow",
     "bar_chart",
-    "confusion_matrix",
-    "dose_response_series",
-    "experiment",
     "fixed_table",
     "line_chart",
     "markdown_table",
     "monotone_fraction",
-    "per_class_recall",
     "series_auc",
     "sparkline",
 ]

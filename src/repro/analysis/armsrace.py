@@ -1,20 +1,19 @@
 """Report helpers for the attack-versus-defense arms race.
 
-Turns :class:`~repro.defense.ArmsRaceCell` grids into the bench tables
-and dose-response series that docs/defense.md discusses: accuracy under
+Turns :class:`~repro.defense.ArmsRaceCell` grids into the table that
+``repro defend`` prints and docs/defense.md discusses: accuracy under
 attack per defense, the recovery latency overhead the defender pays for
 it, and the residual fault rate that slips past the razor latches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..defense.evaluation import ArmsRaceCell
-from .reports import fixed_table, markdown_table
+from .reports import fixed_table
 
-__all__ = ["arms_race_rows", "arms_race_table", "arms_race_markdown",
-           "dose_response_series"]
+__all__ = ["arms_race_rows", "arms_race_table"]
 
 _HEADERS = ["cells", "strikes", "defense", "clean", "attacked", "drop",
             "residual", "overhead", "flags", "replays", "exhausted"]
@@ -33,25 +32,3 @@ def arms_race_rows(cells: Sequence[ArmsRaceCell]) -> List[List]:
 def arms_race_table(cells: Sequence[ArmsRaceCell]) -> str:
     """Monospace arms-race grid (what ``repro defend`` prints)."""
     return fixed_table(_HEADERS, arms_race_rows(cells))
-
-
-def arms_race_markdown(cells: Sequence[ArmsRaceCell]) -> str:
-    """Markdown arms-race grid (pasted into EXPERIMENTS.md)."""
-    return markdown_table(_HEADERS, arms_race_rows(cells))
-
-
-def dose_response_series(cells: Sequence[ArmsRaceCell],
-                         ) -> Dict[str, List[Tuple[int, float]]]:
-    """Attacked accuracy versus intensity, one series per defense.
-
-    The x axis is whichever intensity coordinate varies across the grid
-    (striker cells when both do — the paper's primary dial).  Points
-    keep sweep order, so plotting them directly gives the dose-response
-    curves the defense evaluation compares.
-    """
-    vary_cells = len({c.bank_cells for c in cells}) > 1
-    series: Dict[str, List[Tuple[int, float]]] = {}
-    for c in cells:
-        x = c.bank_cells if vary_cells else c.n_strikes
-        series.setdefault(c.defense, []).append((x, c.attacked_accuracy))
-    return series

@@ -8,16 +8,7 @@ import numpy as np
 
 from ..errors import ConfigError
 
-__all__ = ["accuracy_drop_series", "monotone_fraction", "series_auc"]
-
-
-def accuracy_drop_series(clean: float,
-                         accuracies: Sequence[float]) -> np.ndarray:
-    """Absolute accuracy drops relative to the clean operating point."""
-    arr = np.asarray(accuracies, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > 1) or not 0 <= clean <= 1:
-        raise ConfigError("accuracies must lie in [0, 1]")
-    return clean - arr
+__all__ = ["monotone_fraction", "series_auc"]
 
 
 def monotone_fraction(values: Sequence[float], decreasing: bool = True) -> float:

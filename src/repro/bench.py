@@ -240,20 +240,15 @@ def bench_defense(images: int = 64, repeats: int = 3,
     """
     import dataclasses as _dc
 
-    from .config import RecoveryConfig
-    from .defense import ArmsRaceStudy
+    from .defense import ArmsRaceStudy, resolve_defense
     from .zoo import get_pretrained
 
     victim = get_pretrained()
     eval_images = victim.dataset.test_images[:images]
     eval_labels = victim.dataset.test_labels[:images]
     grid = [(c, DEFENSE_BENCH_STRIKES) for c in DEFENSE_BENCH_BANKS]
-    defenses = [
-        ("none", None),
-        ("recover", RecoveryConfig(exhaustion_policy="accept")),
-        ("tmr", RecoveryConfig(tmr_final_fc=True,
-                               exhaustion_policy="accept")),
-    ]
+    defenses = [(label, resolve_defense(label))
+                for label in ("none", "recover", "tmr")]
     n_cells = len(grid) * len(defenses)
 
     def make_study(dtype):

@@ -85,7 +85,7 @@ class ChaosSpec:
             raise ConfigError("result_delay_s must be >= 0")
 
 
-#: Named severity tiers, mirroring the CLI's ``--chaos`` choices.
+#: Named severity tiers, selected by the CLI's ``--chaos PRESET``.
 CHAOS_PRESETS = {
     "off": ChaosSpec(),
     "mild": ChaosSpec(

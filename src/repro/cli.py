@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write markdown to this file (default stdout)")
     report.add_argument("--images", type=int, default=120)
 
-    from .chaos import CHAOS_PRESETS
-
     campaign = sub.add_parser("campaign",
                               help="run the full Fig 5(b) study and "
                                    "persist it as JSON")
@@ -92,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="resume from this checkpoint, skipping "
                                "already-completed cells (also where new "
                                "checkpoints go unless --checkpoint is set)")
-    campaign.add_argument("--chaos", default=None,
-                          choices=sorted(CHAOS_PRESETS),
-                          help="run under a chaos-injection preset")
+    campaign.add_argument("--chaos", default=None, metavar="PRESET",
+                          help="run under a chaos-injection preset "
+                               "(repro.chaos.CHAOS_PRESETS)")
     campaign.add_argument("--workers", type=int, default=1, metavar="N",
                           help="shard campaign cells across N local "
                                "worker processes (at most 32) on a private "
@@ -463,12 +461,10 @@ def _cmd_campaign(args) -> int:
             spec = dataclasses.replace(CampaignSpec.fig5b_default(),
                                        eval_images=args.images,
                                        seed=args.seed)
-        victim, _, attack, _ = _sensor_and_attack(args.seed, 5500,
-                                                  config=config)
         before_cell = None
         fault_hook = None
         shard_hook = None
-        if args.chaos:
+        if args.chaos is not None:
             from .chaos import ChaosInjector, chaos_preset
 
             injector = ChaosInjector(chaos_preset(args.chaos,
@@ -476,6 +472,8 @@ def _cmd_campaign(args) -> int:
             before_cell = injector.campaign_cell_hook
             fault_hook = injector.cell_fault
             shard_hook = injector.shard_fault
+        victim, _, attack, _ = _sensor_and_attack(args.seed, 5500,
+                                                  config=config)
         from .config import ServiceConfig, SupervisorConfig
 
         service = None
@@ -557,10 +555,10 @@ def _cmd_defend(args) -> int:
     import json
 
     from .analysis.armsrace import arms_race_table
-    from .config import RecoveryConfig, default_config
+    from .config import default_config
     from .core.campaign import _atomic_write_text, run_campaign
     from .defense import (ArmsRaceStudy, DetectionStudy, DroopMonitor,
-                          default_defenses)
+                          default_defenses, resolve_defense)
 
     config = None
     if args.dtype is not None:
@@ -591,8 +589,7 @@ def _cmd_defend(args) -> int:
 
     defenses = list(default_defenses())
     if args.tmr:
-        defenses.append(("tmr", RecoveryConfig(
-            tmr_final_fc=True, exhaustion_policy="accept")))
+        defenses.append(("tmr", resolve_defense("tmr")))
     race = ArmsRaceStudy(victim.quantized, images, labels,
                          config=attack.config, target_layer=args.layer,
                          seed=args.seed)

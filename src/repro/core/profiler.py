@@ -112,14 +112,6 @@ class SideChannelProfiler:
             return "fc"
         return "pool"
 
-    def classify_droop(self, mean_droop: float) -> str:
-        """Droop-only fallback used when durations are unavailable."""
-        if mean_droop >= self.conv_droop_threshold:
-            return "conv"
-        if mean_droop >= self.pool_droop_threshold:
-            return "fc"
-        return "pool"
-
     # -- multi-trace library ----------------------------------------------------------
 
     def build_library(self, traces: Sequence[np.ndarray],

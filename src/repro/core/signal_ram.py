@@ -65,9 +65,6 @@ class SignalRAM:
             raise SchemeError("cannot arm an empty signal RAM")
         self._armed = True
 
-    def disarm(self) -> None:
-        self._armed = False
-
     def rewind(self) -> None:
         self._pointer = 0
         self._armed = False

@@ -175,17 +175,9 @@ class DetectionStudy:
 
 def default_defenses() -> Tuple[Tuple[str, Optional[RecoveryConfig]], ...]:
     """The standard arms-race defense axis: undefended baseline versus
-    the full detect-and-recover runtime.
-
-    The recovery config uses ``exhaustion_policy="accept"`` so a sweep
-    cell overwhelmed by the attack reports degraded accuracy instead of
-    aborting the whole study (the fail-stop policy is for deployments,
-    not for measurement).
-    """
-    return (
-        ("none", None),
-        ("recover", RecoveryConfig(exhaustion_policy="accept")),
-    )
+    the full detect-and-recover runtime."""
+    return tuple((label, resolve_defense(label))
+                 for label in ("none", "recover"))
 
 
 def resolve_defense(label: str) -> Optional[RecoveryConfig]:
@@ -195,6 +187,11 @@ def resolve_defense(label: str) -> Optional[RecoveryConfig]:
     ``arms:`` target string), so a defended campaign is restricted to
     this registry; bespoke :class:`~repro.config.RecoveryConfig` axes
     go through :meth:`ArmsRaceStudy.sweep` directly.
+
+    The recovery configs use ``exhaustion_policy="accept"`` so a sweep
+    cell overwhelmed by the attack reports degraded accuracy instead of
+    aborting the whole study (the fail-stop policy is for deployments,
+    not for measurement).
     """
     if label == "none":
         return None

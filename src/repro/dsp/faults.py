@@ -18,7 +18,8 @@ dose-response (duplication faults appear first, random faults take over,
 total approaches 100% at 24,000 striker cells) instead of a knife-edge.
 
 The same model runs scalar (inside :class:`~repro.dsp.DSP48Slice`) and
-vectorized (inside the accuracy-sweep fault sampler), so both simulation
+vectorized (the per-cycle probabilities of :meth:`fault_probabilities`
+that the accuracy sweep's injection draws against), so both simulation
 levels share one physics.
 """
 
@@ -29,6 +30,12 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
+
+from ..config import DSPConfig
+from ..sensors.delay import GateDelayModel
+from .timing import DSPTiming
+
+__all__ = ["FaultType", "TimingFaultModel"]
 
 
 @lru_cache(maxsize=8)
@@ -42,12 +49,6 @@ def _hermegauss(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
 def _leggauss(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes (same rationale as _hermegauss)."""
     return np.polynomial.legendre.leggauss(nodes)
-
-from ..config import DSPConfig
-from ..sensors.delay import GateDelayModel
-from .timing import DSPTiming
-
-__all__ = ["FaultType", "TimingFaultModel"]
 
 
 class FaultType(enum.IntEnum):
@@ -125,7 +126,7 @@ class TimingFaultModel:
         """Noise-marginalized ``(P(fault), P(duplication | fault))``.
 
         Per entry of ``voltages``, the marginal outcome distribution of
-        :meth:`decide_stream` evaluated at ``v + eps`` with gaussian
+        :meth:`decide_array` evaluated at ``v + eps`` with gaussian
         supply noise ``eps ~ N(0, noise_sigma)``: the noise is integrated
         out by Gauss-Hermite quadrature, and the duplication fraction of
         the faulted excitation tail by Gauss-Legendre.  This is the
@@ -149,7 +150,8 @@ class TimingFaultModel:
         q = np.clip(1.0 - t, 0.0, 1.0)
         fault = q ** cfg.excitation_shape  # P(fault | eps)
         # P(dup | fault, eps): average exp(-depth/tau) over the faulted
-        # tail, parameterized as in decide_stream by u = q**shape * s
+        # tail.  Inverse-CDF sampling of Beta(1, shape) gives
+        # x = 1 - u**(1/shape); conditioned on a fault, u = q**shape * s
         # with s ~ U(0, 1), so x = 1 - q * s**(1/shape).
         s, w_s = _leggauss(tail_nodes)
         s = 0.5 * (s + 1.0)
@@ -194,47 +196,6 @@ class TimingFaultModel:
         out = np.zeros(v.shape, dtype=np.int8)
         out[faulted] = FaultType.RANDOM
         out[dup] = FaultType.DUPLICATION
-        return out
-
-    def decide_stream(self, voltages: np.ndarray) -> np.ndarray:
-        """Batched per-op outcomes, optimized for the injection hot path.
-
-        Distributionally identical to :meth:`decide_array` but much
-        cheaper: the ``Beta(1, shape)`` excitation is sampled by inverse
-        CDF from a single uniform (``x = 1 - u**(1/shape)``), so the
-        fault test collapses to ``u < (1 - t)**shape`` against the
-        analytic excitation threshold ``t``, and the violation depth —
-        hence the duplication/random split — is only evaluated on the
-        (typically sparse) faulted tail.
-
-        Consumes ``random(n)`` then ``random(n_faulted)`` from the
-        generator; this draw order is part of the batched RNG stream
-        contract pinned in docs/performance.md.
-        """
-        cfg = self.config
-        v = np.asarray(voltages, dtype=np.float64)
-        n = v.shape[0]
-        out = np.zeros(n, dtype=np.int8)
-        u = self.rng.random(n)
-        if n == 0:
-            return out
-        full_delay = np.asarray(self.timing.path_delay(v))
-        t = (cfg.ddr_period / full_delay - cfg.excitation_base) \
-            / cfg.excitation_span
-        q = np.clip(1.0 - t, 0.0, 1.0)
-        faulted = u < q ** cfg.excitation_shape
-        n_faulted = int(np.count_nonzero(faulted))
-        if n_faulted == 0:
-            return out
-        # Inverse-CDF excitation of the faulted tail: conditioned on
-        # u < q**shape, x = 1 - u**(1/shape) is Beta(1, shape) given x > t.
-        x = 1.0 - u[faulted] ** (1.0 / cfg.excitation_shape)
-        d = full_delay[faulted] \
-            * (cfg.excitation_base + cfg.excitation_span * x) - cfg.ddr_period
-        p_dup = np.exp(-np.maximum(d, 0.0) / cfg.duplication_decay)
-        dup = self.rng.random(n_faulted) < p_dup
-        out[faulted] = np.where(dup, np.int8(FaultType.DUPLICATION),
-                                np.int8(FaultType.RANDOM))
         return out
 
     # -- diagnostics ----------------------------------------------------------

@@ -25,7 +25,6 @@ from .pdn import PowerDistributionNetwork
 from .clocking import ClockManagementTile, ClockSpec
 from .tenancy import Hypervisor, Tenant
 from .background import BackgroundActivity, BackgroundTenant
-from .bitstream import Bitstream, BitstreamLoader, ConfigurationFrame
 from .thermal import ThermalConfig, ThermalModel
 from .board import CloudFPGA, SimulationClock
 
@@ -33,10 +32,7 @@ __all__ = [
     "BUFG",
     "BackgroundActivity",
     "BackgroundTenant",
-    "Bitstream",
-    "BitstreamLoader",
     "CARRY4",
-    "ConfigurationFrame",
     "Cell",
     "CloudFPGA",
     "ClockManagementTile",

@@ -31,20 +31,10 @@ __all__ = ["SimulationClock", "CloudFPGA"]
 
 @dataclass
 class SimulationClock:
-    """Global tick counter with time conversions."""
+    """Global tick counter."""
 
     dt: float
     tick: int = 0
-
-    @property
-    def time_s(self) -> float:
-        return self.tick * self.dt
-
-    def ticks_for(self, duration_s: float) -> int:
-        """Ticks spanning ``duration_s`` (rounded up to a whole tick)."""
-        if duration_s < 0:
-            raise SimulationError("duration must be >= 0")
-        return int(np.ceil(duration_s / self.dt - 1e-12))
 
     def advance(self, ticks: int = 1) -> int:
         if ticks < 0:

@@ -40,11 +40,6 @@ class Net:
         self.driver: Optional[PortRef] = None
         self.sinks: List[PortRef] = []
 
-    def endpoints(self) -> Iterator[PortRef]:
-        if self.driver is not None:
-            yield self.driver
-        yield from self.sinks
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         driver = str(self.driver) if self.driver else "<undriven>"
         return f"<Net {self.name} {driver} -> {len(self.sinks)} sinks>"
@@ -71,8 +66,7 @@ class Netlist:
         self.name = name
         self._cells: Dict[str, Cell] = {}
         self._nets: Dict[str, Net] = {}
-        # (cell uid, port) -> net name; keyed by uid so merged netlists
-        # with same-named cells from different tenants stay unambiguous.
+        # (cell uid, port) -> net name
         self._input_binding: Dict[Tuple[int, str], str] = {}
 
     # -- construction ------------------------------------------------------
@@ -147,28 +141,6 @@ class Netlist:
 
     def cell_count(self) -> int:
         return len(self._cells)
-
-    def merge(self, other: "Netlist", prefix: str = "") -> None:
-        """Absorb ``other`` (used by the hypervisor to combine tenants).
-
-        ``other`` is left untouched; its cells and nets are registered here
-        under prefixed keys so same-named cells from different tenants do
-        not collide.  The underlying objects are shared, which is fine:
-        the merged view is used for analysis (DRC, accounting), not
-        independent mutation.
-        """
-        for cell in other.cells():
-            key = prefix + cell.name
-            if key in self._cells:
-                raise ConfigError(f"merge collision on cell '{key}'")
-            self._cells[key] = cell
-        for net in other.nets():
-            key = prefix + net.name
-            if key in self._nets:
-                raise ConfigError(f"merge collision on net '{key}'")
-            self._nets[key] = net
-        for (cell_uid, port), net_name in other._input_binding.items():
-            self._input_binding[(cell_uid, port)] = prefix + net_name
 
     # -- graphs ------------------------------------------------------------
 

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from ..errors import ConfigError
 
 __all__ = [
     "PortDirection",
-    "Port",
     "Cell",
     "LUT1",
     "LUT6_2",
@@ -43,14 +41,6 @@ class PortDirection(enum.Enum):
 
     INPUT = "input"
     OUTPUT = "output"
-
-
-@dataclass(frozen=True)
-class Port:
-    """A named, directed port on a primitive cell."""
-
-    name: str
-    direction: PortDirection
 
 
 _uid_counter = itertools.count()

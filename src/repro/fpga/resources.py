@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..errors import ResourceError
-from .netlist import Netlist
 
 __all__ = ["DeviceResources", "ResourceBudget", "Utilization", "ZYNQ_7020"]
 
@@ -56,19 +55,6 @@ class ResourceBudget:
     latches: int = 0
     dsp_slices: int = 0
     bram_36k: int = 0
-
-    @classmethod
-    def of_netlist(cls, netlist: Netlist, dsp_slices: int = 0,
-                   bram_36k: int = 0) -> "ResourceBudget":
-        """Measure LUT/FF/latch cost of a structural netlist; DSP and BRAM
-        blocks are modelled behaviourally so callers pass their counts."""
-        return cls(
-            luts=netlist.lut_count(),
-            flip_flops=netlist.ff_count(),
-            latches=netlist.latch_count(),
-            dsp_slices=dsp_slices,
-            bram_36k=bram_36k,
-        )
 
     def slices_needed(self, device: DeviceResources) -> int:
         """Logic slices consumed, packing LUTs and registers per slice.

@@ -5,8 +5,7 @@ fabric (disjoint regions, no shared wires, I/O, BRAM or clocks) and share
 only the PDN.  The hypervisor stands in for the cloud provider's
 virtualization flow: it runs design rule checking on every tenant's
 netlist (rejecting ring oscillators), accounts resources against the
-device, places regions disjointly, and "generates the unified bitstream"
-by merging the structural netlists.
+device, and places regions disjointly.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class Tenant:
 
 
 class Hypervisor:
-    """Admission control plus bitstream merge for one device.
+    """Admission control for one device.
 
     >>> from repro.fpga import Hypervisor, ZYNQ_7020
     >>> hv = Hypervisor(ZYNQ_7020)
@@ -78,7 +77,6 @@ class Hypervisor:
         self.utilization = Utilization(device)
         self._tenants: Dict[str, Tenant] = {}
         self._drc_reports: Dict[str, DRCReport] = {}
-        self._merged: Optional[Netlist] = None
 
     def admit(self, tenant: Tenant, far_from: Optional[str] = None) -> DRCReport:
         """Admit a tenant: DRC, resource claim, disjoint placement.
@@ -105,7 +103,6 @@ class Hypervisor:
             raise
         self._tenants[tenant.name] = tenant
         self._drc_reports[tenant.name] = report
-        self._merged = None  # invalidate the cached bitstream
         return report
 
     def tenants(self) -> List[Tenant]:
@@ -122,14 +119,3 @@ class Hypervisor:
             return self._drc_reports[name]
         except KeyError:
             raise ConfigError(f"no DRC report for tenant '{name}'") from None
-
-    def unified_bitstream(self) -> Netlist:
-        """Merge every tenant netlist into one design, as the virtualized
-        compile flow does before programming the device."""
-        if self._merged is None:
-            merged = Netlist("unified_bitstream")
-            for name, tenant in self._tenants.items():
-                if tenant.netlist is not None:
-                    merged.merge(tenant.netlist, prefix=f"{name}/")
-            self._merged = merged
-        return self._merged

@@ -12,13 +12,12 @@ from .delay import GateDelayModel
 from .tdc import TDCSensor, build_tdc_netlist
 from .encoder import ones_count, thermometer_vector, zone_sample_indices, zone_bits
 from .calibration import calibrate_theta
-from .ro_sensor import RingOscillatorSensor, build_ro_sensor_netlist
+from .ro_sensor import build_ro_sensor_netlist
 from .trace import ReadoutTrace, Segment
 
 __all__ = [
     "GateDelayModel",
     "ReadoutTrace",
-    "RingOscillatorSensor",
     "Segment",
     "TDCSensor",
     "build_ro_sensor_netlist",

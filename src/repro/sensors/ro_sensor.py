@@ -3,70 +3,17 @@
 Prior work (e.g. Zhao & Suh) sensed voltage by counting ring-oscillator
 edges per window: droop slows the RO, lowering the count.  It works, but
 the RO is a combinational loop, so on DRC-enforcing clouds the bitstream
-is rejected.  This module exists (a) as the comparison point and (b) to
-demonstrate that rejection in tests and the E6 bench.
+is rejected.  This module builds only the RO's structural netlist, to
+demonstrate that rejection in the DRC tests and the E6 bench.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-import numpy as np
-
 from ..errors import ConfigError
 from ..fpga.netlist import Netlist
 from ..fpga.primitives import FDRE, LUT1
-from .delay import GateDelayModel
 
-__all__ = ["RingOscillatorSensor", "build_ro_sensor_netlist"]
-
-
-class RingOscillatorSensor:
-    """Counts RO periods inside a fixed measurement window.
-
-    The readout is ``window / period(v)`` with ``period = 2 * stages *
-    t_stage(v)`` — monotone *increasing* in voltage, like the TDC readout.
-    """
-
-    def __init__(
-        self,
-        delay_model: GateDelayModel,
-        stages: int = 5,
-        stage_delay_nominal: float = 0.35e-9,
-        window_s: float = 1e-6,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if stages < 3 or stages % 2 == 0:
-            raise ConfigError("an RO needs an odd stage count >= 3")
-        if stage_delay_nominal <= 0 or window_s <= 0:
-            raise ConfigError("delays and window must be positive")
-        self.delay_model = delay_model
-        self.stages = stages
-        self.stage_delay_nominal = stage_delay_nominal
-        self.window_s = window_s
-        self.rng = rng
-
-    def frequency(self, voltage: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        """Oscillation frequency at ``voltage``."""
-        factor = self.delay_model.factor(voltage)
-        period = 2.0 * self.stages * self.stage_delay_nominal * factor
-        return 1.0 / period
-
-    def readout(self, voltage: float) -> int:
-        """Edge count captured in one measurement window."""
-        count = self.frequency(voltage) * self.window_s
-        if self.rng is not None:
-            count += self.rng.normal(0.0, 0.5)  # +-1 count quantization noise
-        return max(0, int(count))
-
-    def sample_trace(self, voltages: np.ndarray) -> np.ndarray:
-        """Vectorized window counts over a voltage trace (one window per
-        sample — a coarse sensor compared to the TDC)."""
-        volts = np.asarray(voltages, dtype=np.float64)
-        counts = self.frequency(volts) * self.window_s
-        if self.rng is not None:
-            counts = counts + self.rng.normal(0.0, 0.5, size=volts.shape)
-        return np.maximum(0, counts.astype(np.int64))
+__all__ = ["build_ro_sensor_netlist"]
 
 
 def build_ro_sensor_netlist(stages: int = 5, name: str = "ro_sensor") -> Netlist:

@@ -133,7 +133,3 @@ class StrikerBank(Tenant):
             raise ConfigError(f"n_active {n} outside [0, {self.n_cells}]")
         return effective_bank_current(n, self.cell, self.sim_config.pdn,
                                       iterations=iterations)
-
-    def nominal_current(self) -> float:
-        """Bank current at nominal voltage (no droop feedback)."""
-        return self.n_cells * self.cell.current(self.sim_config.pdn.v_nominal)

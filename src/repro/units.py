@@ -1,9 +1,8 @@
 """Physical unit helpers.
 
 All quantities inside the library are plain SI floats (seconds, volts,
-amperes, hertz, farads).  These helpers exist to make call sites read like
-the datasheet values they came from (``ns(10)`` rather than ``1e-8``) and to
-centralise the pretty-printing used by reports.
+amperes, hertz).  These helpers exist to make call sites read like the
+datasheet values they came from (``ns(10)`` rather than ``1e-8``).
 """
 
 from __future__ import annotations
@@ -18,42 +17,13 @@ def ns(value: float) -> float:
     return value * 1e-9
 
 
-def ps(value: float) -> float:
-    """Picoseconds to seconds."""
-    return value * 1e-12
-
-
-def us(value: float) -> float:
-    """Microseconds to seconds."""
-    return value * 1e-6
-
-def ms(value: float) -> float:
-    """Milliseconds to seconds."""
-    return value * 1e-3
-
-
 def mhz(value: float) -> float:
     """Megahertz to hertz."""
     return value * 1e6
 
 
-def ghz(value: float) -> float:
-    """Gigahertz to hertz."""
-    return value * 1e9
-
-
-def khz(value: float) -> float:
-    """Kilohertz to hertz."""
-    return value * 1e3
-
-
 def mv(value: float) -> float:
     """Millivolts to volts."""
-    return value * 1e-3
-
-
-def ma(value: float) -> float:
-    """Milliamperes to amperes."""
     return value * 1e-3
 
 
@@ -62,13 +32,8 @@ def ua(value: float) -> float:
     return value * 1e-6
 
 
-def pf(value: float) -> float:
-    """Picofarads to farads."""
-    return value * 1e-12
-
-
 # ---------------------------------------------------------------------------
-# Conversions and formatting
+# Conversions
 # ---------------------------------------------------------------------------
 
 
@@ -77,47 +42,3 @@ def period_of(frequency_hz: float) -> float:
     if frequency_hz <= 0.0:
         raise ValueError(f"frequency must be positive, got {frequency_hz}")
     return 1.0 / frequency_hz
-
-
-def frequency_of(period_s: float) -> float:
-    """Clock frequency in hertz for a period of ``period_s`` seconds."""
-    if period_s <= 0.0:
-        raise ValueError(f"period must be positive, got {period_s}")
-    return 1.0 / period_s
-
-
-def fmt_time(seconds: float) -> str:
-    """Human-readable time, e.g. ``fmt_time(2.5e-9) == '2.500 ns'``."""
-    scale = [(1.0, "s"), (1e-3, "ms"), (1e-6, "us"), (1e-9, "ns"), (1e-12, "ps")]
-    magnitude = abs(seconds)
-    for factor, suffix in scale:
-        if magnitude >= factor:
-            return f"{seconds / factor:.3f} {suffix}"
-    return f"{seconds / 1e-12:.3f} ps"
-
-
-def fmt_freq(hertz: float) -> str:
-    """Human-readable frequency, e.g. ``fmt_freq(2e8) == '200.000 MHz'``."""
-    scale = [(1e9, "GHz"), (1e6, "MHz"), (1e3, "kHz"), (1.0, "Hz")]
-    magnitude = abs(hertz)
-    for factor, suffix in scale:
-        if magnitude >= factor:
-            return f"{hertz / factor:.3f} {suffix}"
-    return f"{hertz:.3f} Hz"
-
-
-def fmt_volt(volts: float) -> str:
-    """Human-readable voltage, e.g. ``fmt_volt(0.95) == '950.0 mV'``."""
-    if abs(volts) >= 1.0:
-        return f"{volts:.3f} V"
-    return f"{volts / 1e-3:.1f} mV"
-
-
-def fmt_current(amps: float) -> str:
-    """Human-readable current."""
-    scale = [(1.0, "A"), (1e-3, "mA"), (1e-6, "uA")]
-    magnitude = abs(amps)
-    for factor, suffix in scale:
-        if magnitude >= factor:
-            return f"{amps / factor:.3f} {suffix}"
-    return f"{amps / 1e-6:.3f} uA"

@@ -1,7 +1,6 @@
-"""Arms-race report helpers (tables + dose-response series)."""
+"""Arms-race report table helpers."""
 
-from repro.analysis import (arms_race_markdown, arms_race_rows,
-                            arms_race_table, dose_response_series)
+from repro.analysis.armsrace import arms_race_rows, arms_race_table
 from repro.defense import ArmsRaceCell
 
 
@@ -40,24 +39,5 @@ class TestTables:
         assert "defense" in text and "overhead" in text
         assert "recover" in text
 
-    def test_markdown_table_renders(self):
-        text = arms_race_markdown(GRID)
-        assert text.startswith("| cells |")
-        assert "| none |" in text
-
     def test_empty_grid_renders(self):
         assert "defense" in arms_race_table([])
-
-
-class TestDoseResponse:
-    def test_series_keyed_by_defense_x_is_cells(self):
-        series = dose_response_series(GRID)
-        assert set(series) == {"none", "recover"}
-        assert series["none"] == [(3000, 0.95), (8000, 0.60)]
-        assert series["recover"] == [(3000, 0.98), (8000, 0.97)]
-
-    def test_x_axis_falls_back_to_strikes(self):
-        grid = [_cell(strikes=1000, attacked=0.95),
-                _cell(strikes=4500, attacked=0.70)]
-        series = dose_response_series(grid)
-        assert series["none"] == [(1000, 0.95), (4500, 0.70)]

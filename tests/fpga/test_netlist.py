@@ -109,26 +109,3 @@ class TestAccountingAndMerge:
         assert nl.lut_count() == 1
         assert nl.latch_count() == 1
         assert nl.ff_count() == 0
-
-    def test_merge_is_nondestructive(self):
-        a = ring_oscillator()
-        b = latch_loop()
-        merged = Netlist("top")
-        merged.merge(a, prefix="t0/")
-        merged.merge(b, prefix="t1/")
-        assert merged.cell_count() == a.cell_count() + b.cell_count()
-        # Source netlists keep their own names.
-        assert a.cell("inv0").name == "inv0"
-        assert merged.cell("t0/inv0") is a.cell("inv0")
-
-    def test_merge_collision_rejected(self):
-        merged = Netlist("top")
-        merged.merge(ring_oscillator(), prefix="x/")
-        with pytest.raises(ConfigError):
-            merged.merge(ring_oscillator(3), prefix="x/")
-
-    def test_merged_graph_keeps_tenant_cycles(self):
-        merged = Netlist("top")
-        merged.merge(ring_oscillator(), prefix="a/")
-        merged.merge(latch_loop(), prefix="b/")
-        assert len(merged.combinational_cycles()) >= 1

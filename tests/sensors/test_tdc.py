@@ -9,7 +9,6 @@ from repro.fpga import ClockManagementTile, DesignRuleChecker
 from repro.sensors import (
     GateDelayModel,
     ReadoutTrace,
-    RingOscillatorSensor,
     TDCSensor,
     build_tdc_netlist,
     calibrate_theta,
@@ -134,22 +133,6 @@ class TestCalibration:
         cfg = default_config().tdc
         with pytest.raises(CalibrationError):
             theta_for_target(cfg, delay_model_module, target=128)
-
-
-class TestRingOscillatorSensor:
-    def test_count_tracks_voltage(self, delay_model_module):
-        ro = RingOscillatorSensor(delay_model_module)
-        assert ro.readout(1.0) > ro.readout(0.9)
-
-    def test_even_stage_count_rejected(self, delay_model_module):
-        with pytest.raises(ConfigError):
-            RingOscillatorSensor(delay_model_module, stages=4)
-
-    def test_trace_shape(self, delay_model_module):
-        ro = RingOscillatorSensor(delay_model_module)
-        counts = ro.sample_trace(np.linspace(0.9, 1.0, 10))
-        assert counts.shape == (10,)
-        assert np.all(np.diff(counts) >= 0)
 
 
 class TestTDCNetlist:

@@ -28,10 +28,6 @@ class TestParser:
         assert args.chaos == "noisy"
         assert args.sweep == ["pool1=40,80", "conv1=500"]
 
-    def test_campaign_unknown_chaos_preset_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--chaos", "tornado"])
-
     def test_defend_defaults(self):
         args = build_parser().parse_args(["defend"])
         assert args.output == "defense.json"
@@ -75,6 +71,37 @@ class TestParser:
         for bad in ("pool1", "pool1=", "=40", "pool1=4x"):
             with pytest.raises(ConfigError, match="bad --sweep"):
                 _parse_sweep_args([bad], images=16, seed=1)
+
+    def test_parser_and_lint_import_neither_scipy_nor_networkx(self):
+        """Building the parser (every command, ``--help`` included) and
+        ``repro lint`` load no fabric model, so they skip the start-up
+        cost of scipy and networkx.  A fresh interpreter, because this
+        one has imported both already."""
+        import pathlib
+        import subprocess
+        import sys
+        import textwrap
+
+        import repro
+
+        src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        code = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {src_dir!r})
+            from repro.cli import build_parser, main
+
+            def heavy():
+                return sorted(m for m in sys.modules
+                              if m.partition(".")[0] in ("scipy", "networkx"))
+
+            build_parser()
+            assert not heavy(), f"build_parser imported {{heavy()}}"
+            main(["lint", "--strict"])
+            assert not heavy(), f"repro lint imported {{heavy()}}"
+        """)
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestCommands:
@@ -176,16 +203,20 @@ class TestCommands:
     def test_library_error_is_one_line_exit_two(self, tmp_path, capsys,
                                                 monkeypatch):
         """A ReproError reaches the user as one stderr line, exit 2; a
-        bad --sweep is refused before the victim loads."""
+        bad --sweep or an unknown --chaos preset is refused before the
+        victim loads."""
         import repro.zoo
 
         def no_load(**_):
-            raise AssertionError("victim loaded before --sweep parsed")
+            raise AssertionError("victim loaded before the flags parsed")
 
         monkeypatch.setattr(repro.zoo, "get_pretrained", no_load)
-        for sweep, words in (("pool1=80,40", "increasing"),
-                             ("pool1", "bad --sweep 'pool1'")):
-            assert main(["campaign", "--images", "8", "--sweep", sweep,
+        for flags, words in (
+                (["--sweep", "pool1=80,40"], "increasing"),
+                (["--sweep", "pool1"], "bad --sweep 'pool1'"),
+                (["--sweep", "pool1=40", "--chaos", "tornado"],
+                 "unknown chaos preset 'tornado'")):
+            assert main(["campaign", "--images", "8", *flags,
                          "-o", str(tmp_path / "c.json")]) == 2
             err = capsys.readouterr().err
             assert err.startswith("repro: ConfigError: ")

@@ -19,22 +19,14 @@ from repro import units
 class TestUnits:
     def test_constructors(self):
         assert units.ns(10) == 1e-8
-        assert units.ps(500) == 5e-10
         assert units.mhz(200) == 2e8
         assert units.mv(950) == pytest.approx(0.95)
         assert units.ua(46) == pytest.approx(4.6e-5)
 
     def test_period_frequency_inverse(self):
         assert units.period_of(units.mhz(200)) == pytest.approx(units.ns(5))
-        assert units.frequency_of(units.ns(10)) == pytest.approx(units.mhz(100))
         with pytest.raises(ValueError):
             units.period_of(0.0)
-
-    def test_formatting(self):
-        assert units.fmt_time(2.5e-9) == "2.500 ns"
-        assert units.fmt_freq(2e8) == "200.000 MHz"
-        assert units.fmt_volt(0.95) == "950.0 mV"
-        assert units.fmt_current(4.6e-5) == "46.000 uA"
 
 
 class TestConfigs:
