@@ -28,6 +28,26 @@ class TestParser:
         assert args.chaos == "noisy"
         assert args.sweep == ["pool1=40,80", "conv1=500"]
 
+    def test_campaign_unknown_chaos_preset_rejected(self, tmp_path, capsys,
+                                                    monkeypatch):
+        """The parser takes any --chaos name, so building it does not
+        import repro.chaos; campaign refuses an unknown preset as a
+        one-line ConfigError, exit 2, before the victim loads."""
+        import repro.zoo
+
+        def no_load(**_):
+            raise AssertionError("victim loaded before --chaos resolved")
+
+        monkeypatch.setattr(repro.zoo, "get_pretrained", no_load)
+        assert main(["campaign", "--images", "8", "--sweep", "pool1=40",
+                     "--chaos", "tornado",
+                     "-o", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ConfigError: ")
+        assert "unknown chaos preset 'tornado'" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "c.json").exists()
+
     def test_defend_defaults(self):
         args = build_parser().parse_args(["defend"])
         assert args.output == "defense.json"
@@ -203,19 +223,16 @@ class TestCommands:
     def test_library_error_is_one_line_exit_two(self, tmp_path, capsys,
                                                 monkeypatch):
         """A ReproError reaches the user as one stderr line, exit 2; a
-        bad --sweep or an unknown --chaos preset is refused before the
-        victim loads."""
+        bad --sweep is refused before the victim loads."""
         import repro.zoo
 
         def no_load(**_):
-            raise AssertionError("victim loaded before the flags parsed")
+            raise AssertionError("victim loaded before --sweep parsed")
 
         monkeypatch.setattr(repro.zoo, "get_pretrained", no_load)
         for flags, words in (
                 (["--sweep", "pool1=80,40"], "increasing"),
-                (["--sweep", "pool1"], "bad --sweep 'pool1'"),
-                (["--sweep", "pool1=40", "--chaos", "tornado"],
-                 "unknown chaos preset 'tornado'")):
+                (["--sweep", "pool1"], "bad --sweep 'pool1'")):
             assert main(["campaign", "--images", "8", *flags,
                          "-o", str(tmp_path / "c.json")]) == 2
             err = capsys.readouterr().err
