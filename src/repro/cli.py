@@ -12,7 +12,6 @@ Subcommands::
     python -m repro campaign        # the Fig 5(b) study -> JSON (--broker
                                     # serves its cells to `repro work`)
     python -m repro defend          # detection study + arms race -> JSON
-    python -m repro bench           # engine hot-path micro-benchmarks
     python -m repro work            # attach a worker to a running broker
     python -m repro cache gc        # prune a cell cache to a size bound
     python -m repro lint            # AST contract linter (--strict in CI)
@@ -191,18 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     defend.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                         help="dtype policy (fxp = bit-exact reference, "
                              "fp32 = fast tier)")
-
-    bench = sub.add_parser("bench",
-                           help="engine hot-path micro-benchmarks "
-                                "(injection, PDN, cell latency)")
-    bench.add_argument("-o", "--output", default=None, metavar="JSON",
-                       help="also write the payload as JSON here")
-    bench.add_argument("--images", type=int, default=64,
-                       help="batch size for the injection benches")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="best-of-N timing repeats")
-    bench.add_argument("--pdn-ticks", type=int, default=2_000_000,
-                       help="trace length for the PDN bench")
 
     lint = sub.add_parser("lint",
                           help="AST contract linter: determinism, clock, "
@@ -633,31 +620,6 @@ def _cmd_defend(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from .bench import bench_engine
-    from .core.campaign import _atomic_write_text
-
-    payload = bench_engine(images=args.images, repeats=args.repeats,
-                           pdn_ticks=args.pdn_ticks)
-    print(fixed_table(
-        ["layer", "kind", "ops", "seconds", "ops/sec"],
-        [[name, row["kind"], row["exposed_ops"], row["seconds"],
-          row["ops_per_sec"]] for name, row in payload["injection"].items()],
-    ))
-    pdn = payload["pdn"]
-    print(f"\nPDN simulate: {pdn['ticks']} ticks in {pdn['seconds']}s "
-          f"= {pdn['ticks_per_sec'] / 1e6:.2f} Mticks/s")
-    cell = payload["cell"]
-    print(f"campaign cell ({cell['layer']} x{cell['strikes']}, "
-          f"{cell['images']} images): {cell['seconds']}s")
-    if args.output:
-        _atomic_write_text(args.output, json.dumps(payload, indent=2) + "\n")
-        print(f"bench payload written to {args.output}")
-    return 0
-
-
 def _cmd_lint(args) -> int:
     import json
     from pathlib import Path
@@ -733,7 +695,6 @@ _COMMANDS = {
     "work": _cmd_work,
     "cache": _cmd_cache,
     "defend": _cmd_defend,
-    "bench": _cmd_bench,
     "lint": _cmd_lint,
 }
 

@@ -51,19 +51,15 @@ class SideChannelProfiler:
         min_activity_ticks: int = 40,
         merge_gap_ticks: int = 120,
         conv_droop_threshold: float = 3.0,
-        pool_droop_threshold: float = 1.2,
     ) -> None:
-        if not 0 < pool_droop_threshold < conv_droop_threshold:
-            raise ProfilingError(
-                "need 0 < pool_droop_threshold < conv_droop_threshold"
-            )
+        if not conv_droop_threshold > 0:
+            raise ProfilingError("need conv_droop_threshold > 0")
         self.nominal_readout = nominal_readout
         self.stall_band = stall_band
         self.smoothing_window = smoothing_window
         self.min_activity_ticks = min_activity_ticks
         self.merge_gap_ticks = merge_gap_ticks
         self.conv_droop_threshold = conv_droop_threshold
-        self.pool_droop_threshold = pool_droop_threshold
 
     # -- single-trace profiling ----------------------------------------------------------
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.accel import AcceleratorSchedule, map_model, propagate_shapes
-from repro.config import default_config
+from repro.accel import map_model, propagate_shapes
 from repro.errors import ConfigError
 from repro.nn.model import PROBE_INPUT_SHAPE
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.accel import AcceleratorEngine, StruckCycles
 from repro.accel.scalar_ref import run_conv_layer_scalar
-from repro.config import default_config
 from repro.dsp import TimingFaultModel
 from repro.sensors import GateDelayModel
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core import AttackScheme, DNNStartDetector
+from repro.core import DNNStartDetector
 from repro.core.campaign import _cell_seed
 from repro.core.scheme import AttackScheme as Scheme
 from repro.errors import SchemeError

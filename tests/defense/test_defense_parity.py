@@ -20,7 +20,6 @@ cold study's cells exactly, in any order.
 from dataclasses import asdict, replace
 
 import numpy as np
-import pytest
 
 from repro.accel import AcceleratorEngine
 from repro.accel.engine import StruckCycles

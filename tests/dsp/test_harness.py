@@ -1,6 +1,5 @@
 """Fault characterization harness tests (the Fig 6b machinery)."""
 
-import numpy as np
 import pytest
 
 from repro.dsp import FaultCharacterization

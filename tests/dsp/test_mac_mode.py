@@ -1,7 +1,6 @@
 """DSP48 MAC (accumulate) mode tests — the FC-layer configuration."""
 
 import numpy as np
-import pytest
 
 from repro.config import default_config
 from repro.dsp import DSP48Slice, TimingFaultModel

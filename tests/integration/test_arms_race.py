@@ -6,7 +6,6 @@ accuracy for a reported replay overhead, and on unattacked traffic it
 costs nothing.
 """
 
-import numpy as np
 import pytest
 
 from repro.defense import ArmsRaceStudy, default_defenses

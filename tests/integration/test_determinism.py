@@ -6,7 +6,6 @@ patterns and accuracies, while different seeds must actually differ.
 """
 
 import numpy as np
-import pytest
 
 from repro.accel import AcceleratorEngine
 from repro.core import DeepStrike

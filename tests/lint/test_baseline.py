@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.errors import LintError
-from repro.lint import Baseline, BaselineEntry, default_baseline_path
+from repro.lint import Baseline, default_baseline_path
 from repro.lint.findings import Finding
 
 

@@ -9,7 +9,6 @@ from repro.nn import (
     ReLU,
     Sequential,
     build_lenet5,
-    build_probe_model,
     quantize_model,
 )
 from repro.nn.layers import Dense

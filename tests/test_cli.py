@@ -76,6 +76,13 @@ class TestParser:
             main(["serve", "--local-workers", "2"])
         assert exc.value.code == 2
 
+    def test_bench_command_gone(self):
+        """The best-of-N `bench` subcommand duplicated perfbench; it is
+        now a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+
     def test_work_cache_dir_flag_gone(self):
         """Workers never touch the cell cache: `repro work --cache-dir`
         is a usage error."""

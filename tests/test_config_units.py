@@ -8,7 +8,6 @@ from repro.config import (
     ClockConfig,
     DSPConfig,
     PDNConfig,
-    SimulationConfig,
     TDCConfig,
     default_config,
 )
