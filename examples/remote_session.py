@@ -11,8 +11,6 @@ retarget at run time — all through framed serial messages.
 Run:  python examples/remote_session.py
 """
 
-import numpy as np
-
 from repro.analysis import line_chart
 from repro.core import AttackScheme, RemoteAttacker, UARTLink
 from repro.nn import build_probe_model, quantize_model

@@ -119,13 +119,13 @@ class AcceleratorEngine:
         # MACs run as float64 dgemm, exact by construction), "fp32" runs
         # them as float32 sgemm.
         self.dtype_policy = self.config.dtype_policy
-        # Per-stage GEMM weight/bias twins in the policy's float dtype,
-        # built lazily.
-        self._gemm_cache: Dict[str, tuple] = {}
-        # Reusable draw buffers for the batched uniform matrices: the
-        # same (images, ops) shapes recur every batch of a campaign
-        # cell, and rng.random(out=...) halves the draw cost versus a
-        # fresh allocation while producing the identical stream.
+        # Per-(stage, float dtype) GEMM weight/bias twins, built lazily.
+        self._gemm_cache: Dict[tuple, tuple] = {}
+        # Reusable draw buffers for the batched uniform matrices (the
+        # fault test, then the razor): the same (images, ops) shapes
+        # recur every batch of a campaign cell, and rng.random(out=...)
+        # halves the draw cost versus a fresh allocation while
+        # producing the identical stream.
         self._u_bufs: Dict[Tuple[int, int], np.ndarray] = {}
         # The razor observation stream is only materialized when a
         # subclass actually overrides one of the observation hooks
@@ -194,27 +194,39 @@ class AcceleratorEngine:
             return codes.astype(np.float32)
         return codes
 
-    def _gemm_params(self, stage) -> tuple:
+    def _gemm_params(self, stage, dtype) -> tuple:
         """``(weights, bias, row_sum, bias_max)`` of a MAC stage: the
-        ``(OUT, fan-in)`` weight matrix and the bias in the policy's
-        float dtype (float64 under fxp, float32 under fp32), the largest
+        ``(OUT, fan-in)`` weight matrix and the bias in ``dtype``
+        (float64 for the exact forward, float32 under fp32), the largest
         absolute weight-row sum and the largest absolute bias code."""
-        cached = self._gemm_cache.get(stage.name)
+        key = (stage.name, dtype)
+        cached = self._gemm_cache.get(key)
         if cached is None:
-            dtype = np.float32 if self.dtype_policy == "fp32" \
-                else np.float64
             w_mat = stage.w_codes.reshape(stage.w_codes.shape[0], -1)
             cached = (w_mat.astype(dtype), stage.b_codes.astype(dtype),
                       int(np.abs(w_mat).sum(axis=1).max()),
                       int(np.abs(stage.b_codes).max()))
-            self._gemm_cache[stage.name] = cached
+            self._gemm_cache[key] = cached
         return cached
 
     #: Every integer below this magnitude is exact in float64.
     _EXACT_F64 = 1 << 53
 
-    def _forward_stage(self, stage, codes: np.ndarray) -> np.ndarray:
-        """One stage forward under the active dtype policy.
+    def exact_stage(self, stage, codes: np.ndarray) -> np.ndarray:
+        """One clean stage on the exact float64 GEMM forward (the fxp
+        tier's), whatever the dtype policy.
+
+        Equal to the int64 reference ``stage.forward_codes`` under the
+        same 2**53 guard as :meth:`_forward_stage`; the defended
+        engine's clamp calibration and the arms-race clean predictions
+        run on it.
+        """
+        return self._forward_stage(stage, codes, exact=True)
+
+    def _forward_stage(self, stage, codes: np.ndarray,
+                       exact: bool = False) -> np.ndarray:
+        """One stage forward under the active dtype policy or, with
+        ``exact``, on fxp's exact forward whatever the policy.
 
         Conv and dense stages of both tiers run as one GEMM (im2col
         first for a conv) in the policy's float dtype.  Under ``"fxp"``
@@ -235,9 +247,10 @@ class AcceleratorEngine:
         (``tests/accel/test_backend_parity.py``), not bytes.
         """
         kind = stage.kind
-        fxp = self.dtype_policy != "fp32"
+        fxp = exact or self.dtype_policy != "fp32"
         if kind in ("conv", "dense"):
-            w_mat, bias, row_sum, bias_max = self._gemm_params(stage)
+            w_mat, bias, row_sum, bias_max = self._gemm_params(
+                stage, np.float64 if fxp else np.float32)
             if fxp and codes.size:
                 peak = max(int(codes.max()), -int(codes.min()))
                 if peak * row_sum + bias_max >= self._EXACT_F64:
@@ -654,12 +667,15 @@ class AcceleratorEngine:
         # scatter targets all index spaces far below 2**31.
         return np.divmod(flat, np.int32(n_ops))
 
-    def _uniform(self, n_images: int, n_ops: int) -> np.ndarray:
-        """One uniform per (image, exposed op), into a reused buffer.
+    def _uniform_buffer(self, n_images: int, n_ops: int) -> np.ndarray:
+        """The reused ``(n_images, n_ops)`` float64 draw buffer.
 
         ``rng.random(out=buf)`` consumes the identical stream as
         ``rng.random(shape)`` — the buffer is a pure allocation saving
-        and leaves the byte-parity contract untouched.
+        and leaves the byte-parity contract untouched.  The fault test
+        is done with it once its mask is taken, so the hardened engine's
+        razor draws into it next
+        (``RazorDetector.observe_batch_dense``).
         """
         key = (n_images, n_ops)
         buf = self._u_bufs.get(key)
@@ -668,11 +684,61 @@ class AcceleratorEngine:
                 self._u_bufs.clear()
             buf = np.empty(key, dtype=np.float64)
             self._u_bufs[key] = buf
-        return self.rng.random(out=buf)
+        return buf
+
+    def _skip_uniforms(self, n_images: int, n_ops: int) -> None:
+        """Move the stream past ``n_images * n_ops`` float64 uniforms
+        without drawing them.
+
+        A PCG64 generator advances by that many 64-bit outputs, one per
+        float64 draw.  ``advance`` also drops the generator's buffered
+        32-bit half-word, which an odd count of ``integers(0, 2**18)``
+        draws leaves set and which drawing doubles keeps, so the half
+        is put back.  Any other bit generator draws and discards.
+        """
+        bitgen = self.rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            self.rng.random(out=self._uniform_buffer(n_images, n_ops))
+            return
+        before = bitgen.state
+        bitgen.advance(n_images * n_ops)
+        if before["has_uint32"]:
+            after = bitgen.state
+            after["has_uint32"] = before["has_uint32"]
+            after["uinteger"] = before["uinteger"]
+            bitgen.state = after
+
+    def _fault_sites(self, record: dict, model: TimingFaultModel,
+                     n_images: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate fault sites ``(img, pos)`` of one injection batch
+        under ``model``, in row-major (image-major) order.
+
+        fxp: one uniform per (image, exposed op) against ``P(fault)``,
+        step 1 of the stream contract (docs/performance.md §2).  When
+        ``P(fault)`` is exactly 0 for every exposed op (a divided-clock
+        replay at positive slack), no uniform can fall below it: the
+        stream is advanced past the draws instead
+        (:meth:`_skip_uniforms`), which leaves every later draw
+        unchanged.  fp32: :meth:`_sparse_candidates`.
+        """
+        if self.dtype_policy == "fp32":
+            return self._sparse_candidates(record, model, n_images)
+        p_fault = self._fault_probs(record, model)[0]
+        n_ops = p_fault.shape[0]
+        if not p_fault.any():
+            self._skip_uniforms(n_images, n_ops)
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        u = self.rng.random(out=self._uniform_buffer(n_images, n_ops))
+        # flatnonzero walks the mask once in the same row-major order
+        # np.nonzero produces, without its per-axis index pass; a floor
+        # division by the scalar n_ops splits it faster than np.divmod.
+        flat = np.flatnonzero(u < p_fault)
+        img = flat // n_ops
+        return img, flat - img * n_ops
 
     def _mac_faults_batch(self, record: dict, n_images: int, products,
-                          force_class: Optional[str] = None,
-                          dense: Optional[tuple] = None
+                          force_class: Optional[str] = None
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse accumulator error terms for a batch's exposed MAC ops.
 
@@ -680,15 +746,6 @@ class AcceleratorEngine:
         fault sites only — the hot path never materializes the dense
         ``(n_images, n_ops)`` product matrices per call.  Returns
         ``(img, pos, delta)`` triplets of the ops that actually faulted.
-
-        ``dense`` (fp32 tier, big exposures) is a precomputed
-        ``(p_cur, p_prev, transitions)`` triple over the full
-        ``(n_images, n_ops)`` grid from :meth:`_dense_products` — a pure
-        function of the clean input and op enumeration, so one build is
-        shared by every cell, defense, and replay on the same batch.
-        With it, the transition filter becomes a single boolean gather
-        and the product gathers run *after* the razor/discard filters,
-        on the surviving sites only.
 
         Two data-dependence effects gate the damage, both consequences
         of timing faults only corrupting *transitioning* bits:
@@ -701,40 +758,21 @@ class AcceleratorEngine:
           products, not the full 48-bit register.
 
         RNG stream (the batched contract of docs/performance.md): one
-        uniform per (image, exposed op) for the fault test, one uniform
-        per surviving fault for the duplication/random split, then one
-        garbage-word draw per random-class fault; the per-image razor
-        hook fires in image order after the decisions.  The ``fp32``
-        dtype policy replaces the dense fault test with
+        uniform per (image, exposed op) for the fault test (advanced
+        past, not drawn, when every ``P(fault)`` is 0; see
+        :meth:`_fault_sites`), one uniform per surviving fault for the
+        duplication/random split, then one garbage-word draw per
+        random-class fault; the per-image razor hook fires in image
+        order after the decisions.
+        The ``fp32`` dtype policy replaces the dense fault test with
         :meth:`_sparse_candidates` (distribution-identical, different
         stream); the split and garbage draws keep the same structure.
         """
-        p_fault, p_dup = self._fault_probs(record, self.dsp_faults)
-        n_ops = p_fault.shape[0]
-        if self.dtype_policy == "fp32":
-            img, pos = self._sparse_candidates(record, self.dsp_faults,
-                                               n_images)
-        else:
-            u = self._uniform(n_images, n_ops)
-            # flatnonzero + divmod walks the mask once in the same
-            # row-major order np.nonzero produces, without its per-axis
-            # index pass.
-            flat = np.flatnonzero(u < p_fault)
-            img, pos = np.divmod(flat, n_ops)
-        lazy = dense is not None and self.dtype_policy == "fp32"
+        p_dup = self._fault_probs(record, self.dsp_faults)[1]
+        n_ops = p_dup.shape[0]
+        img, pos = self._fault_sites(record, self.dsp_faults, n_images)
         p_cur = p_prev = np.empty(0, dtype=np.int64)
-        flat_idx = np.empty(0, dtype=np.int32)
-        if img.size and lazy:
-            # Product gathers are deferred until after the razor/discard
-            # filters; only the transition filter runs now (one bool
-            # gather from the precomputed dense mask).  Skipped when no
-            # observer listens, same trade as the closure path below.
-            flat_idx = img * np.int32(n_ops) + pos
-            if not self._observe_is_noop:
-                keep = np.take(dense[2], flat_idx)
-                img, pos = img[keep], pos[keep]
-                flat_idx = flat_idx[keep]
-        elif img.size:
+        if img.size:
             p_cur, p_prev = products(img, pos)
             if p_cur.dtype != np.int64 and self._observe_is_noop:
                 # fp32 fast path: products are integer-valued floats
@@ -790,16 +828,7 @@ class AcceleratorEngine:
                 if not live.all():
                     img, pos = img[live], pos[live]
                     dup = dup[live]
-                    if lazy:
-                        flat_idx = flat_idx[live]
-                    else:
-                        p_cur, p_prev = p_cur[live], p_prev[live]
-        if lazy and img.size:
-            # Deferred product gathers, on the post-filter survivors
-            # only: int16 dense storage widened to int32 (a product
-            # tops out at 128 * 128, but a delta needs 17 bits).
-            p_cur = np.take(dense[0], flat_idx).astype(np.int32)
-            p_prev = np.take(dense[1], flat_idx).astype(np.int32)
+                    p_cur, p_prev = p_cur[live], p_prev[live]
         int_t = np.int32 if p_cur.dtype != np.int64 else np.int64
         # The duplication law for every site — random-class entries are
         # overwritten below, so no select is needed here.
@@ -839,7 +868,10 @@ class AcceleratorEngine:
                 # fxp: the draw count and width are part of the
                 # byte-parity RNG stream — one int64 draw per
                 # random-class site, exactly as the dense reference.
-                rnd = ~dup
+                # Integer, not boolean, indices: the random class is a
+                # scattered ~40 % of the sites, where a boolean mask's
+                # branchy copy costs several times flatnonzero + take.
+                rnd = np.flatnonzero(~dup)
                 cur = p_cur[rnd]
                 u_cur = cur & np.int64(word)
                 u_prev = p_prev[rnd] & np.int64(word)
@@ -856,67 +888,6 @@ class AcceleratorEngine:
                 captured = (captured ^ np.int64(sign)) - np.int64(sign)
                 delta[rnd] = captured - cur
         return img, pos, delta
-
-    #: Candidate-grid size (images * exposed ops) above which the fp32
-    #: injectors precompute the dense product/transition grids.  Below
-    #: it, the per-call sparse product closure is cheaper than a build.
-    _DENSE_PRODUCTS_MIN = 1 << 21
-
-    #: Expected faulted-site count below which a dense build cannot pay
-    #: for itself even on a big grid (e.g. divided-clock replay passes,
-    #: whose fault probabilities collapse to ~0 — building there would
-    #: also evict the full-rate grid the next cell needs).
-    _DENSE_SITES_MIN = 1 << 17
-
-    def _wants_dense_products(self, record: dict, n_images: int) -> bool:
-        """True when the active fault model's expected site count on
-        this exposure justifies (or already paid for) a dense build."""
-        if self.dtype_policy != "fp32":
-            return False
-        if self._observe_is_noop:
-            # No observer means no transition prefilter and no deferred
-            # gathers — the sparse product closure touches each
-            # candidate once, so a dense build never amortizes.  (A
-            # campaign cell's single injection pass lands here; the
-            # defended engines' razor/replay machinery does not.)
-            return False
-        if n_images * record["ops"].shape[0] < self._DENSE_PRODUCTS_MIN:
-            return False
-        pf_c, _ = self._cycle_probs(record, self.dsp_faults)
-        expected = float(np.dot(pf_c, record["counts"])) * n_images
-        return expected >= self._DENSE_SITES_MIN
-
-    def _dense_products(self, record: dict, key_obj, src2d: np.ndarray,
-                        cur_idx: np.ndarray, w_cur: np.ndarray,
-                        prev_idx: np.ndarray, w_prev: np.ndarray) -> tuple:
-        """Dense ``(p_cur, p_prev, transitions)`` grids over the full
-        ``(n_images, n_ops)`` exposure, for the fp32 tier's big layers.
-
-        The grids are pure functions of the clean layer input and the
-        op enumeration — independent of bank voltages, defense, RNG
-        stream, and replay clock — so one build (cached in the exposure
-        record per input-array identity) serves every cell, every
-        defense, and every replay pass on the same batch.  Products top
-        out at 128 * 128, so int16 storage halves the gather bandwidth
-        of the hot path that consumes them.  Returned flattened
-        (row-major over ``(image, op)``) so consumers gather with the
-        same flat index they already carry.
-        """
-        cached = record.get("dense_prod")
-        if cached is not None and cached[0] is key_obj:
-            return cached[1]
-        # Fancy-indexing axis 1 yields F-ordered intermediates, which
-        # astype would preserve — multiply into C-ordered outputs so the
-        # flattened views below are views, not 18 MB copies per gather.
-        shape = (src2d.shape[0], cur_idx.shape[0])
-        p_cur = np.empty(shape, dtype=np.int16)
-        np.multiply(src2d[:, cur_idx], w_cur, out=p_cur, casting="unsafe")
-        p_prev = np.empty(shape, dtype=np.int16)
-        np.multiply(src2d[:, prev_idx], w_prev, out=p_prev, casting="unsafe")
-        triple = (p_cur.ravel(), p_prev.ravel(),
-                  (p_cur != p_prev).ravel())
-        record["dense_prod"] = (key_obj, triple)
-        return triple
 
     # -- per-kind injectors ----------------------------------------------------------
 
@@ -1018,18 +989,8 @@ class AcceleratorEngine:
             p_prev = np.take(flat_x, base + g["px"][pos]) * g["w_prev"][pos]
             return p_cur, p_prev
 
-        dense = None
-        if self._wants_dense_products(record, n_images):
-            # Keyed on the layer-input identity, not the padded copy
-            # (a fresh array every call): the clean stage codes feeding
-            # a full-rate injection stay pinned upstream, so one build
-            # serves every cell on that batch.
-            dense = self._dense_products(
-                record, x_codes, flat_x.reshape(n_images, image_size),
-                g["x"], g["w_cur"], g["px"], g["w_prev"],
-            )
         img, pos, delta = self._mac_faults_batch(record, n_images, products,
-                                                 entry.force_class, dense)
+                                                 entry.force_class)
         self._scatter_add(acc.reshape(n_images, -1), img,
                           g["targets"][pos], delta)
         return acc
@@ -1079,14 +1040,8 @@ class AcceleratorEngine:
             p_prev = np.take(flat_x, base + g["pj"][pos]) * g["w_prev"][pos]
             return p_cur, p_prev
 
-        dense = None
-        if self._wants_dense_products(record, n_images):
-            dense = self._dense_products(
-                record, x_codes, flat_x.reshape(n_images, in_f),
-                g["j"], g["w_cur"], g["pj"], g["w_prev"],
-            )
         img, pos, delta = self._mac_faults_batch(record, n_images, products,
-                                                 entry.force_class, dense)
+                                                 entry.force_class)
         self._scatter_add(acc, img, g["targets"][pos], delta)
         return acc
 
@@ -1114,14 +1069,8 @@ class AcceleratorEngine:
         act = self.model.act_format
 
         n_ops = ops.shape[0]
-        p_fault, p_dup = self._fault_probs(record, self.pool_faults)
-        if self.dtype_policy == "fp32":
-            img, pos = self._sparse_candidates(record, self.pool_faults,
-                                               n_images)
-        else:
-            u = self._uniform(n_images, n_ops)
-            flat_hit = np.flatnonzero(u < p_fault)
-            img, pos = np.divmod(flat_hit, n_ops)
+        p_dup = self._fault_probs(record, self.pool_faults)[1]
+        img, pos = self._fault_sites(record, self.pool_faults, n_images)
         is_dup = self.rng.random(img.size) < p_dup[pos]
         if not self._observe_is_noop:
             self._observe_fault_sites(n_images, n_ops, img, pos, is_dup,

@@ -285,7 +285,7 @@ class ArmsRaceStudy:
     work draws randomness, and every cell resets its engine's generator
     in place to ``default_rng(cell_seed)`` before injecting, so a warm
     study emits bit-identical cells to a cold one
-    (``tests/defense/test_armsrace_reuse.py``).
+    (``tests/defense/test_defense_parity.py``).
     """
 
     def __init__(self, model: QuantizedModel, images: np.ndarray,
@@ -359,22 +359,32 @@ class ArmsRaceStudy:
             from ..core.attack import DeepStrike
             striker = self._planners.get(bank_cells)
             if striker is None:
-                if self._plan_engine is None:
-                    self._plan_engine = AcceleratorEngine(
-                        self.model, self.config, np.random.default_rng(0),
-                        self.input_shape)
-                striker = DeepStrike(self._plan_engine, bank_cells,
+                striker = DeepStrike(self._planning_engine(), bank_cells,
                                      np.random.default_rng(0))
                 self._planners[bank_cells] = striker
             plan = striker.plan_for_layer(layer, n_strikes)
             self._plans[key] = plan
         return plan
 
+    def _planning_engine(self) -> AcceleratorEngine:
+        """The plain engine the study plans strikes and predicts clean
+        with; it never injects."""
+        if self._plan_engine is None:
+            self._plan_engine = AcceleratorEngine(
+                self.model, self.config, np.random.default_rng(0),
+                self.input_shape)
+        return self._plan_engine
+
     def clean_predictions(self) -> np.ndarray:
         """Clean model predictions on the eval slice (engine-independent
-        and RNG-free; computed once)."""
+        and RNG-free; computed once, on the exact float64 GEMM forward
+        whatever the dtype policy)."""
         if self._clean_preds is None:
-            self._clean_preds = self.model.predict(self.images)
+            engine = self._planning_engine()
+            codes = self.model.quantize_input(self.images)
+            for stage in self.model.stages:
+                codes = engine.exact_stage(stage, codes)
+            self._clean_preds = np.argmax(codes, axis=1)
         return self._clean_preds
 
     def run_cell(self, bank_cells: int, n_strikes: int,

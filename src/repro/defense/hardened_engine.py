@@ -119,11 +119,13 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
     # -- calibration ----------------------------------------------------------
 
     def calibrate(self, images: np.ndarray) -> ActivationClamp:
-        """Learn per-layer activation envelopes from clean traffic."""
+        """Learn per-layer activation envelopes from clean traffic, on
+        the exact float64 GEMM forward whatever the dtype policy."""
         rc = self.config.recovery
         batch = np.asarray(images)[: rc.calibration_images]
         self.clamp = ActivationClamp.calibrate(self.model, batch,
-                                               rc.clamp_margin)
+                                               rc.clamp_margin,
+                                               forward=self.exact_stage)
         return self.clamp
 
     # -- razor hooks ----------------------------------------------------------
@@ -150,9 +152,11 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                 self.razor.observe_batch_sparse(n_images, img, dup)
             )
         else:
+            # The fault test is done with the draw buffer by now.
             self._capture.append(
-                self.razor.observe_batch_dense(n_images, n_ops, img, pos,
-                                               dup)
+                self.razor.observe_batch_dense(
+                    n_images, n_ops, img, pos, dup,
+                    scratch=self._uniform_buffer(n_images, n_ops))
             )
 
     def _doomed_images(self) -> Optional[np.ndarray]:

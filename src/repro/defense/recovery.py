@@ -24,7 +24,7 @@ Three pieces, composed by :class:`~repro.defense.HardenedAcceleratorEngine`
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -85,7 +85,8 @@ class RazorDetector:
 
     def observe_batch_dense(self, n_images: int, n_ops: int,
                             img: np.ndarray, pos: np.ndarray,
-                            dup_mask: np.ndarray) -> np.ndarray:
+                            dup_mask: np.ndarray,
+                            scratch: np.ndarray) -> np.ndarray:
         """Batched :meth:`observe` over a whole injection batch's sparse
         fault sites — byte-identical RNG stream to the per-image loop.
 
@@ -93,10 +94,14 @@ class RazorDetector:
         order and ``dup_mask`` their class split.  The per-image
         reference draws ``rng.random(n_ops)`` for each image with at
         least one faulted op, in image order, and nothing for fault-free
-        images; ``rng.random((k, n_ops))`` consumes the *identical*
-        stream as ``k`` sequential row draws, so one batched draw over
-        the flagged images reproduces the reference stream exactly
-        (pinned by ``tests/defense/test_batched_razor.py``).
+        images; one draw of ``k * n_ops`` uniforms consumes the
+        *identical* stream as ``k`` sequential row draws, so one batched
+        draw over the faulted images reproduces the reference stream
+        exactly (pinned by ``tests/defense/test_defense_parity.py``).
+
+        The draws go to ``scratch``, a C-contiguous float64 array of at
+        least ``n_images * n_ops`` elements whose contents are
+        overwritten (the engine's fault-test buffer).
 
         Returns a ``(n_images,)`` bool array of per-image razor flags.
         """
@@ -106,12 +111,19 @@ class RazorDetector:
         n_dup = int(np.count_nonzero(dup_mask))
         self.stats["dup_seen"] += n_dup
         self.stats["random_seen"] += int(img.size) - n_dup
-        # Images with >= 1 faulted op, ascending == image order (sites
-        # arrive image-major); row r of the batched draw is the matrix
-        # the reference drew for flagged image uniq[r].
-        uniq, inv = np.unique(img, return_inverse=True)
-        draws = self.rng.random((uniq.size, n_ops))
-        site_draws = draws[inv, pos]
+        # Sites arrive image-major, so each run of one image index is
+        # one faulted image, in image order: the site's run number r is
+        # the row the reference drew for that image.
+        new_run = np.empty(img.size, dtype=bool)
+        new_run[0] = True
+        np.not_equal(img[1:], img[:-1], out=new_run[1:])
+        flat = np.cumsum(new_run)
+        n_draws = int(flat[-1]) * n_ops
+        flat -= 1
+        flat *= n_ops
+        flat += pos
+        draws = self.rng.random(out=scratch.reshape(-1)[:n_draws])
+        site_draws = draws.take(flat)
         coverage = np.where(dup_mask, self.config.razor_dup_coverage,
                             self.config.razor_random_coverage)
         hit = site_draws < coverage
@@ -177,17 +189,26 @@ class ActivationClamp:
 
     @classmethod
     def calibrate(cls, model: QuantizedModel, images: np.ndarray,
-                  margin: float = 0.0) -> "ActivationClamp":
+                  margin: float = 0.0,
+                  forward: Optional[Callable] = None) -> "ActivationClamp":
         """Run clean inference and record every compute stage's output
         range (conv/dense accumulators at product scale, pool outputs at
-        activation scale)."""
+        activation scale).
+
+        ``forward(stage, codes)`` runs one stage; the default is the
+        int64 reference chain (``stage.forward_codes``).  The hardened
+        engine passes its exact float64 GEMM forward
+        (:meth:`~repro.accel.AcceleratorEngine.exact_stage`), which
+        gives the same codes.
+        """
         images = np.asarray(images)
         if images.ndim < 3 or images.shape[0] < 1:
             raise ConfigError("calibration needs a non-empty image batch")
         codes = model.quantize_input(images)
         bounds: Dict[str, StageBounds] = {}
         for stage in model.stages:
-            codes = stage.forward_codes(codes)
+            codes = stage.forward_codes(codes) if forward is None \
+                else forward(stage, codes)
             if getattr(stage, "kind", "") in ("conv", "dense", "pool"):
                 bounds[stage.name] = StageBounds(int(codes.min()),
                                                 int(codes.max()))

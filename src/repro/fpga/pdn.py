@@ -115,7 +115,9 @@ class PowerDistributionNetwork:
         cfg = self.config
         v = cfg.v_nominal - self._y_res - self._y_prompt - cfg.r_static * i_total
         if self.rng is not None and cfg.noise_sigma_v > 0:
-            v += self.rng.normal(0.0, cfg.noise_sigma_v)
+            # numpy's own normal(0.0, sigma) formula, the same value
+            # from the same stream without its per-call argument checks.
+            v += 0.0 + cfg.noise_sigma_v * self.rng.standard_normal()
         return v
 
     # -- vectorized ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Fault-aware engine tests, including scalar-DSP cross-validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,41 @@ class TestChangedRowForwarding:
             assert 0 < n_forwarded < self.N_IMAGES
         else:
             assert n_forwarded == self.N_IMAGES
+
+
+class TestZeroProbabilitySkip:
+    """An all-zero P(fault) pass advances the stream past its fault-test
+    uniforms instead of drawing them; every later draw must match."""
+
+    @staticmethod
+    def _generator(case):
+        if case == "philox":
+            return np.random.Generator(np.random.Philox(0))
+        rng = np.random.default_rng(0)
+        rng.random(3)
+        if case == "pending-half":
+            # An odd count of 32-bit bounded draws leaves half of a
+            # 64-bit output buffered.
+            rng.integers(0, 2 ** 18, size=3)
+            assert rng.bit_generator.state["has_uint32"]
+        return rng
+
+    @staticmethod
+    def _state(rng):
+        return json.dumps(rng.bit_generator.state, sort_keys=True,
+                          default=lambda array: array.tolist())
+
+    @pytest.mark.parametrize("case", ["no-half", "pending-half", "philox"])
+    def test_skip_equals_drawing_the_uniforms(self, victim, case):
+        skipped, drawn = self._generator(case), self._generator(case)
+        engine = AcceleratorEngine(victim.quantized, rng=skipped)
+        engine._skip_uniforms(5, 1234)
+        drawn.random((5, 1234))
+        assert self._state(skipped) == self._state(drawn)
+        np.testing.assert_array_equal(
+            skipped.integers(0, 2 ** 18, size=5),
+            drawn.integers(0, 2 ** 18, size=5))
+        assert skipped.random() == drawn.random()
 
 
 class TestExposedOps:

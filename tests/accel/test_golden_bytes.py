@@ -12,10 +12,17 @@ The campaign's 16 images keep every cell at full accuracy, so its JSON
 pins the strike pricing and the clean pass; the attacked scores pin the
 injected arithmetic itself, whose faults move scores long before they
 move a prediction.
+
+The defended digests pin the hardened engine (razor, divided-clock
+replay, TMR) the same way: a small ``repro defend`` grid as campaign
+JSON, and the recovery and razor counts of one continuing stream per
+defense, on which each replay pass's stream position feeds the next
+full-rate pass.
 """
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +31,7 @@ from repro.accel import AcceleratorEngine
 from repro.config import default_config
 from repro.core import CampaignSpec, DeepStrike, run_campaign
 from repro.core.campaign import _to_json
+from repro.defense import ArmsRaceStudy, HardenedAcceleratorEngine, resolve_defense
 
 SPEC = CampaignSpec(sweeps=(("conv1", (500,)), ("conv2", (1500,)),
                             ("fc1", (500,)), ("pool1", (40,))),
@@ -37,6 +45,20 @@ CAMPAIGN_DIGESTS = {
 SCORE_DIGESTS = {
     "fxp": "5cc7ca5f3c4b4d7327010bce38d547d7868df750b224e3f8adb9e0025574d013",
     "fp32": "fab015ce1ba964b08d5606a76db092215f9bcac1464ae482f0076384282cee2f",
+}
+
+ARMS_BANKS = (3000, 8000)
+ARMS_DEFENSES = ("none", "recover", "tmr")
+ARMS_STRIKES = 4500
+
+ARMS_CAMPAIGN_DIGESTS = {
+    "fxp": "9a87ad0c9cf58290195da1a0dad330945cf70649855a2bd31d689a67c4f9c87f",
+    "fp32": "d35b7dd1ab95f486874ff011a21e36970cc03e4c89f5369bd700093bde999f91",
+}
+
+DEFENDED_STREAM_DIGESTS = {
+    "fxp": "010a0e87d8dbd1276cde3917772031dddda08266f5110b12d40bec9cef5d8b3b",
+    "fp32": "04e0ed25a1db980d63f6eacdc70a96d9086737f1c15f556de0b52863b59ab89c",
 }
 
 
@@ -87,3 +109,45 @@ def test_attacked_scores_match_recorded_digest(victim, dtype):
     data = b"".join(np.ascontiguousarray(s, dtype=np.float64).tobytes()
                     for s in scores)
     assert digest(data) == SCORE_DIGESTS[dtype]
+
+
+@pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+def test_arms_campaign_json_matches_recorded_digest(victim, dtype):
+    attack = fresh_attack(victim, dtype)
+    images = victim.dataset.test_images[:SPEC.eval_images]
+    labels = victim.dataset.test_labels[:SPEC.eval_images]
+    spec = ArmsRaceStudy(victim.quantized, images, labels,
+                         config=attack.config).campaign_spec(
+        [(bank, ARMS_STRIKES) for bank in ARMS_BANKS],
+        [(label, resolve_defense(label)) for label in ARMS_DEFENSES])
+    text = _to_json(run_campaign(attack, images, labels, spec),
+                    complete=True)
+    assert digest(text.encode()) == ARMS_CAMPAIGN_DIGESTS[dtype]
+
+
+@pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+def test_defended_stream_matches_recorded_digest(victim, dtype):
+    """conv2 strikes at 3000, 8000, then 3000 cells again on one
+    continuing hardened-engine stream per defense: the scores, the
+    recovery stats and the razor's coverage counts."""
+    images = victim.dataset.test_images[:SPEC.eval_images]
+    planner = fresh_attack(victim, dtype).engine
+    plans = {bank: DeepStrike(planner, bank, np.random.default_rng(1))
+             .plan_for_layer("conv2", ARMS_STRIKES).struck
+             for bank in ARMS_BANKS}
+    blobs = []
+    for label in ("recover", "tmr"):
+        config = dataclasses.replace(default_config(), dtype_policy=dtype,
+                                     recovery=resolve_defense(label))
+        engine = HardenedAcceleratorEngine(victim.quantized, config,
+                                           np.random.default_rng(0))
+        engine.calibrate(images)
+        for bank in ARMS_BANKS + ARMS_BANKS[:1]:
+            scores = engine.infer_under_attack(images, plans[bank])
+            blobs.append(np.ascontiguousarray(scores, dtype=np.float64)
+                         .tobytes())
+        # Vacuity guard: the razor flagged images and they replayed.
+        assert engine.stats.replays > 0
+        blobs.append(json.dumps([engine.stats.as_dict(), engine.razor.stats],
+                                sort_keys=True).encode())
+    assert digest(b"".join(blobs)) == DEFENDED_STREAM_DIGESTS[dtype]

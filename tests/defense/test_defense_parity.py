@@ -20,12 +20,14 @@ cold study's cells exactly, in any order.
 from dataclasses import asdict, replace
 
 import numpy as np
+import pytest
 
 from repro.accel import AcceleratorEngine
 from repro.accel.engine import StruckCycles
 from repro.config import RecoveryConfig, default_config
-from repro.defense import HardenedAcceleratorEngine
+from repro.defense import HardenedAcceleratorEngine, RazorDetector
 from repro.defense.evaluation import ArmsRaceStudy, resolve_defense
+from repro.dsp.faults import FaultType
 from repro.nn.model import PROBE_INPUT_SHAPE
 
 MID_DROOP_V = 0.935
@@ -42,6 +44,14 @@ class LegacyHardened(HardenedAcceleratorEngine):
     per image) instead of the batched site hook."""
 
     _observe_fault_sites = AcceleratorEngine._observe_fault_sites
+
+
+class DrawingHardened(HardenedAcceleratorEngine):
+    """Draws and discards an all-zero pass's fault-test uniforms instead
+    of advancing the stream past them."""
+
+    def _skip_uniforms(self, n_images, n_ops):
+        self.rng.random((n_images, n_ops))
 
 
 def _images(n=8, seed=5):
@@ -110,7 +120,7 @@ class TestBatchedVsPerImageReference:
 
     def test_lenet_victim_bit_identical(self, victim):
         """The real victim drives the batched path through its largest
-        exposure records (where the dense grids actually trigger)."""
+        exposure records."""
         images = victim.dataset.test_images[:32]
         batched, legacy = _pair(victim.quantized, seed=2,
                                 calibrate=images, input_shape=(1, 28, 28))
@@ -120,6 +130,70 @@ class TestBatchedVsPerImageReference:
         assert np.array_equal(out_b, out_l)
         assert batched.stats.as_dict() == legacy.stats.as_dict()
         assert batched.stats.razor_flags > 0
+
+
+class TestZeroProbabilityReplay:
+    """A divided-clock replay pass whose P(fault) is 0 on every exposed
+    op skips its fault-test draws; nothing else may move."""
+
+    def test_all_zero_replay_equals_an_explicit_draw(self, victim,
+                                                     monkeypatch):
+        images = victim.dataset.test_images[:16]
+        skipping = _engine(HardenedAcceleratorEngine, victim.quantized,
+                           seed=4, calibrate=images, input_shape=(1, 28, 28))
+        drawing = _engine(DrawingHardened, victim.quantized, seed=4,
+                          calibrate=images, input_shape=(1, 28, 28))
+        skips = []
+        skip = skipping._skip_uniforms
+        monkeypatch.setattr(skipping, "_skip_uniforms",
+                            lambda *shape: (skips.append(shape),
+                                            skip(*shape)))
+        strikes = _strikes("conv2")
+        # Twice: the second pass draws from where the first one's
+        # replay left the stream.
+        for _ in range(2):
+            assert np.array_equal(
+                skipping.infer_under_attack(images, strikes),
+                drawing.infer_under_attack(images, strikes))
+        assert skipping.stats.as_dict() == drawing.stats.as_dict()
+        assert skipping.razor.stats == drawing.razor.stats
+        assert skipping.rng.bit_generator.state \
+            == drawing.rng.bit_generator.state
+        # Vacuity guard: replays ran, and they took the skip.
+        assert skipping.stats.replays > 0
+        assert skips
+
+
+class TestRazorBatchVsPerImage:
+    """``observe_batch_dense`` against per-image ``observe`` calls, one
+    per image of the batch, on one detector stream each."""
+
+    @pytest.mark.parametrize("faulted, n_images", [
+        ((0, 2, 3, 6), 7),  # fault-free images 1, 4 and 5 between
+        ((0,), 1),          # a one-image batch
+    ], ids=["gaps", "one-image"])
+    def test_batch_equals_per_image_observe(self, faulted, n_images):
+        n_ops = 300
+        rng = np.random.default_rng(len(faulted))
+        types = np.zeros((n_images, n_ops), dtype=np.int8)
+        for n in faulted:
+            sites = rng.choice(n_ops, size=40, replace=False)
+            types[n, sites] = rng.choice(
+                [FaultType.DUPLICATION, FaultType.RANDOM], size=40)
+        img, pos = np.nonzero(types)
+        batched = RazorDetector(RecoveryConfig(), np.random.default_rng(9))
+        reference = RazorDetector(RecoveryConfig(),
+                                  np.random.default_rng(9))
+        flags = batched.observe_batch_dense(
+            n_images, n_ops, img, pos,
+            types[img, pos] == FaultType.DUPLICATION,
+            scratch=np.full((n_images, n_ops), 0.5))
+        expected = [reference.observe(row) for row in types]
+        assert flags.tolist() == expected
+        assert batched.stats == reference.stats
+        assert batched.rng.random() == reference.rng.random()
+        # Vacuity guard: some image flagged, some did not.
+        assert any(expected) and (n_images == 1 or not all(expected))
 
 
 class TestFp32Tier:
@@ -132,6 +206,17 @@ class TestFp32Tier:
                               victim.dataset.test_labels[:96],
                               config=config, seed=7)
         return study.sweep([(5500, STRIKES)])
+
+    @pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+    def test_clean_predictions_equal_the_int64_reference(self, victim,
+                                                         dtype):
+        config = replace(default_config(), dtype_policy=dtype)
+        images = victim.dataset.test_images[:96]
+        study = ArmsRaceStudy(victim.quantized, images,
+                              victim.dataset.test_labels[:96],
+                              config=config)
+        np.testing.assert_array_equal(study.clean_predictions(),
+                                      victim.quantized.predict(images))
 
     def test_defended_cell_metrics_within_tolerance(self, victim):
         ref = self._cells(victim, "fxp")

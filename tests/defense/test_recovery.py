@@ -1,10 +1,18 @@
 """Unit tests for the recovery building blocks (razor, clamp, stats)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.config import RecoveryConfig
-from repro.defense import ActivationClamp, RazorDetector, RecoveryStats, StageBounds
+from repro.config import RecoveryConfig, default_config
+from repro.defense import (
+    ActivationClamp,
+    HardenedAcceleratorEngine,
+    RazorDetector,
+    RecoveryStats,
+    StageBounds,
+)
 from repro.dsp.faults import FaultType
 from repro.errors import ConfigError
 
@@ -81,6 +89,24 @@ class TestActivationClamp:
                 clipped, n_clamped = clamp.apply(stage.name, codes)
                 assert n_clamped == 0
                 assert np.array_equal(clipped, codes)
+
+    @pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+    def test_engine_calibration_equals_the_int64_reference(self, victim,
+                                                           dtype):
+        """The hardened engine calibrates on the exact float64 GEMM
+        forward whatever its dtype policy; the bounds are the int64
+        chain's."""
+        config = replace(default_config(), dtype_policy=dtype)
+        engine = HardenedAcceleratorEngine(victim.quantized, config,
+                                           np.random.default_rng(0))
+        images = victim.dataset.test_images[:64]
+        got = engine.calibrate(images)
+        rc = config.recovery
+        want = ActivationClamp.calibrate(
+            victim.quantized, images[:rc.calibration_images],
+            rc.clamp_margin)
+        assert got.bounds == want.bounds
+        assert got.margin == want.margin
 
     def test_out_of_range_garbage_clamped(self, probe_quantized):
         rng = np.random.default_rng(6)
