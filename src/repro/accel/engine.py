@@ -115,12 +115,8 @@ class AcceleratorEngine:
             self.rng,
         )
         self._plan_by_name: Dict[str, LayerPlan] = {p.name: p for p in self.plans}
-        # Dtype policy: "fxp" is the exact fixed-point reference (its
-        # MACs run as float64 dgemm, exact by construction), "fp32" runs
-        # them as float32 sgemm.
-        self.dtype_policy = self.config.dtype_policy
-        # Per-(stage, float dtype) GEMM weight/bias twins, built lazily.
-        self._gemm_cache: Dict[tuple, tuple] = {}
+        # Per-stage float64 GEMM weight/bias twins, built lazily.
+        self._gemm_cache: Dict[str, tuple] = {}
         # Reusable draw buffers for the batched uniform matrices (the
         # fault test, then the razor): the same (images, ops) shapes
         # recur every batch of a campaign cell, and rng.random(out=...)
@@ -174,112 +170,71 @@ class AcceleratorEngine:
         cache = self._stage_cache
         if cache is not None and cache[0] is images:
             return cache[1]
-        codes = self._quantize_input(images)
+        codes = self.model.quantize_input(images)
         out = [codes]
         for stage in self.model.stages:
-            codes = self._forward_stage(stage, codes)
+            codes = self.forward_stage(stage, codes)
             out.append(codes)
         self._stage_cache = (images, out)
         return out
 
-    def _quantize_input(self, images: np.ndarray) -> np.ndarray:
-        """Input codes under the active dtype policy.
-
-        The fp32 fast path carries the *same* integer code values in
-        float32 (|code| <= 127, exactly representable), so quantization
-        itself stays bit-exact and only the MAC arithmetic differs.
-        """
-        codes = self.model.quantize_input(images)
-        if self.dtype_policy == "fp32":
-            return codes.astype(np.float32)
-        return codes
-
-    def _gemm_params(self, stage, dtype) -> tuple:
+    def _gemm_params(self, stage) -> tuple:
         """``(weights, bias, row_sum, bias_max)`` of a MAC stage: the
-        ``(OUT, fan-in)`` weight matrix and the bias in ``dtype``
-        (float64 for the exact forward, float32 under fp32), the largest
-        absolute weight-row sum and the largest absolute bias code."""
-        key = (stage.name, dtype)
-        cached = self._gemm_cache.get(key)
+        ``(OUT, fan-in)`` weight matrix and the bias in float64, the
+        largest absolute weight-row sum and the largest absolute bias
+        code."""
+        cached = self._gemm_cache.get(stage.name)
         if cached is None:
             w_mat = stage.w_codes.reshape(stage.w_codes.shape[0], -1)
-            cached = (w_mat.astype(dtype), stage.b_codes.astype(dtype),
+            cached = (w_mat.astype(np.float64),
+                      stage.b_codes.astype(np.float64),
                       int(np.abs(w_mat).sum(axis=1).max()),
                       int(np.abs(stage.b_codes).max()))
-            self._gemm_cache[key] = cached
+            self._gemm_cache[stage.name] = cached
         return cached
 
     #: Every integer below this magnitude is exact in float64.
     _EXACT_F64 = 1 << 53
 
-    def exact_stage(self, stage, codes: np.ndarray) -> np.ndarray:
-        """One clean stage on the exact float64 GEMM forward (the fxp
-        tier's), whatever the dtype policy.
+    def forward_stage(self, stage, codes: np.ndarray) -> np.ndarray:
+        """One clean stage forward, equal to the int64 reference
+        ``stage.forward_codes``.
 
-        Equal to the int64 reference ``stage.forward_codes`` under the
-        same 2**53 guard as :meth:`_forward_stage`; the defended
-        engine's clamp calibration and the arms-race clean predictions
-        run on it.
-        """
-        return self._forward_stage(stage, codes, exact=True)
-
-    def _forward_stage(self, stage, codes: np.ndarray,
-                       exact: bool = False) -> np.ndarray:
-        """One stage forward under the active dtype policy or, with
-        ``exact``, on fxp's exact forward whatever the policy.
-
-        Conv and dense stages of both tiers run as one GEMM (im2col
-        first for a conv) in the policy's float dtype.  Under ``"fxp"``
-        it is float64 dgemm cast back to int64, equal to the int64
-        reference (``stage.forward_codes``) by construction: every
-        product and partial sum is an integer no larger than the input's
-        largest magnitude times the stage's largest absolute weight-row
-        sum, so while that bound plus the largest bias stays below 2**53
-        (below 2**25 for 8-bit codes at the victims' fan-in of at most
-        1,600) nothing rounds, whatever order or FMA fusion BLAS picks.
-        The bound is checked on every call; an input that breaks it
-        raises :class:`SimulationError`, with no int64 fallback.
-        ``"fp32"`` runs the MACs as float32 sgemm and the tanh lookup in
-        float32 — every intermediate code is still an integer *value*,
-        but rounding at the float32 tanh boundary may differ from the
-        float64 reference by one code, so this tier is pinned by
-        differential tolerance tests
-        (``tests/accel/test_backend_parity.py``), not bytes.
+        Conv and dense stages run as one float64 GEMM (im2col first for
+        a conv) cast back to int64, exact by construction: every product
+        and partial sum is an integer no larger than the input's largest
+        magnitude times the stage's largest absolute weight-row sum, so
+        while that bound plus the largest bias stays below 2**53 (below
+        2**25 for 8-bit codes at the victims' fan-in of at most 1,600)
+        nothing rounds, whatever order or FMA fusion BLAS picks.  The
+        bound is checked on every call; an input that breaks it raises
+        :class:`SimulationError`, with no int64 fallback.  Both dtype
+        policies, both engines, the clamp calibration and the arms-race
+        clean predictions run on it.
         """
         kind = stage.kind
-        fxp = exact or self.dtype_policy != "fp32"
-        if kind in ("conv", "dense"):
-            w_mat, bias, row_sum, bias_max = self._gemm_params(
-                stage, np.float64 if fxp else np.float32)
-            if fxp and codes.size:
-                peak = max(int(codes.max()), -int(codes.min()))
-                if peak * row_sum + bias_max >= self._EXACT_F64:
-                    raise SimulationError(
-                        f"{stage.name}: input codes up to {peak} can "
-                        f"round a float64 accumulation")
-            x = codes.astype(w_mat.dtype, copy=False)
-            if kind == "conv":
-                cols, out_h, out_w = im2col(x, stage.w_codes.shape[-1],
-                                            stage.stride, stage.pad)
-                acc = cols @ w_mat.T
-            else:
-                acc = x @ w_mat.T
-            acc += bias
-            if fxp:
-                acc = acc.astype(np.int64)
-            if kind == "conv":
-                return acc.reshape(codes.shape[0], out_h, out_w,
-                                   -1).transpose(0, 3, 1, 2)
-            return acc
-        if kind == "tanh" and not fxp:
-            fmt = stage.act_format
-            real = codes.astype(np.float32, copy=False) * np.float32(
-                2.0 ** (-stage.acc_frac_bits))
-            q = np.rint(np.tanh(real) * np.float32(1.0 / fmt.scale))
-            np.clip(q, fmt.int_min, fmt.int_max, out=q)
-            return q
-        # pool, flatten etc. are dtype-generic (pairwise max / reshape).
-        return stage.forward_codes(codes)
+        if kind not in ("conv", "dense"):
+            return stage.forward_codes(codes)
+        w_mat, bias, row_sum, bias_max = self._gemm_params(stage)
+        if codes.size:
+            peak = max(int(codes.max()), -int(codes.min()))
+            if peak * row_sum + bias_max >= self._EXACT_F64:
+                raise SimulationError(
+                    f"{stage.name}: input codes up to {peak} can "
+                    f"round a float64 accumulation")
+        x = codes.astype(np.float64, copy=False)
+        if kind == "conv":
+            cols, out_h, out_w = im2col(x, stage.w_codes.shape[-1],
+                                        stage.stride, stage.pad)
+            acc = cols @ w_mat.T
+        else:
+            acc = x @ w_mat.T
+        acc += bias
+        acc = acc.astype(np.int64)
+        if kind == "conv":
+            return acc.reshape(codes.shape[0], out_h, out_w,
+                               -1).transpose(0, 3, 1, 2)
+        return acc
 
     # -- attacked path ----------------------------------------------------------
 
@@ -305,7 +260,7 @@ class AcceleratorEngine:
         first = 0
         codes: Optional[np.ndarray] = None
         if stage_codes is None:
-            codes = self._quantize_input(images)
+            codes = self.model.quantize_input(images)
         else:
             live = [entry for entry in by_layer.values() if entry.count > 0]
             if not live:
@@ -325,7 +280,7 @@ class AcceleratorEngine:
                 codes = stage_codes[index + 1].copy()
             else:
                 x_in = codes
-                codes = self._forward_stage(stage, codes)
+                codes = self.forward_stage(stage, codes)
             entry = by_layer.get(getattr(stage, "name", ""))
             if entry is None or entry.count == 0:
                 continue
@@ -342,8 +297,8 @@ class AcceleratorEngine:
         is clean all the way down — every later stage is row-independent
         and draws no randomness — so it takes its cached clean final
         codes, and only the changed rows run through the later stages.
-        Under fxp every stage is exact integer arithmetic, so the result
-        is bit-identical to forwarding the whole batch.  The pooling
+        Every stage is exact integer arithmetic, so the result is
+        bit-identical to forwarding the whole batch.  The pooling
         layer rarely faults (Fig 5(b)), so its cells usually forward
         nothing.
         """
@@ -360,7 +315,7 @@ class AcceleratorEngine:
         if changed.size < n_images:
             codes = codes[changed]
         for later in self.model.stages[index + 1:]:
-            codes = self._forward_stage(later, codes)
+            codes = self.forward_stage(later, codes)
         if changed.size == n_images:
             return codes
         final = stage_codes[-1].copy()
@@ -387,7 +342,7 @@ class AcceleratorEngine:
         """Inject one layer's strikes into its freshly computed codes.
 
         ``x_in`` is the layer's input (its rollback checkpoint); ``codes``
-        is ``_forward_stage(stage, x_in)``, possibly mutated in place.
+        is ``forward_stage(stage, x_in)``, possibly mutated in place.
         """
         plan = self._plan_by_name[entry.layer_name]
         if plan.stage_index != index:
@@ -438,17 +393,6 @@ class AcceleratorEngine:
         for n in range(n_images):
             self._observe_fault_types(types[n], voltages)
 
-    def _doomed_images(self) -> Optional[np.ndarray]:
-        """Hook: per-image mask of outputs the observer guarantees will
-        be discarded and recomputed (consulted right after
-        :meth:`_observe_fault_sites`).  The hardened engine returns its
-        fresh razor flags here whenever a rollback replay is guaranteed
-        to follow, letting the injector skip the doomed images' delta
-        math, garbage draws, and scatter.  Only honoured under the fp32
-        dtype policy — the skipped garbage draws are part of the fxp
-        byte-parity stream.  The base engine discards nothing."""
-        return None
-
     def predict_under_attack(self, images: np.ndarray,
                              struck: Sequence[StruckCycles],
                              stage_codes: Optional[List[np.ndarray]] = None,
@@ -466,16 +410,10 @@ class AcceleratorEngine:
                               struck: Sequence[StruckCycles],
                               stage_codes: Optional[List[np.ndarray]] = None,
                               ) -> float:
-        """Top-1 accuracy with strikes applied to every inference.
-
-        Evaluates in batches of ``config.accel.eval_batch_size`` —
-        except under the fp32 dtype policy, which evaluates the whole
-        set as one batch: batch boundaries are part of the byte-parity
-        RNG stream only in the fixed-point tier, and fp32's stream is
-        already redefined (see :meth:`_sparse_candidates`).
-        """
-        batch_size = max(images.shape[0] if self.dtype_policy == "fp32"
-                         else self.config.accel.eval_batch_size, 1)
+        """Top-1 accuracy with strikes applied to every inference,
+        evaluated in batches of ``config.accel.eval_batch_size`` (the
+        batch boundaries are part of the RNG stream)."""
+        batch_size = self.config.accel.eval_batch_size
         correct = 0
         for start in range(0, images.shape[0], batch_size):
             window = slice(start, start + batch_size)
@@ -577,7 +515,7 @@ class AcceleratorEngine:
     def _sparse_candidates(self, record: dict, model: TimingFaultModel,
                            n_images: int) -> Tuple[np.ndarray, np.ndarray]:
         """Fault-candidate ``(img, pos)`` sites without the dense
-        uniform matrix — the fp32 policy's sampler.
+        uniform matrix — the fp32 policy's fault test.
 
         Exact Poisson thinning of the Bernoulli process: over a block of
         ``B`` trials at constant probability ``p``, draw ``K ~
@@ -588,11 +526,11 @@ class AcceleratorEngine:
         independently of every other position — the same per-op fault
         law as the reference's dense ``u < p`` threshold, at ~``p``
         draws per trial instead of one.  Exposure probabilities are
-        constant within a struck cycle, so blocks are per-cycle.  The
-        *stream* differs from the fixed-point reference (that is the
-        documented fp32 trade: distribution-identical, not
-        byte-identical).  Returned sites are sorted row-major, matching
-        the reference's candidate order.
+        constant within a struck cycle, so blocks are per-cycle, and
+        positions are exact integer draws over each block.  The
+        *stream* differs from the dense test's (distribution-identical,
+        not byte-identical).  Returned sites are sorted row-major,
+        matching the dense test's order.
         """
         plan = record.setdefault("sparse", {}).get(model)
         if plan is None:
@@ -611,38 +549,28 @@ class AcceleratorEngine:
         if n_ops == 0:
             return empty, empty
         # The flat (img, op) index space tops out at n_images * n_ops
-        # (a few million) — int32 throughout halves the sort/divmod
-        # bandwidth; results widen to int64 only on return.
+        # (a few million) — int32 throughout halves the sort bandwidth.
         block = counts * n_images
         m = self.rng.poisson(block * lam)
         total = int(m.sum())
         flats = []
         if total:
             cyc = np.repeat(np.arange(counts.shape[0], dtype=np.int32), m)
-            if width and width * n_images <= 1 << 20:
-                # Constant-width cycles (every struck cycle exposes the
-                # full lane set — the overwhelmingly common exposure):
-                # scalar-divisor placement, and the uniforms drop to
-                # float32.  A 24-bit mantissa spreads exactly evenly
-                # over any power-of-two block and to one part in
-                # 2**24 / block otherwise — block stays ~2**13, so the
-                # placement law is uniform to float32 resolution (the
-                # fp32 tier's documented precision).
-                blk = np.int32(width * n_images)
-                u = self.rng.random(total, dtype=np.float32)
-                loc = np.minimum((u * np.float32(blk)).astype(np.int32),
-                                 blk - np.int32(1))
-                img_part, lane = np.divmod(loc, np.int32(width))
-                flats.append(img_part * np.int32(n_ops)
-                             + cyc * np.int32(width) + lane)
+            if width:
+                # Every struck cycle exposes the same op count (the full
+                # lane set, the common exposure): one scalar-bound draw,
+                # several times cheaper than per-cycle bounds.
+                span = np.int32(width)
+                loc = self.rng.integers(0, width * n_images, size=total,
+                                        dtype=np.int32)
+                offset = cyc * span
             else:
-                u = self.rng.random(total)
-                bcyc = block[cyc]
-                loc = np.minimum((u * bcyc).astype(np.int32),
-                                 bcyc - np.int32(1))
-                img_part, lane = np.divmod(loc, counts[cyc])
-                flats.append(img_part * np.int32(n_ops)
-                             + offsets[cyc] + lane)
+                span = counts[cyc]
+                loc = self.rng.integers(0, block[cyc], dtype=np.int32)
+                offset = offsets[cyc]
+            img_part = loc // span
+            flats.append(img_part * np.int32(n_ops) + offset
+                         + (loc - img_part * span))
         if np.any(full):
             # Saturated cycles: every exposed op of every image faults.
             fcols = np.concatenate([
@@ -663,9 +591,8 @@ class AcceleratorEngine:
         flat = np.sort(flat)
         if flat.size > 1:
             flat = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-        # Sites stay int32 end to end — the injector gathers and the
-        # scatter targets all index spaces far below 2**31.
-        return np.divmod(flat, np.int32(n_ops))
+        img = flat // np.int32(n_ops)
+        return img, flat - img * np.int32(n_ops)
 
     def _uniform_buffer(self, n_images: int, n_ops: int) -> np.ndarray:
         """The reused ``(n_images, n_ops)`` float64 draw buffer.
@@ -713,15 +640,16 @@ class AcceleratorEngine:
         """Candidate fault sites ``(img, pos)`` of one injection batch
         under ``model``, in row-major (image-major) order.
 
-        fxp: one uniform per (image, exposed op) against ``P(fault)``,
-        step 1 of the stream contract (docs/performance.md §2).  When
-        ``P(fault)`` is exactly 0 for every exposed op (a divided-clock
-        replay at positive slack), no uniform can fall below it: the
-        stream is advanced past the draws instead
-        (:meth:`_skip_uniforms`), which leaves every later draw
-        unchanged.  fp32: :meth:`_sparse_candidates`.
+        The dtype policy selects how this test draws, and nothing else
+        in the engine reads it.  fxp: one uniform per (image, exposed
+        op) against ``P(fault)``, step 1 of the stream contract
+        (docs/performance.md §2).  When ``P(fault)`` is exactly 0 for
+        every exposed op (a divided-clock replay at positive slack), no
+        uniform can fall below it: the stream is advanced past the
+        draws instead (:meth:`_skip_uniforms`), which leaves every
+        later draw unchanged.  fp32: :meth:`_sparse_candidates`.
         """
-        if self.dtype_policy == "fp32":
+        if self.config.dtype_policy == "fp32":
             return self._sparse_candidates(record, model, n_images)
         p_fault = self._fault_probs(record, model)[0]
         n_ops = p_fault.shape[0]
@@ -763,10 +691,8 @@ class AcceleratorEngine:
         :meth:`_fault_sites`), one uniform per surviving fault for the
         duplication/random split, then one garbage-word draw per
         random-class fault; the per-image razor hook fires in image
-        order after the decisions.
-        The ``fp32`` dtype policy replaces the dense fault test with
-        :meth:`_sparse_candidates` (distribution-identical, different
-        stream); the split and garbage draws keep the same structure.
+        order after the decisions.  The ``fp32`` dtype policy replaces
+        only the dense fault test, with :meth:`_sparse_candidates`.
         """
         p_dup = self._fault_probs(record, self.dsp_faults)[1]
         n_ops = p_dup.shape[0]
@@ -774,119 +700,42 @@ class AcceleratorEngine:
         p_cur = p_prev = np.empty(0, dtype=np.int64)
         if img.size:
             p_cur, p_prev = products(img, pos)
-            if p_cur.dtype != np.int64 and self._observe_is_noop:
-                # fp32 fast path: products are integer-valued floats
-                # (codes fit float32 exactly) and stay float32 — the
-                # dup delta below is exact in float32 (|delta| < 2**15)
-                # and only the random-class garbage slice ever needs
-                # integer bit-math.
-                #
-                # No transition filter here: a non-transitioning site
-                # (p_cur == p_prev) provably yields delta == 0 in both
-                # fault classes — duplication delivers the identical
-                # product, and the garbage capture reconstructs the
-                # settled word exactly for |product| < 2**17 (products
-                # top out at 128 * 128) — so the filter's five boolean
-                # gathers cost more than the ~16% zero-delta sites they
-                # remove.  Draw counts shift accordingly: part of the
-                # documented fp32 stream difference.
-                pass
-            else:
-                # != is dtype-exact; the dense reference stream draws
-                # per *transitioning* op, so the filter is part of fxp
-                # byte parity (and of the per-op observe accounting).
-                keep = p_cur != p_prev
-                img, pos = img[keep], pos[keep]
-                p_cur, p_prev = p_cur[keep], p_prev[keep]
-        n_faulted = img.size
-        if self.dtype_policy == "fp32":
-            # Half-width split draws (part of the documented fp32
-            # stream difference): a float32 uniform against a float32
-            # probability makes the same decision to ~2**-24, far
-            # inside this tier's tolerance, at half the draw bandwidth.
-            pd32 = record.setdefault("probs32", {}).get(self.dsp_faults)
-            if pd32 is None:
-                pd32 = p_dup.astype(np.float32)
-                record["probs32"][self.dsp_faults] = pd32
-            dup = self.rng.random(n_faulted, dtype=np.float32) < pd32[pos]
-        else:
-            dup = self.rng.random(n_faulted) < p_dup[pos]
+            # The split and garbage draws run per *transitioning* op, so
+            # the filter is part of the stream (and of the per-op
+            # observe accounting).
+            keep = p_cur != p_prev
+            img, pos = img[keep], pos[keep]
+            p_cur, p_prev = p_cur[keep], p_prev[keep]
+        dup = self.rng.random(img.size) < p_dup[pos]
         if force_class is not None:
             dup[:] = force_class == "duplication"
         if not self._observe_is_noop:
             self._observe_fault_sites(n_images, n_ops, img, pos, dup,
                                       record["volts"])
-            doomed = self._doomed_images()
-            if doomed is not None and img.size:
-                # The observer just promised these images' outputs will
-                # be discarded and recomputed (a rollback replay is
-                # guaranteed to follow) — their delta math, garbage
-                # draws, and scatter are pure waste.  fp32 tier only:
-                # the garbage draw count is part of the fxp byte-parity
-                # stream.
-                live = ~doomed[img]
-                if not live.all():
-                    img, pos = img[live], pos[live]
-                    dup = dup[live]
-                    p_cur, p_prev = p_cur[live], p_prev[live]
-        int_t = np.int32 if p_cur.dtype != np.int64 else np.int64
         # The duplication law for every site — random-class entries are
         # overwritten below, so no select is needed here.
         delta = p_prev - p_cur
-        n_random = int(img.size) - int(np.count_nonzero(dup))
-        if n_random:
+        # Integer, not boolean, indices: the random class is a scattered
+        # ~40 % of the sites, where a boolean mask's branchy copy costs
+        # several times flatnonzero + take.
+        rnd = np.flatnonzero(~dup)
+        if rnd.size:
             word = (1 << _RANDOM_FAULT_BITS) - 1
             sign = 1 << (_RANDOM_FAULT_BITS - 1)
-            if int_t is np.int32:
-                # fp32: garbage math runs full-vector over every faulted
-                # site and blends by mask — boolean-gathering the
-                # random-class slice costs more than computing the ~2x
-                # extra elements, and the full-width draw is part of the
-                # documented fp32 stream difference.
-                cur = p_cur.astype(np.int32, copy=False)
-                u_cur = cur & np.int32(word)
-                u_prev = p_prev.astype(np.int32, copy=False) & np.int32(word)
-                # Zero toggling (an unfiltered fp32 non-transition site)
-                # gives width 0, mask 0, captured == settled word:
-                # delta 0.  frexp's exponent IS floor(log2)+1 for exact
-                # ints, and the word is 18 bits < 2**24, so float32
-                # frexp is exact.
-                toggling = u_cur ^ u_prev
-                width = np.frexp(toggling.astype(np.float32))[1] \
-                    .astype(np.int32)
-                mask = (np.int32(1) << width) - np.int32(1)
-                rand_bits = self.rng.integers(0, word + 1, size=img.size,
-                                              dtype=np.int32)
-                captured = (u_cur & ~mask) | (rand_bits & mask)
-                # Two's-complement sign extension of the 18-bit word,
-                # branch-free.
-                captured = (captured ^ np.int32(sign)) - np.int32(sign)
-                np.copyto(delta, (captured - cur).astype(delta.dtype,
-                                                         copy=False),
-                          where=~dup)
-            else:
-                # fxp: the draw count and width are part of the
-                # byte-parity RNG stream — one int64 draw per
-                # random-class site, exactly as the dense reference.
-                # Integer, not boolean, indices: the random class is a
-                # scattered ~40 % of the sites, where a boolean mask's
-                # branchy copy costs several times flatnonzero + take.
-                rnd = np.flatnonzero(~dup)
-                cur = p_cur[rnd]
-                u_cur = cur & np.int64(word)
-                u_prev = p_prev[rnd] & np.int64(word)
-                # Bits above the highest toggling bit are settled;
-                # below it, anything may be captured.  A sign flip
-                # toggles the whole word (two's complement), yielding
-                # large garbage.
-                toggling = u_cur ^ u_prev
-                width = np.frexp(toggling.astype(np.float32))[1] \
-                    .astype(np.int64)
-                mask = (np.int64(1) << width) - np.int64(1)
-                rand_bits = self.rng.integers(0, word + 1, size=n_random)
-                captured = (u_cur & ~mask) | (rand_bits & mask)
-                captured = (captured ^ np.int64(sign)) - np.int64(sign)
-                delta[rnd] = captured - cur
+            cur = p_cur[rnd]
+            u_cur = cur & np.int64(word)
+            u_prev = p_prev[rnd] & np.int64(word)
+            # Bits above the highest toggling bit are settled; below it,
+            # anything may be captured.  A sign flip toggles the whole
+            # word (two's complement), yielding large garbage.
+            toggling = u_cur ^ u_prev
+            width = np.frexp(toggling.astype(np.float32))[1] \
+                .astype(np.int64)
+            mask = (np.int64(1) << width) - np.int64(1)
+            rand_bits = self.rng.integers(0, word + 1, size=rnd.size)
+            captured = (u_cur & ~mask) | (rand_bits & mask)
+            captured = (captured ^ np.int64(sign)) - np.int64(sign)
+            delta[rnd] = captured - cur
         return img, pos, delta
 
     # -- per-kind injectors ----------------------------------------------------------
@@ -969,15 +818,6 @@ class AcceleratorEngine:
                 "w_prev": np.where(no_prev, 0, w_mat[po_idx, pj_idx]),
                 "targets": o_idx * r_total + r_idx,
             }
-            if self.dtype_policy == "fp32":
-                # Weight * activation codes stay far inside float32's
-                # exact-integer range, so the candidate products can run
-                # at half the memory bandwidth of int64; the flat gather
-                # offsets likewise fit int32.
-                gather["w_cur"] = gather["w_cur"].astype(np.float32)
-                gather["w_prev"] = gather["w_prev"].astype(np.float32)
-                for key in ("x", "px", "targets"):
-                    gather[key] = gather[key].astype(np.int32)
             record["conv"] = gather
 
         flat_x = x_pad.reshape(n_images * image_size)
@@ -1022,12 +862,6 @@ class AcceleratorEngine:
                 "w_prev": np.where(no_prev, 0, stage.w_codes[po_idx, pj_idx]),
                 "targets": o_idx,
             }
-            if self.dtype_policy == "fp32":
-                # Same float32/int32 narrowing as the conv gather.
-                gather["w_cur"] = gather["w_cur"].astype(np.float32)
-                gather["w_prev"] = gather["w_prev"].astype(np.float32)
-                for key in ("j", "pj", "targets"):
-                    gather[key] = gather[key].astype(np.int32)
             record["dense"] = gather
 
         n_images = x_codes.shape[0]

@@ -99,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "serial run; default 1)")
     campaign.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
                           metavar="POLICY",
-                          help="dtype policy: fxp is the exact fixed-point "
-                               "reference (byte-parity tier), fp32 the "
-                               "tolerance-pinned fast path")
+                          help="how fault sites and razor checks draw: "
+                               "fxp is the dense byte-parity reference, "
+                               "fp32 the sparse, tolerance-pinned fast "
+                               "path (same forward and injector)")
     campaign.add_argument("--max-retries", type=int, default=None,
                           metavar="N",
                           help="re-dispatches allowed per cell after a "
@@ -188,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "campaign runs; warm cells are merged "
                              "without recomputation")
     defend.add_argument("--dtype", default=None, choices=("fxp", "fp32"),
-                        help="dtype policy (fxp = bit-exact reference, "
-                             "fp32 = fast tier)")
+                        help="how fault sites and razor checks draw "
+                             "(fxp = dense byte-parity reference, fp32 = "
+                             "sparse fast tier)")
 
     lint = sub.add_parser("lint",
                           help="AST contract linter: determinism, clock, "

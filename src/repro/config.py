@@ -265,9 +265,9 @@ class AcceleratorConfig:
     bram_current_per_access: float = ua(200.0)
     activity_jitter: float = 0.18  # cycle-to-cycle activity modulation
     interlayer_stall_cycles: int = 400
-    #: Images per batch in accuracy_under_attack (fxp; fp32 takes the
-    #: whole set as one batch).  Part of the batched RNG stream
-    #: contract (docs/performance.md): changing it changes where batch
+    #: Images per batch in accuracy_under_attack, under both dtype
+    #: policies.  Part of the batched RNG stream contract
+    #: (docs/performance.md): changing it changes where batch
     #: boundaries fall and therefore the sampled fault outcomes.
     eval_batch_size: int = 64
 
@@ -464,9 +464,13 @@ class SimulationConfig:
     accel: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    #: "fxp" is the exact int64 fixed-point reference (byte-parity
-    #: tier); "fp32" runs MAC layers in float32 (sgemm) and is pinned
-    #: to the reference by differential tolerance tests only.
+    #: How the two per-op Bernoulli tests draw; both policies run the
+    #: same exact forward and injector.  "fxp" draws one uniform per
+    #: (image, exposed op) for the fault test and per (faulted image,
+    #: exposed op) for the razor: the byte-parity reference.  "fp32"
+    #: draws fault sites by sparse Poisson thinning and one razor
+    #: uniform per faulted site: the same laws on another stream,
+    #: pinned to the reference by differential tolerance tests.
     dtype_policy: str = "fxp"
     seed: int = 20210705
 

@@ -57,6 +57,11 @@ __all__ = ["CacheGCReport", "CellCache", "CellCacheStats",
 
 ENTRY_FORMAT_VERSION = 1
 
+#: Each dtype policy's draw stream, as folded into the campaign digest.
+#: A new name retires every address the policy's old stream wrote: fp32
+#: was plain "fp32" while it ran its own float32 forward and injector.
+_DTYPE_STREAMS = {"fxp": "fxp", "fp32": "fp32-2"}
+
 
 def _hash_update_array(h, name: str, array: np.ndarray) -> None:
     """Feed one ndarray into a digest, shape/dtype/content included."""
@@ -76,11 +81,11 @@ def campaign_digest(config: SimulationConfig, bank_cells: int,
     h = hashlib.blake2s()
     h.update(json.dumps(asdict(config), sort_keys=True).encode())
     # The dtype policy is a config field, so the JSON above already
-    # covers it — but it changes *numerics*, not just tuning, so fold it
+    # covers it — but it selects a *stream*, not just tuning, so fold it
     # in explicitly too: fp32 outcomes must never be served from (or
     # poison) fxp entries even if config serialization is ever
     # restructured.
-    h.update(f"|dtype:{config.dtype_policy}".encode())
+    h.update(f"|dtype:{_DTYPE_STREAMS[config.dtype_policy]}".encode())
     h.update(f"|bank:{bank_cells}".encode())
     h.update(f"|model:{model.name}:{model.act_format!r}"
              f":{model.weight_format!r}".encode())

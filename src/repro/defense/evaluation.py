@@ -377,13 +377,13 @@ class ArmsRaceStudy:
 
     def clean_predictions(self) -> np.ndarray:
         """Clean model predictions on the eval slice (engine-independent
-        and RNG-free; computed once, on the exact float64 GEMM forward
-        whatever the dtype policy)."""
+        and RNG-free; computed once, on the engine's exact GEMM
+        forward)."""
         if self._clean_preds is None:
             engine = self._planning_engine()
             codes = self.model.quantize_input(self.images)
             for stage in self.model.stages:
-                codes = engine.exact_stage(stage, codes)
+                codes = engine.forward_stage(stage, codes)
             self._clean_preds = np.argmax(codes, axis=1)
         return self._clean_preds
 

@@ -27,14 +27,16 @@ bit-identical to the undefended engine.
 
 Hot path (docs/performance.md, "defense hot path"): the razor watches
 the injectors' *sparse fault sites* through one batched observation per
-injection pass instead of a dense per-image Python loop — under the
-``fxp`` policy via :meth:`RazorDetector.observe_batch_dense`, whose RNG
-stream is byte-identical to the per-image reference, and under ``fp32``
-via the sparse per-site draws of
-:meth:`RazorDetector.observe_batch_sparse` (distribution-identical,
-different stream — the repo-wide fp32 trade).  The defended clean
-forward pass (every stage upstream of the first struck/alarmed/TMR
-layer, clamps included) is cached per images identity, and the
+injection pass instead of a dense per-image Python loop.  The razor's
+coverage test is the one step here that reads the dtype policy, as the
+fault test is in the base engine: ``fxp`` draws it with
+:meth:`RazorDetector.observe_batch_dense`, whose RNG stream is
+byte-identical to the per-image reference, and ``fp32`` with the
+per-site draws of :meth:`RazorDetector.observe_batch_sparse`
+(distribution-identical, different stream).  Every other step runs the
+same code under both policies.  The defended clean forward pass (every
+stage upstream of the first struck/alarmed/TMR layer, clamps included)
+is cached per images identity, and the
 divided-clock replay fault models are built once per engine with their
 voltage-quadrature results memoized per (exposure record, model), so a
 study reusing one engine across cells never re-prices the replay
@@ -104,12 +106,6 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
         # Entries are per-batch flag arrays (the batched hook) or
         # scalar bools (the legacy per-image hook).
         self._capture: Optional[List[np.ndarray]] = None
-        # True while the recovery state machine guarantees that any
-        # image the razor flags in the *current* injection pass will be
-        # rolled back and replayed — which lets the fp32 injectors drop
-        # the flagged images' post-detection work (see
-        # :meth:`_doomed_images`).
-        self._discard_flagged = False
         # Defended clean forward pass (stage outputs with clamps
         # applied, plus per-stage clamp counts), cached per (images
         # identity, clamp identity).  Deterministic and RNG-free, so a
@@ -120,12 +116,12 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
 
     def calibrate(self, images: np.ndarray) -> ActivationClamp:
         """Learn per-layer activation envelopes from clean traffic, on
-        the exact float64 GEMM forward whatever the dtype policy."""
+        the engine's exact GEMM forward."""
         rc = self.config.recovery
         batch = np.asarray(images)[: rc.calibration_images]
         self.clamp = ActivationClamp.calibrate(self.model, batch,
                                                rc.clamp_margin,
-                                               forward=self.exact_stage)
+                                               forward=self.forward_stage)
         return self.clamp
 
     # -- razor hooks ----------------------------------------------------------
@@ -147,7 +143,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
             return
         if not self.config.recovery.razor_enabled:
             self._capture.append(np.zeros(n_images, dtype=bool))
-        elif self.dtype_policy == "fp32":
+        elif self.config.dtype_policy == "fp32":
             self._capture.append(
                 self.razor.observe_batch_sparse(n_images, img, dup)
             )
@@ -158,22 +154,6 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                     n_images, n_ops, img, pos, dup,
                     scratch=self._uniform_buffer(n_images, n_ops))
             )
-
-    def _doomed_images(self) -> Optional[np.ndarray]:
-        """Razor flags of the pass that just observed, when a rollback
-        replay is guaranteed to overwrite the flagged images' outputs.
-
-        fp32 tier only: skipping a doomed image's garbage draws changes
-        the draw count, which the fxp byte-parity contract forbids.  The
-        decision itself is unchanged — flags are already final when this
-        hook runs, and the replacement output comes from a full replay.
-        """
-        if (self._discard_flagged and self._capture
-                and self.dtype_policy == "fp32"):
-            flags = self._capture[-1]
-            if isinstance(flags, np.ndarray) and flags.any():
-                return flags
-        return None
 
     # -- droop-monitor glue ----------------------------------------------------------
 
@@ -213,13 +193,13 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                 and cache[1] is self.clamp:
             return cache[2], cache[3]
         rc = self.config.recovery
-        codes = self._quantize_input(np.asarray(images))
+        codes = self.model.quantize_input(np.asarray(images))
         out = [codes]
         clamped: List[int] = []
         for stage in self.model.stages:
             name = getattr(stage, "name", "")
             plan = self._plan_by_name.get(name)
-            codes = self._forward_stage(stage, codes)
+            codes = self.forward_stage(stage, codes)
             n_clamped = 0
             if (plan is not None and rc.clamp_activations
                     and plan.kind in ("conv", "dense", "pool")):
@@ -277,7 +257,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
             name = getattr(stage, "name", "")
             plan = self._plan_by_name.get(name)
             if plan is None:  # tanh/flatten: no schedule window, no DSPs
-                codes = self._forward_stage(stage, codes)
+                codes = self.forward_stage(stage, codes)
                 continue
             x_in = codes
             entry = by_layer.get(name)
@@ -288,7 +268,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                 codes = self._recover_layer(stage, index, plan, entry,
                                             x_in, name in alarmed)
             else:
-                codes = self._forward_stage(stage, codes)
+                codes = self.forward_stage(stage, codes)
                 if name in alarmed:
                     # Precautionary replay: the monitor alarmed on a
                     # layer the planner did not strike.  The slow-clock
@@ -333,7 +313,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
         Returns ``(flags, codes)`` where ``flags[i]`` says image ``i``'s
         shadow latches caught a timing miss.
         """
-        codes = self._forward_stage(stage, x_in)
+        codes = self.forward_stage(stage, x_in)
         self._capture = []
         try:
             codes = self._apply_stage_faults(stage, index, entry, x_in,
@@ -363,14 +343,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
         runs out.
         """
         rc = self.config.recovery
-        # Attempt 0's flagged images are guaranteed a replay whenever
-        # the budget allows at least one — their outputs are doomed, so
-        # the fp32 injectors may skip their post-detection work.
-        self._discard_flagged = rc.max_replays_per_layer > 0
-        try:
-            flags, out = self._inject_with_flags(stage, index, entry, x_in)
-        finally:
-            self._discard_flagged = False
+        flags, out = self._inject_with_flags(stage, index, entry, x_in)
         if forced_alarm:
             self.stats.forced_replays += int(np.count_nonzero(~flags))
             flags = np.ones_like(flags)
@@ -392,17 +365,10 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
             self.stats.replay_cycles += int(
                 pending.size * plan.cycles * rc.replay_clock_divisor
             )
-            # A replay's flagged images get another replay only while
-            # budget remains; on the final allowed attempt the output
-            # may be accepted, so it must be genuine.
-            self._discard_flagged = attempt < rc.max_replays_per_layer
-            try:
-                with self._replay_models():
-                    sub_flags, sub = self._inject_with_flags(
-                        stage, index, entry, x_in[pending]
-                    )
-            finally:
-                self._discard_flagged = False
+            with self._replay_models():
+                sub_flags, sub = self._inject_with_flags(
+                    stage, index, entry, x_in[pending]
+                )
             out[pending] = sub
             pending = pending[sub_flags]
         return out
@@ -421,7 +387,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
         n_images = int(x_in.shape[0])
         votes = []
         for _ in range(3):
-            codes = self._forward_stage(stage, x_in)
+            codes = self.forward_stage(stage, x_in)
             if entry is not None and entry.count > 0:
                 codes = self._apply_stage_faults(stage, index, entry,
                                                  x_in, codes)

@@ -11,7 +11,10 @@ Three pieces, composed by :class:`~repro.defense.HardenedAcceleratorEngine`
   window, so the comparator catches it with high probability; a *deep*
   miss (the random class) can corrupt the shadow sample too, so
   coverage is lower.  Both coverages live in
-  :class:`~repro.config.RecoveryConfig`.
+  :class:`~repro.config.RecoveryConfig`.  The dtype policy selects how
+  the coverage test draws — one uniform per (faulted image, exposed op)
+  under ``fxp``, one per faulted site under ``fp32`` — and nothing
+  else.
 * :class:`ActivationClamp` — per-layer output ranges learned from clean
   calibration runs.  Undetected random faults inject garbage whose
   magnitude dwarfs anything the layer legitimately produces; clamping
@@ -135,15 +138,15 @@ class RazorDetector:
 
     def observe_batch_sparse(self, n_images: int, img: np.ndarray,
                              dup_mask: np.ndarray) -> np.ndarray:
-        """Fast-tier batched observation: one float32 draw per faulted
-        site instead of one per (flagged image, exposed op).
+        """Sparse batched observation (the ``fp32`` policy's razor):
+        one float64 draw per faulted site instead of one per (flagged
+        image, exposed op).
 
         Coverage is per *site*, exactly the law the reference applies —
         a non-faulted op can never flag, so its draw is pure stream
-        ballast.  The stream therefore differs from the fixed-point
-        reference (the documented ``fp32`` trade: distribution-identical
-        decisions, different draws); the ``fxp`` tier keeps
-        :meth:`observe_batch_dense`.
+        ballast.  The stream therefore differs from
+        :meth:`observe_batch_dense` (distribution-identical decisions,
+        different draws), which the ``fxp`` policy keeps.
         """
         flags = np.zeros(n_images, dtype=bool)
         if img.size == 0:
@@ -151,11 +154,9 @@ class RazorDetector:
         n_dup = int(np.count_nonzero(dup_mask))
         self.stats["dup_seen"] += n_dup
         self.stats["random_seen"] += int(img.size) - n_dup
-        draws = self.rng.random(img.size, dtype=np.float32)
-        coverage = np.where(dup_mask,
-                            np.float32(self.config.razor_dup_coverage),
-                            np.float32(self.config.razor_random_coverage))
-        hit = draws < coverage
+        coverage = np.where(dup_mask, self.config.razor_dup_coverage,
+                            self.config.razor_random_coverage)
+        hit = self.rng.random(img.size) < coverage
         n_dup_hit = int(np.count_nonzero(hit & dup_mask))
         self.stats["dup_flagged"] += n_dup_hit
         self.stats["random_flagged"] += int(np.count_nonzero(hit)) - n_dup_hit
@@ -198,7 +199,7 @@ class ActivationClamp:
         ``forward(stage, codes)`` runs one stage; the default is the
         int64 reference chain (``stage.forward_codes``).  The hardened
         engine passes its exact float64 GEMM forward
-        (:meth:`~repro.accel.AcceleratorEngine.exact_stage`), which
+        (:meth:`~repro.accel.AcceleratorEngine.forward_stage`), which
         gives the same codes.
         """
         images = np.asarray(images)

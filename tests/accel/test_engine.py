@@ -95,7 +95,7 @@ class TestExactGemm:
                      stride=1, pad=2)
         for stage, x in ((dense, extreme((3, fan_in))),
                          (conv, extreme((3, 64, 7, 7)))):
-            got = engine._forward_stage(stage, x)
+            got = engine.forward_stage(stage, x)
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, stage.forward_codes(x))
 
@@ -110,7 +110,7 @@ class TestExactGemm:
         # 2**53 input can round an accumulation.
         x[0, 0, 14, 14] = -(2 ** 53)
         with pytest.raises(SimulationError, match="conv1"):
-            engine._forward_stage(conv1, x)
+            engine.forward_stage(conv1, x)
 
 
 class TestInjection:
@@ -289,14 +289,14 @@ class TestChangedRowForwarding:
         engine, attack, images, codes = setup
         struck = attack.plan_for_layer(layer, count).struck
         rows = []
-        forward = engine._forward_stage
+        forward = engine.forward_stage
 
         def counting_forward(stage, x):
             rows.append(x.shape[0])
             return forward(stage, x)
 
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_forward_stage", counting_forward)
+            patch.setattr(engine, "forward_stage", counting_forward)
             self._reseed(engine)
             fast = engine.infer_under_attack(images, struck,
                                              stage_codes=codes)

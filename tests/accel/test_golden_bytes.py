@@ -18,6 +18,11 @@ replay, TMR) the same way: a small ``repro defend`` grid as campaign
 JSON, and the recovery and razor counts of one continuing stream per
 defense, on which each replay pass's stream position feeds the next
 full-rate pass.
+
+The fp32 policy runs fxp's forward and injector and differs only in
+how the fault test and the razor draw, so its attacked digests pin its
+sparse draws on top of fxp's code; an fp32 engine given fxp's dense
+fault test must give fxp's attacked-score bytes.
 """
 
 import dataclasses
@@ -44,7 +49,7 @@ CAMPAIGN_DIGESTS = {
 
 SCORE_DIGESTS = {
     "fxp": "5cc7ca5f3c4b4d7327010bce38d547d7868df750b224e3f8adb9e0025574d013",
-    "fp32": "fab015ce1ba964b08d5606a76db092215f9bcac1464ae482f0076384282cee2f",
+    "fp32": "200a2a865944a28ea9dc1addccf80d96f3d9a98de5c8634374805948fbad16cf",
 }
 
 ARMS_BANKS = (3000, 8000)
@@ -53,12 +58,12 @@ ARMS_STRIKES = 4500
 
 ARMS_CAMPAIGN_DIGESTS = {
     "fxp": "9a87ad0c9cf58290195da1a0dad330945cf70649855a2bd31d689a67c4f9c87f",
-    "fp32": "d35b7dd1ab95f486874ff011a21e36970cc03e4c89f5369bd700093bde999f91",
+    "fp32": "4a1209ca7d0f557429f28f5826cde7aa738d2d3c2c31d0c9a6f25ca9ddb9e806",
 }
 
 DEFENDED_STREAM_DIGESTS = {
     "fxp": "010a0e87d8dbd1276cde3917772031dddda08266f5110b12d40bec9cef5d8b3b",
-    "fp32": "04e0ed25a1db980d63f6eacdc70a96d9086737f1c15f556de0b52863b59ab89c",
+    "fp32": "f6efd854a85d365a432db8a285de07e04e2ad7bf8e9a545cec6adc3875542606",
 }
 
 
@@ -89,8 +94,7 @@ def test_campaign_json_matches_recorded_digest(victim, dtype):
     assert digest(text.encode()) == CAMPAIGN_DIGESTS[dtype]
 
 
-@pytest.mark.parametrize("dtype", ["fxp", "fp32"])
-def test_attacked_scores_match_recorded_digest(victim, dtype):
+def attacked_scores_digest(victim, dtype):
     """Each of the spec's layer cells, then all four layers at once,
     through the full forward pass on one continuing engine stream."""
     attack = fresh_attack(victim, dtype)
@@ -106,9 +110,28 @@ def test_attacked_scores_match_recorded_digest(victim, dtype):
     # faults); the digest would otherwise pin only the clean pass.
     for layer_scores in scores[:3] + scores[4:]:
         assert not np.array_equal(layer_scores, clean)
-    data = b"".join(np.ascontiguousarray(s, dtype=np.float64).tobytes()
-                    for s in scores)
-    assert digest(data) == SCORE_DIGESTS[dtype]
+    return digest(b"".join(np.ascontiguousarray(s, dtype=np.float64)
+                           .tobytes() for s in scores))
+
+
+@pytest.mark.parametrize("dtype", ["fxp", "fp32"])
+def test_attacked_scores_match_recorded_digest(victim, dtype):
+    assert attacked_scores_digest(victim, dtype) == SCORE_DIGESTS[dtype]
+
+
+def test_fp32_with_the_dense_fault_test_gives_fxp_bytes(victim,
+                                                        monkeypatch):
+    """The dtype policy selects only how the fault test draws: with the
+    sparse sampler swapped for a dense ``u < p`` draw, fp32 reproduces
+    fxp's attacked scores byte for byte."""
+    def dense_candidates(engine, record, model, n_images):
+        p_fault = engine._fault_probs(record, model)[0]
+        u = engine.rng.random((n_images, p_fault.shape[0]))
+        return np.nonzero(u < p_fault)
+
+    monkeypatch.setattr(AcceleratorEngine, "_sparse_candidates",
+                        dense_candidates)
+    assert attacked_scores_digest(victim, "fp32") == SCORE_DIGESTS["fxp"]
 
 
 @pytest.mark.parametrize("dtype", ["fxp", "fp32"])

@@ -280,6 +280,29 @@ class TestContentAddressing:
         assert campaign_digest(fp32, attack.bank_cells,
                                attack.engine.model, images, labels) != base
 
+    def test_fp32_stream_change_retires_old_fp32_addresses(self):
+        """fp32 cells cached before it ran fxp's forward and injector
+        hold another stream's bytes, so every fp32 address moved; fxp's
+        stream did not, so its addresses stayed."""
+        from repro.config import default_config
+        from repro.nn.quantize import QDense, QuantizedModel
+
+        model = QuantizedModel(
+            [QDense("fc", np.arange(6, dtype=np.int64).reshape(2, 3),
+                    np.array([1, -1], dtype=np.int64))], name="pin")
+        images = np.zeros((2, 3))
+        labels = np.array([0, 1])
+
+        def address(dtype):
+            config = dataclasses.replace(default_config(),
+                                         dtype_policy=dtype)
+            return campaign_digest(config, 5500, model, images, labels)
+
+        assert address("fxp") == ("abc502324174721cac925f107c14a577"
+                                  "08d1e295f758d3339ce617f98706e95d")
+        assert address("fp32") != ("3051e51646532dcc5766d77a319f657f"
+                                   "f2f952ecd71fd33142621fb75e744650")
+
     def test_seed_and_cell_separate_keys(self):
         key = CellCache.cell_key(DIGEST, "pool1", 40, 5)
         assert CellCache.cell_key(DIGEST, "pool1", 40, 6) != key

@@ -8,9 +8,11 @@ Two tiers, mirroring ``tests/accel/test_backend_parity.py``:
   stats, to the pre-batching per-image reference: the base engine's
   site hook fanning each image out to ``_observe_fault_types``.  The
   vectorization may not move a byte.
-* **pinned tolerance** — the fp32 fast tier draws different (by design)
-  fault streams, so defended arms-race cell metrics are pinned to a
-  small tolerance of the fxp reference instead.
+* **pinned tolerance** — the fp32 policy runs fxp's forward, injector
+  and recovery and differs only in how the fault test and the razor
+  draw (sparse per-site draws: distribution-identical, a different
+  stream), so defended arms-race cell metrics are pinned to a small
+  tolerance of the fxp reference instead.
 
 Plus the cross-cell reuse contract: a warm :class:`ArmsRaceStudy`
 (engines, plans, and clean traces cached across cells) must reproduce a
@@ -224,8 +226,8 @@ class TestFp32Tier:
         assert [(c.bank_cells, c.defense) for c in ref] == \
             [(c.bank_cells, c.defense) for c in fast]
         for a, b in zip(ref, fast):
-            # The clean pass has no randomness and every code fits
-            # float32 exactly — the clean tier owes exactness.
+            # The clean pass draws nothing and both policies run one
+            # forward — the clean tier owes exactness.
             assert a.clean_accuracy == b.clean_accuracy
             delta = abs(a.attacked_accuracy - b.attacked_accuracy)
             assert delta <= ACCURACY_TOL, \
