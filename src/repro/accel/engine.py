@@ -90,6 +90,19 @@ def _pool_path_config(dsp: DSPConfig, victim_frequency_hz: float) -> DSPConfig:
     )
 
 
+def uniform_rows(rng: np.random.Generator, n_rows: int, block: np.ndarray):
+    """Draw ``rng.random((n_rows, n_cols))`` into ``block``, a reused
+    ``(rows, n_cols)`` float64 array, ``rows`` rows at a time: yields
+    ``(first_row, drawn rows)``, the last block short if need be.
+
+    Contiguous row-major blocks consume exactly the stream of the one
+    whole draw, so blocking moves no output byte; it keeps each block in
+    cache while its caller reads it, and no draw matrix is allocated.
+    """
+    for row in range(0, n_rows, block.shape[0]):
+        yield row, rng.random(out=block[:n_rows - row])
+
+
 class AcceleratorEngine:
     """Integer inference with schedule-aligned fault injection."""
 
@@ -117,12 +130,10 @@ class AcceleratorEngine:
         self._plan_by_name: Dict[str, LayerPlan] = {p.name: p for p in self.plans}
         # Per-stage float64 GEMM weight/bias twins, built lazily.
         self._gemm_cache: Dict[str, tuple] = {}
-        # Reusable draw buffers for the batched uniform matrices (the
-        # fault test, then the razor): the same (images, ops) shapes
-        # recur every batch of a campaign cell, and rng.random(out=...)
-        # halves the draw cost versus a fresh allocation while
-        # producing the identical stream.
-        self._u_bufs: Dict[Tuple[int, int], np.ndarray] = {}
+        # The one reused buffer of the fxp dense draws (the fault test,
+        # the razor, the non-PCG64 skip), one row block at a time: see
+        # _draw_block and uniform_rows.
+        self._draw_buf = np.empty(0)
         # The razor observation stream is only materialized when a
         # subclass actually overrides one of the observation hooks
         # (the batched site hook, or the legacy per-image hook that the
@@ -146,8 +157,9 @@ class AcceleratorEngine:
     #: Exposure-cache entries kept before the cache is dropped wholesale.
     _EXPOSURE_CACHE_MAX = 64
 
-    #: Uniform-draw buffers kept before the buffer pool is dropped.
-    _U_BUF_MAX = 8
+    #: Bytes of one row block of the fxp dense draws: about half of a
+    #: 2 MiB per-core L2 cache, so a block is read while still cached.
+    _DRAW_BLOCK_BYTES = 1 << 20
 
     # -- clean path ----------------------------------------------------------
 
@@ -594,24 +606,15 @@ class AcceleratorEngine:
         img = flat // np.int32(n_ops)
         return img, flat - img * np.int32(n_ops)
 
-    def _uniform_buffer(self, n_images: int, n_ops: int) -> np.ndarray:
-        """The reused ``(n_images, n_ops)`` float64 draw buffer.
-
-        ``rng.random(out=buf)`` consumes the identical stream as
-        ``rng.random(shape)`` — the buffer is a pure allocation saving
-        and leaves the byte-parity contract untouched.  The fault test
-        is done with it once its mask is taken, so the hardened engine's
-        razor draws into it next
-        (``RazorDetector.observe_batch_dense``).
-        """
-        key = (n_images, n_ops)
-        buf = self._u_bufs.get(key)
-        if buf is None:
-            if len(self._u_bufs) >= self._U_BUF_MAX:
-                self._u_bufs.clear()
-            buf = np.empty(key, dtype=np.float64)
-            self._u_bufs[key] = buf
-        return buf
+    def _draw_block(self, n_ops: int) -> np.ndarray:
+        """The reused draw buffer as one ``(rows, n_ops)`` float64 block
+        of at most ``_DRAW_BLOCK_BYTES`` (at least one row), for
+        :func:`uniform_rows`.  The fault test is done with it once a
+        block's sites are taken, so the razor draws into it next."""
+        rows = max(1, self._DRAW_BLOCK_BYTES // (8 * max(n_ops, 1)))
+        if self._draw_buf.size < rows * n_ops:
+            self._draw_buf = np.empty(rows * n_ops)
+        return self._draw_buf[:rows * n_ops].reshape(rows, n_ops)
 
     def _skip_uniforms(self, n_images: int, n_ops: int) -> None:
         """Move the stream past ``n_images * n_ops`` float64 uniforms
@@ -621,11 +624,14 @@ class AcceleratorEngine:
         float64 draw.  ``advance`` also drops the generator's buffered
         32-bit half-word, which an odd count of ``integers(0, 2**18)``
         draws leaves set and which drawing doubles keeps, so the half
-        is put back.  Any other bit generator draws and discards.
+        is put back.  Any other bit generator draws and discards, one
+        block at a time.
         """
         bitgen = self.rng.bit_generator
         if not isinstance(bitgen, np.random.PCG64):
-            self.rng.random(out=self._uniform_buffer(n_images, n_ops))
+            for _ in uniform_rows(self.rng, n_images,
+                                  self._draw_block(n_ops)):
+                pass
             return
         before = bitgen.state
         bitgen.advance(n_images * n_ops)
@@ -653,15 +659,17 @@ class AcceleratorEngine:
             return self._sparse_candidates(record, model, n_images)
         p_fault = self._fault_probs(record, model)[0]
         n_ops = p_fault.shape[0]
-        if not p_fault.any():
+        if not (n_images and p_fault.any()):
             self._skip_uniforms(n_images, n_ops)
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        u = self.rng.random(out=self._uniform_buffer(n_images, n_ops))
+        # Each block is compared while it is still in cache.
         # flatnonzero walks the mask once in the same row-major order
         # np.nonzero produces, without its per-axis index pass; a floor
         # division by the scalar n_ops splits it faster than np.divmod.
-        flat = np.flatnonzero(u < p_fault)
+        flats = [np.flatnonzero(u < p_fault) + row * n_ops for row, u in
+                 uniform_rows(self.rng, n_images, self._draw_block(n_ops))]
+        flat = flats[0] if len(flats) == 1 else np.concatenate(flats)
         img = flat // n_ops
         return img, flat - img * n_ops
 

@@ -21,51 +21,40 @@ The attack stack, bottom to top:
   process-parallel with byte-identical serial parity.
 """
 
-from .scheme import AttackScheme
-from .signal_ram import SignalRAM
-from .start_detector import DetectorState, DNNStartDetector
-from .profiler import LayerSignature, SideChannelProfiler
-from .scheduler import AttackScheduler
-from .attack import AttackPlan, DeepStrike
-from .blind import BlindAttack
-from .campaign import (
-    CampaignResult,
-    CampaignSpec,
-    CellFailure,
-    load_campaign,
-    run_campaign,
-    save_campaign,
-)
-from .executor import WorkerRecipe
-from .link_faults import LinkFaultConfig, LinkFaultModel, LinkStats
-from .remote import RemoteAttacker, TraceReply, UARTLink
-from .evaluation import AttackOutcome, LayerSweepResult, sweep_to_rows
+import importlib
 
-__all__ = [
-    "AttackOutcome",
-    "AttackPlan",
-    "AttackScheduler",
-    "AttackScheme",
-    "BlindAttack",
-    "CampaignResult",
-    "CampaignSpec",
-    "CellFailure",
-    "DeepStrike",
-    "DetectorState",
-    "DNNStartDetector",
-    "LayerSignature",
-    "LayerSweepResult",
-    "LinkFaultConfig",
-    "LinkFaultModel",
-    "LinkStats",
-    "RemoteAttacker",
-    "SideChannelProfiler",
-    "SignalRAM",
-    "TraceReply",
-    "UARTLink",
-    "WorkerRecipe",
-    "load_campaign",
-    "run_campaign",
-    "save_campaign",
-    "sweep_to_rows",
-]
+#: The submodule of each re-exported name.  A name's submodule loads on
+#: first access (PEP 562), so a command that needs one light module,
+#: such as ``repro cache gc`` (:mod:`~repro.core.cellcache`), does not
+#: import the attack stack and, through :mod:`repro.fpga`, scipy and
+#: networkx.
+_EXPORTS = {
+    "scheme": ("AttackScheme",),
+    "signal_ram": ("SignalRAM",),
+    "start_detector": ("DetectorState", "DNNStartDetector"),
+    "profiler": ("LayerSignature", "SideChannelProfiler"),
+    "scheduler": ("AttackScheduler",),
+    "attack": ("AttackPlan", "DeepStrike"),
+    "blind": ("BlindAttack",),
+    "campaign": ("CampaignResult", "CampaignSpec", "CellFailure",
+                 "load_campaign", "run_campaign", "save_campaign"),
+    "executor": ("WorkerRecipe",),
+    "link_faults": ("LinkFaultConfig", "LinkFaultModel", "LinkStats"),
+    "remote": ("RemoteAttacker", "TraceReply", "UARTLink"),
+    "evaluation": ("AttackOutcome", "LayerSweepResult", "sweep_to_rows"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        # PEP 562: an unknown name raises AttributeError, which hasattr()
+        # and ``from repro.core import <submodule>`` rely on.
+        msg = f"module {__name__!r} has no attribute {name!r}"
+        raise AttributeError(msg)  # lint: ignore[REPRO-EXC002]
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -148,11 +148,11 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                 self.razor.observe_batch_sparse(n_images, img, dup)
             )
         else:
-            # The fault test is done with the draw buffer by now.
+            # The fault test is done with the draw block by now.
             self._capture.append(
                 self.razor.observe_batch_dense(
                     n_images, n_ops, img, pos, dup,
-                    scratch=self._uniform_buffer(n_images, n_ops))
+                    scratch=self._draw_block(n_ops))
             )
 
     # -- droop-monitor glue ----------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..accel.engine import uniform_rows
 from ..config import RecoveryConfig
 from ..dsp.faults import FaultType
 from ..errors import ConfigError
@@ -102,9 +103,11 @@ class RazorDetector:
         draw over the faulted images reproduces the reference stream
         exactly (pinned by ``tests/defense/test_defense_parity.py``).
 
-        The draws go to ``scratch``, a C-contiguous float64 array of at
-        least ``n_images * n_ops`` elements whose contents are
-        overwritten (the engine's fault-test buffer).
+        The draws go to ``scratch``, one reused ``(rows, n_ops)`` float64
+        block whose contents are overwritten (the engine's draw block):
+        the ``(k, n_ops)`` draw runs ``rows`` rows at a time
+        (:func:`~repro.accel.engine.uniform_rows`), and each block's
+        sites take their draws before the next block is drawn.
 
         Returns a ``(n_images,)`` bool array of per-image razor flags.
         """
@@ -121,12 +124,21 @@ class RazorDetector:
         new_run[0] = True
         np.not_equal(img[1:], img[:-1], out=new_run[1:])
         flat = np.cumsum(new_run)
-        n_draws = int(flat[-1]) * n_ops
+        n_rows = int(flat[-1])
         flat -= 1
         flat *= n_ops
         flat += pos
-        draws = self.rng.random(out=scratch.reshape(-1)[:n_draws])
-        site_draws = draws.take(flat)
+        # The flat indices are sorted: one searchsorted cuts them at the
+        # block edges.
+        rows = scratch.shape[0]
+        cuts = np.searchsorted(flat, np.arange(0, n_rows + rows, rows)
+                               * n_ops).tolist()
+        site_draws = np.empty(flat.size)
+        for i, (row, block) in enumerate(uniform_rows(self.rng, n_rows,
+                                                      scratch)):
+            sites = slice(cuts[i], cuts[i + 1])
+            block.reshape(-1).take(flat[sites] - row * n_ops,
+                                   out=site_draws[sites])
         coverage = np.where(dup_mask, self.config.razor_dup_coverage,
                             self.config.razor_random_coverage)
         hit = site_draws < coverage

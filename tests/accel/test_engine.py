@@ -1,6 +1,8 @@
 """Fault-aware engine tests, including scalar-DSP cross-validation."""
 
+import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +348,100 @@ class TestZeroProbabilitySkip:
             skipped.integers(0, 2 ** 18, size=5),
             drawn.integers(0, 2 ** 18, size=5))
         assert skipped.random() == drawn.random()
+
+
+class TestBlockedDraws:
+    """The fxp fault test draws its uniforms in row blocks of one reused
+    buffer; its sites and the generator's end state must equal those of
+    one whole ``(n_images, n_ops)`` draw."""
+
+    N_IMAGES = 7
+
+    @staticmethod
+    def _generator(kind):
+        bitgen = np.random.Philox(3) if kind == "philox" \
+            else np.random.PCG64(3)
+        rng = np.random.Generator(bitgen)
+        # An odd count of 32-bit bounded draws leaves half of a 64-bit
+        # output buffered, which the float64 draws must keep.
+        rng.integers(0, 2 ** 18, size=3)
+        assert rng.bit_generator.state["has_uint32"]
+        return rng
+
+    @staticmethod
+    def _exposure(engine):
+        # 14 struck conv2 cycles of 32 lanes: 448 exposed ops at
+        # P(fault) 0.27.
+        plan = engine.schedule.window("conv2").plan
+        record = engine._exposure(plan,
+                                  strikes("conv2", np.arange(0, 40, 3), 0.93))
+        return record, engine._fault_probs(record, engine.dsp_faults)[0]
+
+    @pytest.mark.parametrize("kind", ["pcg64", "philox"])
+    @pytest.mark.parametrize("block_rows, rows", [
+        (None, N_IMAGES),  # the default block holds the whole batch
+        (3, 3),            # several rows a block, a short last block
+        (1, 1),            # exactly one row a block
+        (0.5, 1),          # a row larger than the block
+    ], ids=["default", "three-rows", "one-row", "row-over-block"])
+    def test_sites_and_stream_equal_one_whole_draw(self, victim, monkeypatch,
+                                                   kind, block_rows, rows):
+        engine = AcceleratorEngine(victim.quantized,
+                                   rng=self._generator(kind))
+        record, p_fault = self._exposure(engine)
+        n_ops = p_fault.shape[0]
+        if block_rows is not None:
+            monkeypatch.setattr(AcceleratorEngine, "_DRAW_BLOCK_BYTES",
+                                int(8 * n_ops * block_rows))
+        # Rows a block draws from this batch.
+        assert min(len(engine._draw_block(n_ops)), self.N_IMAGES) == rows
+        ref = copy.deepcopy(engine.rng)
+        img, pos = engine._fault_sites(record, engine.dsp_faults,
+                                       self.N_IMAGES)
+        expected = np.flatnonzero(ref.random((self.N_IMAGES, n_ops))
+                                  < p_fault)
+        np.testing.assert_array_equal(img * n_ops + pos, expected)
+        assert TestZeroProbabilitySkip._state(engine.rng) \
+            == TestZeroProbabilitySkip._state(ref)
+        # Vacuity guard: sites in the first and the last image.
+        assert img[0] == 0 and img[-1] == self.N_IMAGES - 1
+
+    def test_philox_skip_draws_block_by_block(self, victim, monkeypatch):
+        engine = AcceleratorEngine(victim.quantized,
+                                   rng=self._generator("philox"))
+        monkeypatch.setattr(AcceleratorEngine, "_DRAW_BLOCK_BYTES",
+                            8 * 1234 * 2)
+        ref = copy.deepcopy(engine.rng)
+        engine._skip_uniforms(self.N_IMAGES, 1234)
+        ref.random((self.N_IMAGES, 1234))
+        assert TestZeroProbabilitySkip._state(engine.rng) \
+            == TestZeroProbabilitySkip._state(ref)
+        assert engine.rng.random() == ref.random()
+
+    def test_attacked_batch_holds_no_draw_matrix(self, victim):
+        """One conv2 @ 4,500 batch of 64 images: a whole uniform matrix
+        would be 64 x 144,000 float64s (73.7 MB), traced at its peak and,
+        in a reused pool, held after the call.  Blocked draws peak at
+        55 MB and hold 12 MB; a held matrix peaked at 128 MB and held
+        84 MB."""
+        from repro.core import DeepStrike
+
+        engine = AcceleratorEngine(victim.quantized,
+                                   rng=np.random.default_rng(0))
+        plan = DeepStrike(engine, rng=np.random.default_rng(1)) \
+            .plan_for_layer("conv2", n_strikes=4500)
+        images = victim.dataset.test_images[:64]
+        codes = engine.clean_stage_codes(images)
+        tracemalloc.start()
+        try:
+            engine.accuracy_under_attack(images,
+                                         victim.dataset.test_labels[:64],
+                                         plan.struck, stage_codes=codes)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 90e6, f"traced peak {peak / 1e6:.1f} MB"
+        assert held < 40e6, f"held after the call {held / 1e6:.1f} MB"
 
 
 class TestExposedOps:

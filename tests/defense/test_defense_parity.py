@@ -168,13 +168,19 @@ class TestZeroProbabilityReplay:
 
 class TestRazorBatchVsPerImage:
     """``observe_batch_dense`` against per-image ``observe`` calls, one
-    per image of the batch, on one detector stream each."""
+    per image of the batch, on one detector stream each; the batched
+    draw runs in row blocks of its ``scratch``."""
 
-    @pytest.mark.parametrize("faulted, n_images", [
-        ((0, 2, 3, 6), 7),  # fault-free images 1, 4 and 5 between
-        ((0,), 1),          # a one-image batch
-    ], ids=["gaps", "one-image"])
-    def test_batch_equals_per_image_observe(self, faulted, n_images):
+    @pytest.mark.parametrize("faulted, n_images, block_rows", [
+        ((0, 2, 3, 6), 7, 7),  # fault-free images 1, 4 and 5 between
+        ((0,), 1, 1),          # a one-image batch
+        # Three rows a block for four faulted images: the second block
+        # is short, and the sites of images 3 and 6 (draw rows 2 and 3)
+        # sit on both sides of its edge.
+        ((0, 2, 3, 6), 7, 3),
+    ], ids=["gaps", "one-image", "block-edge"])
+    def test_batch_equals_per_image_observe(self, faulted, n_images,
+                                            block_rows):
         n_ops = 300
         rng = np.random.default_rng(len(faulted))
         types = np.zeros((n_images, n_ops), dtype=np.int8)
@@ -189,7 +195,7 @@ class TestRazorBatchVsPerImage:
         flags = batched.observe_batch_dense(
             n_images, n_ops, img, pos,
             types[img, pos] == FaultType.DUPLICATION,
-            scratch=np.full((n_images, n_ops), 0.5))
+            scratch=np.full((block_rows, n_ops), 0.5))
         expected = [reference.observe(row) for row in types]
         assert flags.tolist() == expected
         assert batched.stats == reference.stats

@@ -99,11 +99,12 @@ class TestParser:
             with pytest.raises(ConfigError, match="bad --sweep"):
                 _parse_sweep_args([bad], images=16, seed=1)
 
-    def test_parser_and_lint_import_neither_scipy_nor_networkx(self):
-        """Building the parser (every command, ``--help`` included) and
-        ``repro lint`` load no fabric model, so they skip the start-up
-        cost of scipy and networkx.  A fresh interpreter, because this
-        one has imported both already."""
+    def test_parser_and_lint_import_neither_scipy_nor_networkx(self,
+                                                                tmp_path):
+        """Building the parser (every command, ``--help`` included),
+        ``repro lint`` and ``repro cache gc`` load no fabric model, so
+        they skip the start-up cost of scipy and networkx.  A fresh
+        interpreter, because this one has imported both already."""
         import pathlib
         import subprocess
         import sys
@@ -125,6 +126,8 @@ class TestParser:
             assert not heavy(), f"build_parser imported {{heavy()}}"
             main(["lint", "--strict"])
             assert not heavy(), f"repro lint imported {{heavy()}}"
+            main(["cache", "gc", "--dir", {str(tmp_path)!r}])
+            assert not heavy(), f"repro cache gc imported {{heavy()}}"
         """)
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True)
