@@ -34,7 +34,7 @@ from ..errors import ConfigError, SimulationError
 from ..nn.ops import im2col
 from ..nn.quantize import QConv, QDense, QuantizedModel
 from ..sensors.delay import GateDelayModel
-from ..dsp.faults import FaultType, TimingFaultModel
+from ..dsp.faults import TimingFaultModel
 from ..units import ns
 from .mapper import LayerPlan, map_model
 from .schedule import AcceleratorSchedule
@@ -134,20 +134,11 @@ class AcceleratorEngine:
         # the razor, the non-PCG64 skip), one row block at a time: see
         # _draw_block and uniform_rows.
         self._draw_buf = np.empty(0)
-        # The razor observation stream is only materialized when a
-        # subclass actually overrides one of the observation hooks
-        # (the batched site hook, or the legacy per-image hook that the
-        # base site hook fans out to).
-        self._observe_is_noop = (
-            type(self)._observe_fault_types
-            is AcceleratorEngine._observe_fault_types
-            and type(self)._observe_fault_sites
-            is AcceleratorEngine._observe_fault_sites
-        )
         # Exposure records keyed on (layer, struck cycles, voltages):
-        # the op/voltage arrays plus the per-kind gather indices derived
-        # from them.  Campaign cells re-evaluate one strike pattern over
-        # the whole test set, so the hit rate is extremely high.
+        # the exposed ops and per-cycle voltages plus the per-kind
+        # gather indices derived from them.  Campaign cells re-evaluate
+        # one strike pattern over the whole test set, so the hit rate is
+        # extremely high.
         self._exposure_cache: Dict[tuple, dict] = {}
         # Single-slot cache of clean per-stage activation codes, keyed
         # on the *identity* of the images array (campaigns evaluate one
@@ -372,50 +363,26 @@ class AcceleratorEngine:
         scale = 2.0 ** (-self.model.product_frac_bits)
         return np.asarray(codes, dtype=np.float64) * scale
 
-    def _observe_fault_types(self, types: np.ndarray,
-                             voltages: np.ndarray) -> None:
-        """Hook: one image's per-exposed-op fault outcomes, right after
-        they are decided.  The base engine ignores them; subclasses that
-        override only this legacy hook get it via the dense fan-out in
-        :meth:`_observe_fault_sites`."""
-        return None
-
     def _observe_fault_sites(self, n_images: int, n_ops: int,
                              img: np.ndarray, pos: np.ndarray,
-                             dup: np.ndarray,
-                             voltages: np.ndarray) -> None:
+                             dup: np.ndarray) -> None:
         """Hook: one injection batch's sparse fault sites, right after
         the class split is decided and before any further draws.
 
         ``(img, pos)`` index the faulted (image, exposed-op) sites in
         image-major order; ``dup`` is their duplication/random split.
-        The hardened engine's razor watches this batched stream
-        directly (:class:`~repro.defense.RazorDetector.
-        observe_batch_dense`).  The base implementation is the
-        compatibility fan-out: it materializes the per-image dense type
-        rows and feeds the legacy :meth:`_observe_fault_types` hook —
-        one call per image, fault-free images included — so a subclass
-        overriding only the per-image hook sees the exact pre-batching
-        stream.
+        The base engine ignores them; the hardened engine's razor
+        watches this batched stream
+        (:class:`~repro.defense.HardenedAcceleratorEngine`).
         """
-        type_vals = np.where(dup, np.int8(FaultType.DUPLICATION),
-                             np.int8(FaultType.RANDOM))
-        types = np.zeros((n_images, n_ops), dtype=np.int8)
-        types[img, pos] = type_vals
-        for n in range(n_images):
-            self._observe_fault_types(types[n], voltages)
+        return None
 
     def predict_under_attack(self, images: np.ndarray,
                              struck: Sequence[StruckCycles],
                              stage_codes: Optional[List[np.ndarray]] = None,
                              ) -> np.ndarray:
-        # Subclasses (the hardened engine) override infer_under_attack
-        # without the stage_codes parameter; only forward it when set.
-        if stage_codes is None:
-            logits = self.infer_under_attack(images, struck)
-        else:
-            logits = self.infer_under_attack(images, struck,
-                                             stage_codes=stage_codes)
+        logits = self.infer_under_attack(images, struck,
+                                         stage_codes=stage_codes)
         return np.argmax(logits, axis=1)
 
     def accuracy_under_attack(self, images: np.ndarray, labels: np.ndarray,
@@ -468,10 +435,11 @@ class AcceleratorEngine:
     def _exposure(self, plan: LayerPlan, entry: StruckCycles) -> dict:
         """Cached exposure record for one ``(plan, strike pattern)``.
 
-        Holds the op/voltage arrays plus whatever per-kind gather
-        indices the injectors lazily attach.  Keyed by value (cycle and
-        voltage bytes), so equal strike patterns share one record no
-        matter how many StruckCycles instances carry them.
+        Holds the exposed ops, the per-cycle voltages and op counts,
+        plus whatever per-kind gather indices the injectors lazily
+        attach.  Keyed by value (cycle and voltage bytes), so equal
+        strike patterns share one record no matter how many
+        StruckCycles instances carry them.
         """
         cycles = np.ascontiguousarray(entry.cycles, dtype=np.int64)
         voltages = np.ascontiguousarray(entry.voltages, dtype=np.float64)
@@ -480,13 +448,12 @@ class AcceleratorEngine:
         if record is None:
             if len(self._exposure_cache) >= self._EXPOSURE_CACHE_MAX:
                 self._exposure_cache.clear()
-            ops, volts = self._exposed_ops(plan, entry)
+            ops, _ = self._exposed_ops(plan, entry)
             starts = cycles * plan.lanes
             counts = np.minimum(starts + plan.lanes, plan.ops) - starts \
                 if cycles.size else np.empty(0, dtype=np.int64)
-            record = {"ops": ops, "volts": volts,
-                      "cycle_volts": voltages, "counts": counts,
-                      "probs": {}}
+            record = {"ops": ops, "cycle_volts": voltages,
+                      "counts": counts, "probs": {}}
             self._exposure_cache[key] = record
         return record
 
@@ -698,9 +665,10 @@ class AcceleratorEngine:
         past, not drawn, when every ``P(fault)`` is 0; see
         :meth:`_fault_sites`), one uniform per surviving fault for the
         duplication/random split, then one garbage-word draw per
-        random-class fault; the per-image razor hook fires in image
-        order after the decisions.  The ``fp32`` dtype policy replaces
-        only the dense fault test, with :meth:`_sparse_candidates`.
+        random-class fault; the razor hook
+        (:meth:`_observe_fault_sites`) fires once per batch, after the
+        split.  The ``fp32`` dtype policy replaces only the dense fault
+        test, with :meth:`_sparse_candidates`.
         """
         p_dup = self._fault_probs(record, self.dsp_faults)[1]
         n_ops = p_dup.shape[0]
@@ -717,9 +685,7 @@ class AcceleratorEngine:
         dup = self.rng.random(img.size) < p_dup[pos]
         if force_class is not None:
             dup[:] = force_class == "duplication"
-        if not self._observe_is_noop:
-            self._observe_fault_sites(n_images, n_ops, img, pos, dup,
-                                      record["volts"])
+        self._observe_fault_sites(n_images, n_ops, img, pos, dup)
         # The duplication law for every site — random-class entries are
         # overwritten below, so no select is needed here.
         delta = p_prev - p_cur
@@ -903,7 +869,7 @@ class AcceleratorEngine:
         flat = out.reshape(n_images, -1)
         total = flat.shape[1]
         record = self._exposure(plan, entry)
-        ops, volts = record["ops"], record["volts"]
+        ops = record["ops"]
         prev = record.get("pool_prev")
         if prev is None:
             prev = np.maximum(ops - 1, 0)
@@ -914,9 +880,7 @@ class AcceleratorEngine:
         p_dup = self._fault_probs(record, self.pool_faults)[1]
         img, pos = self._fault_sites(record, self.pool_faults, n_images)
         is_dup = self.rng.random(img.size) < p_dup[pos]
-        if not self._observe_is_noop:
-            self._observe_fault_sites(n_images, n_ops, img, pos, is_dup,
-                                      volts)
+        self._observe_fault_sites(n_images, n_ops, img, pos, is_dup)
         if img.size == 0:
             return out
         fop = ops[pos]

@@ -201,15 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files/directories to lint (default: the "
                            "installed repro package)")
     lint.add_argument("--strict", action="store_true",
-                      help="exit 1 on any finding not in the baseline")
-    lint.add_argument("--baseline", default=None, metavar="JSON",
-                      help="baseline file (default: lint_baseline.json "
-                           "found walking up from the package)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file (report everything)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="grandfather the current findings into the "
-                           "baseline file and exit")
+                      help="exit 1 on any finding")
     lint.add_argument("--rules", default=None, metavar="ID[,ID...]",
                       help="run only these rule ids")
     lint.add_argument("--format", dest="fmt", default="text",
@@ -626,63 +618,27 @@ def _cmd_lint(args) -> int:
     import json
     from pathlib import Path
 
-    from .errors import LintError
-    from .lint import (Baseline, default_baseline_path, lint_paths,
-                       rules_by_id)
+    from .lint import lint_paths, rules_by_id
 
     rule_ids = args.rules.split(",") if args.rules else None
     rules = rules_by_id(rule_ids)
     paths = args.paths or [Path(__file__).resolve().parent]
     report = lint_paths(paths, rules)
 
-    if args.write_baseline:
-        target = args.baseline or str(default_baseline_path())
-        Baseline.from_findings(report.findings).save(target)
-        print(f"baseline written to {target} "
-              f"({len(report.findings)} finding(s) grandfathered)")
-        return 0
-
-    baseline = Baseline()
-    baseline_path = None
-    if not args.no_baseline:
-        baseline_path = Path(args.baseline) if args.baseline \
-            else default_baseline_path()
-        if baseline_path.exists():
-            baseline = Baseline.load(baseline_path)
-        elif args.baseline:
-            raise LintError(f"baseline not found: {baseline_path}")
-
-    fresh = baseline.filter_new(report.findings)
-    stale = baseline.stale_entries(report.findings)
-
     if args.fmt == "json":
         print(json.dumps({
             "files_checked": report.files_checked,
             "rules_run": list(report.rules_run),
-            "findings": [f.to_dict() for f in fresh],
-            "baselined": len(report.findings) - len(fresh),
-            "stale_baseline_entries": [
-                {"rule": e.rule, "path": e.path, "snippet": e.snippet}
-                for e in stale
-            ],
+            "findings": [f.to_dict() for f in report.findings],
         }, indent=2))
     else:
-        for finding in fresh:
+        for finding in report.findings:
             print(finding.render())
-        summary = (f"{len(fresh)} new finding(s), "
-                   f"{len(report.findings) - len(fresh)} baselined, "
-                   f"{report.files_checked} files, "
-                   f"{len(report.rules_run)} rules")
-        if baseline_path is not None and baseline.entries:
-            summary += f" (baseline: {baseline_path})"
-        print(summary)
-        for entry in stale:
-            print(f"stale baseline entry (violation gone — remove it): "
-                  f"{entry.rule} {entry.path}: {entry.snippet}")
+        print(f"{len(report.findings)} finding(s), "
+              f"{report.files_checked} files, "
+              f"{len(report.rules_run)} rules")
 
-    if fresh and args.strict:
-        return 1
-    return 0
+    return 1 if args.strict and report.findings else 0
 
 
 _COMMANDS = {
@@ -705,7 +661,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
     0 is success; 1 means the command ran but cells failed (``defend``)
-    or lint found new violations under ``--strict``; 2 is a usage error
+    or lint found violations under ``--strict``; 2 is a usage error
     (argparse) or a library error.  A :class:`~repro.errors.ReproError`
     reaches the user as one stderr line, ``repro: <ErrorType>:
     <message>``; any other exception (a bug, ``KeyboardInterrupt``)

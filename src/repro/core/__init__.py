@@ -51,9 +51,9 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     module = _HOME.get(name)
     if module is None:
+        msg = f"module {__name__!r} has no attribute {name!r}"
         # PEP 562: an unknown name raises AttributeError, which hasattr()
         # and ``from repro.core import <submodule>`` rely on.
-        msg = f"module {__name__!r} has no attribute {name!r}"
         raise AttributeError(msg)  # lint: ignore[REPRO-EXC002]
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value

@@ -101,10 +101,9 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                        / rc.replay_clock_divisor),
             delay_model, self.rng,
         )
-        # Per-image razor flags captured during one injection pass; None
-        # outside a capture window (clean paths never sample the razor).
-        # Entries are per-batch flag arrays (the batched hook) or
-        # scalar bools (the legacy per-image hook).
+        # Per-image razor flags captured during one injection pass, one
+        # array per injection batch; None outside a capture window
+        # (clean paths never sample the razor).
         self._capture: Optional[List[np.ndarray]] = None
         # Defended clean forward pass (stage outputs with clamps
         # applied, plus per-stage clamp counts), cached per (images
@@ -124,21 +123,11 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
                                                forward=self.forward_stage)
         return self.clamp
 
-    # -- razor hooks ----------------------------------------------------------
-
-    def _observe_fault_types(self, types: np.ndarray,
-                             voltages: np.ndarray) -> None:
-        if self._capture is None:
-            return
-        if self.config.recovery.razor_enabled:
-            self._capture.append(self.razor.observe(types))
-        else:
-            self._capture.append(False)
+    # -- razor hook ----------------------------------------------------------
 
     def _observe_fault_sites(self, n_images: int, n_ops: int,
                              img: np.ndarray, pos: np.ndarray,
-                             dup: np.ndarray,
-                             voltages: np.ndarray) -> None:
+                             dup: np.ndarray) -> None:
         if self._capture is None:
             return
         if not self.config.recovery.razor_enabled:
@@ -211,6 +200,7 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
 
     def infer_under_attack(self, images: np.ndarray,
                            struck: Sequence[StruckCycles],
+                           stage_codes: Optional[List[np.ndarray]] = None,
                            alarmed_layers: Optional[Sequence[str]] = None,
                            ) -> np.ndarray:
         """Logits with strikes applied and the recovery pipeline active.
@@ -223,7 +213,9 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
         the cached defended clean pass (:meth:`_defended_clean`) — they
         draw no randomness and their clamp counts are replayed into the
         stats, so the skip is invisible to both the RNG stream and the
-        accounting.
+        accounting.  ``stage_codes``, the undefended clean pass that the
+        base engine resumes from, is accepted and not read: the
+        defended prefix is the clamped one.
         """
         rc = self.config.recovery
         by_layer = self._index_strikes(struck)
@@ -321,12 +313,10 @@ class HardenedAcceleratorEngine(AcceleratorEngine):
         finally:
             captured = self._capture
             self._capture = None
-        flags = np.concatenate(
-            [np.atleast_1d(np.asarray(c, dtype=bool)) for c in captured]
-        ) if captured else np.zeros(0, dtype=bool)
+        flags = np.concatenate(captured) if captured \
+            else np.zeros(0, dtype=bool)
         if flags.shape[0] != x_in.shape[0]:
-            # The injectors report fault sites exactly once per batch
-            # (or, through the legacy hook, once per image).
+            # The injectors report fault sites exactly once per batch.
             raise ConfigError(
                 "razor capture out of step with the injection path"
             )

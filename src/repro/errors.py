@@ -75,13 +75,12 @@ class ChaosError(ReproError):
 
 
 class LintError(ReproError):
-    """The contract linter could not run (bad path, rule id, or baseline).
+    """The contract linter could not run (bad path, rule id, or source).
 
-    Raised by :mod:`repro.lint` for *operational* failures — an
-    unreadable lint path, an unknown ``--rules`` id, a malformed or
-    version-mismatched ``lint_baseline.json``.  Rule findings are not
-    errors; they are data (:class:`repro.lint.Finding`) and drive the
-    CLI exit code instead.
+    Raised by :mod:`repro.lint` for *operational* failures — a missing
+    lint path, an unknown ``--rules`` id, an unparseable source file.
+    Rule findings are not errors; they are data
+    (:class:`repro.lint.Finding`) and drive the CLI exit code instead.
     """
 
 

@@ -16,10 +16,10 @@ containing the ``repro`` package), matched with :func:`fnmatch.fnmatch`
 — note fnmatch's ``*`` crosses ``/``, so ``repro/core/*`` covers
 ``repro/core/service/broker.py`` too.
 
-A finding can be suppressed in place with a trailing
-``# lint: ignore[RULE-ID]`` comment (or a blanket ``# lint: ignore``);
-deliberate long-lived exceptions belong in the committed baseline
-instead (:mod:`repro.lint.baseline`), which records *why*.
+A finding is excused in place, and only there, by a trailing
+``# lint: ignore[RULE-ID, ...]`` comment on its line that names its
+rule; the comment line above the statement says *why*
+(docs/static_analysis.md, "Inline suppressions").
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ __all__ = [
     "lint_paths",
 ]
 
-#: ``# lint: ignore`` or ``# lint: ignore[REPRO-XXX000, ...]``
-_IGNORE_RE = re.compile(
-    r"#\s*lint:\s*ignore(?:\[(?P<rules>[A-Z0-9\-, ]+)\])?"
-)
+#: The suppression tag; it must name the rules it excuses.
+_IGNORE_RE = re.compile(r"#\s*lint:\s*ignore\[(?P<rules>[A-Z0-9\-, ]+)\]")
 
 
 @dataclass
@@ -63,16 +61,12 @@ class FileContext:
         return ""
 
     def ignored(self, lineno: int, rule_id: str) -> bool:
-        """True when the line carries a matching ``lint: ignore`` tag."""
+        """True when the line carries a tag naming ``rule_id``."""
         if not 1 <= lineno <= len(self.lines):
             return False
         match = _IGNORE_RE.search(self.lines[lineno - 1])
-        if match is None:
-            return False
-        rules = match.group("rules")
-        if rules is None:
-            return True
-        return rule_id in {r.strip() for r in rules.split(",")}
+        return match is not None and rule_id in {
+            r.strip() for r in match.group("rules").split(",")}
 
 
 class Rule:
@@ -169,7 +163,8 @@ def lint_paths(paths: Sequence, rules: Sequence[Rule],
     ``root`` overrides relpath derivation (useful when linting a copied
     tree); by default each path derives its own base by walking up out
     of the package (:func:`_package_base`).  Findings are sorted by
-    location; ``lint: ignore`` suppressions are already applied.
+    location; inline ``lint: ignore[...]`` suppressions are already
+    applied.
     """
     ctxs: List[FileContext] = []
     seen = set()

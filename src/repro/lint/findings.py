@@ -1,17 +1,14 @@
 """Finding and report types for the contract linter.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-identity for baseline purposes is *content-addressed* — the rule id,
-the file's path relative to the lint root, and the stripped source line
-— so a committed baseline survives unrelated edits that shift line
-numbers, but stops matching the moment the offending line itself
-changes.
+A :class:`Finding` is one rule violation at one source location; a
+:class:`LintReport` is every finding of one run, after inline
+``lint: ignore[RULE-ID]`` suppressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["Finding", "LintReport"]
 
@@ -30,15 +27,11 @@ class Finding:
     hint: str = ""
     """One-line remediation, e.g. the sanctioned API to call instead."""
     snippet: str = ""
-    """The stripped source line (the content-addressed part of the key)."""
+    """The stripped source line."""
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}"
-
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across line drift, not across edits."""
-        return (self.rule, self.path, self.snippet)
 
     def to_dict(self) -> dict:
         return {
@@ -60,23 +53,8 @@ class Finding:
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run (before baseline filtering)."""
+    """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules_run: Tuple[str, ...] = ()
-
-    def by_rule(self) -> Dict[str, List[Finding]]:
-        table: Dict[str, List[Finding]] = {}
-        for finding in self.findings:
-            table.setdefault(finding.rule, []).append(finding)
-        return table
-
-    def summary(self) -> str:
-        if not self.findings:
-            return (f"clean: {self.files_checked} files, "
-                    f"{len(self.rules_run)} rules, 0 findings")
-        per_rule = ", ".join(f"{rule}: {len(items)}"
-                             for rule, items in sorted(self.by_rule().items()))
-        return (f"{len(self.findings)} finding(s) across "
-                f"{self.files_checked} files ({per_rule})")

@@ -19,7 +19,10 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     """Spatial output size of a convolution along one axis."""
     out = (size + 2 * pad - kernel) // stride + 1
     if out < 1:
-        raise ValueError(
+        # A pure-numpy geometry helper that predates the ReproError
+        # contract: its callers, the layer constructors, rely on the
+        # stdlib ValueError.
+        raise ValueError(  # lint: ignore[REPRO-EXC002]
             f"convolution output collapsed: size={size} kernel={kernel} "
             f"stride={stride} pad={pad}"
         )

@@ -40,5 +40,9 @@ def ua(value: float) -> float:
 def period_of(frequency_hz: float) -> float:
     """Clock period in seconds for ``frequency_hz``."""
     if frequency_hz <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
+        msg = f"frequency must be positive, got {frequency_hz}"
+        # A dependency-light leaf module keeps stdlib argument errors
+        # for API stability; config validation wraps them as
+        # ConfigError at the public boundary.
+        raise ValueError(msg)  # lint: ignore[REPRO-EXC002]
     return 1.0 / frequency_hz

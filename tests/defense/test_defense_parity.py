@@ -5,8 +5,8 @@ Two tiers, mirroring ``tests/accel/test_backend_parity.py``:
 * **exact bytes** — under the fxp dtype policy the batched razor
   observation path (``observe_batch_dense`` fed by the engine's
   ``_observe_fault_sites`` hook) must be bit-identical, outputs *and*
-  stats, to the pre-batching per-image reference: the base engine's
-  site hook fanning each image out to ``_observe_fault_types``.  The
+  stats, to the pre-batching per-image reference: one
+  ``RazorDetector.observe`` call per image of each batch.  The
   vectorization may not move a byte.
 * **pinned tolerance** — the fp32 policy runs fxp's forward, injector
   and recovery and differs only in how the fault test and the razor
@@ -24,7 +24,6 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from repro.accel import AcceleratorEngine
 from repro.accel.engine import StruckCycles
 from repro.config import RecoveryConfig, default_config
 from repro.defense import HardenedAcceleratorEngine, RazorDetector
@@ -41,11 +40,21 @@ STRIKES = 4500
 
 
 class LegacyHardened(HardenedAcceleratorEngine):
-    """The pre-batching reference engine: razor observation through the
-    base engine's per-image fan-out (one ``_observe_fault_types`` call
-    per image) instead of the batched site hook."""
+    """The pre-batching reference engine: the razor observes each
+    image's dense fault-type row with one ``RazorDetector.observe``
+    call, in image order, fault-free images included."""
 
-    _observe_fault_sites = AcceleratorEngine._observe_fault_sites
+    def _observe_fault_sites(self, n_images, n_ops, img, pos, dup):
+        if self._capture is None:
+            return
+        if not self.config.recovery.razor_enabled:
+            self._capture.append(np.zeros(n_images, dtype=bool))
+            return
+        types = np.zeros((n_images, n_ops), dtype=np.int8)
+        types[img, pos] = np.where(dup, FaultType.DUPLICATION,
+                                   FaultType.RANDOM)
+        self._capture.append(np.array(
+            [self.razor.observe(row) for row in types], dtype=bool))
 
 
 class DrawingHardened(HardenedAcceleratorEngine):

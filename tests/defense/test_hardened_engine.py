@@ -8,7 +8,8 @@ import pytest
 from repro.accel import AcceleratorEngine
 from repro.accel.engine import StruckCycles
 from repro.config import RecoveryConfig, default_config
-from repro.defense import HardenedAcceleratorEngine
+from repro.core import DeepStrike
+from repro.defense import HardenedAcceleratorEngine, resolve_defense
 from repro.errors import ConfigError, RecoveryExhaustedError
 from repro.nn.model import PROBE_INPUT_SHAPE
 
@@ -151,6 +152,37 @@ class TestDeterminism:
         out_b, stats_b = run()
         assert np.array_equal(out_a, out_b)
         assert stats_a == stats_b
+
+
+class TestDeepStrikeExecute:
+    def test_execute_equals_accuracy_under_attack(self, victim, config):
+        """``DeepStrike.execute`` hands the hardened engine the clean
+        stage codes, which it accepts and does not read: the attacked
+        accuracy and the recovery stats are those of a direct
+        ``accuracy_under_attack`` on a fresh engine of the same seed."""
+        images = victim.dataset.test_images[:16]
+        labels = victim.dataset.test_labels[:16]
+        cfg = replace(config, recovery=resolve_defense("recover"))
+
+        def recover_engine():
+            hard = HardenedAcceleratorEngine(victim.quantized, cfg,
+                                             np.random.default_rng(4))
+            hard.calibrate(images)
+            return hard
+
+        planner = DeepStrike(recover_engine(), bank_cells=8000,
+                             rng=np.random.default_rng(1))
+        plan = planner.plan_for_layer("conv2", 4500)
+        attacked = recover_engine()
+        outcome = DeepStrike(attacked, bank_cells=8000).execute(
+            images, labels, plan)
+        direct = recover_engine()
+        accuracy = direct.accuracy_under_attack(images, labels,
+                                                plan.struck)
+        assert outcome.attacked_accuracy == accuracy
+        assert attacked.stats.as_dict() == direct.stats.as_dict()
+        # Vacuity guard: the razor caught the strikes.
+        assert attacked.stats.razor_flags > 0
 
 
 class TestDroopAlarms:

@@ -13,7 +13,7 @@ from repro.lint import default_rules, lint_paths
 def make_tree(tmp_path):
     """Write a fake package tree: ``make_tree({"repro/core/x.py": src})``
     returns the root directory to lint (relpaths match the real repo's,
-    so rule scopes and baselines apply unchanged)."""
+    so rule scopes apply unchanged)."""
 
     def _make(files: dict) -> Path:
         for rel, source in files.items():

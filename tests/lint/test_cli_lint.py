@@ -1,9 +1,10 @@
-"""`repro lint` CLI: exit codes, baseline workflow, rule selection,
-and output formats."""
+"""`repro lint` CLI: exit codes, rule selection, and output formats."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.cli import main
 
@@ -26,84 +27,56 @@ DIRTY = {
 class TestExitCodes:
     def test_clean_tree_strict_is_zero(self, make_tree):
         root = make_tree(CLEAN)
-        assert main(["lint", str(root), "--strict", "--no-baseline"]) == 0
+        assert main(["lint", str(root), "--strict"]) == 0
 
     def test_findings_without_strict_is_zero(self, make_tree, capsys):
         root = make_tree(DIRTY)
-        assert main(["lint", str(root), "--no-baseline"]) == 0
+        assert main(["lint", str(root)]) == 0
         assert "REPRO-DUR001" in capsys.readouterr().out
 
     def test_findings_with_strict_is_one(self, make_tree):
         root = make_tree(DIRTY)
-        assert main(["lint", str(root), "--strict", "--no-baseline"]) == 1
+        assert main(["lint", str(root), "--strict"]) == 1
 
     def test_syntax_error_is_two(self, make_tree, capsys):
         root = make_tree({"repro/zoo.py": "def broken(:\n"})
-        assert main(["lint", str(root), "--no-baseline"]) == 2
+        assert main(["lint", str(root)]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
     def test_missing_path_is_two(self, tmp_path):
-        assert main(["lint", str(tmp_path / "ghost.py"),
-                     "--no-baseline"]) == 2
+        assert main(["lint", str(tmp_path / "ghost.py")]) == 2
 
     def test_unknown_rule_id_is_two(self, make_tree, capsys):
         root = make_tree(CLEAN)
         assert main(["lint", str(root), "--rules", "REPRO-BOGUS"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_explicit_missing_baseline_is_two(self, make_tree, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ["--no-baseline"], ["--baseline", "lint_baseline.json"],
+        ["--write-baseline"],
+    ], ids=["no-baseline", "baseline", "write-baseline"])
+    def test_baseline_flags_are_usage_errors(self, make_tree, flags):
+        """Only an inline, rule-named ignore excuses a finding; the
+        committed-baseline flags are gone."""
         root = make_tree(CLEAN)
-        assert main(["lint", str(root), "--baseline",
-                     str(tmp_path / "ghost.json")]) == 2
-
-
-class TestBaselineWorkflow:
-    def test_write_then_strict_passes(self, make_tree, tmp_path):
-        root = make_tree(DIRTY)
-        baseline = tmp_path / "b.json"
-        assert main(["lint", str(root), "--write-baseline",
-                     "--baseline", str(baseline)]) == 0
-        assert baseline.exists()
-        assert main(["lint", str(root), "--strict",
-                     "--baseline", str(baseline)]) == 0
-
-    def test_new_violation_escapes_baseline(self, make_tree, tmp_path):
-        root = make_tree(DIRTY)
-        baseline = tmp_path / "b.json"
-        main(["lint", str(root), "--write-baseline",
-              "--baseline", str(baseline)])
-        extra = root / "repro" / "zoo.py"
-        extra.write_text(extra.read_text() +
-                         "\ndef save2(path, payload):\n"
-                         "    open(path, 'a').write(payload)\n")
-        assert main(["lint", str(root), "--strict",
-                     "--baseline", str(baseline)]) == 1
-
-    def test_stale_entries_reported(self, make_tree, tmp_path, capsys):
-        root = make_tree(DIRTY)
-        baseline = tmp_path / "b.json"
-        main(["lint", str(root), "--write-baseline",
-              "--baseline", str(baseline)])
-        (root / "repro" / "zoo.py").write_text(CLEAN["repro/zoo.py"])
-        assert main(["lint", str(root), "--strict",
-                     "--baseline", str(baseline)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(root)] + flags)
+        assert exc.value.code == 2
 
 
 class TestSelection:
     def test_rules_filter_excludes_other_rules(self, make_tree):
         root = make_tree(DIRTY)  # durability violation only
-        assert main(["lint", str(root), "--strict", "--no-baseline",
+        assert main(["lint", str(root), "--strict",
                      "--rules", "REPRO-CLK001"]) == 0
-        assert main(["lint", str(root), "--strict", "--no-baseline",
+        assert main(["lint", str(root), "--strict",
                      "--rules", "REPRO-DUR001"]) == 1
 
 
 class TestJsonFormat:
     def test_json_output_parses(self, make_tree, capsys):
         root = make_tree(DIRTY)
-        assert main(["lint", str(root), "--no-baseline",
-                     "--format", "json"]) == 0
+        assert main(["lint", str(root), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["files_checked"] == 1
         rules = {f["rule"] for f in payload["findings"]}

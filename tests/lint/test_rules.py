@@ -427,7 +427,9 @@ class TestEngineMechanics:
             "    return time.time()  # lint: ignore\n"
         )})
         found = ids(run_lint(root), "REPRO-CLK001")
-        assert [f.line for f in found] == [5]
+        # A tag must name the rule it excuses: the blanket form on
+        # line 7 excuses nothing.
+        assert [f.line for f in found] == [5, 7]
 
     def test_syntax_error_raises_lint_error(self, make_tree):
         from repro.errors import LintError
