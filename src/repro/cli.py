@@ -195,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint",
                           help="AST contract linter: determinism, clock, "
-                               "durability, exception, wire-protocol, and "
-                               "numpy-only rules")
+                               "durability, exception, and numpy-only "
+                               "rules")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package)")

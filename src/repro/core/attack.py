@@ -24,7 +24,7 @@ import numpy as np
 from ..accel.activity import STALL_CURRENT, inference_current_trace
 from ..accel.engine import AcceleratorEngine, StruckCycles
 from ..config import SimulationConfig
-from ..errors import SchedulerError
+from ..errors import ConfigError, SchedulerError
 from ..fpga.background import BackgroundActivity
 from ..fpga.pdn import PowerDistributionNetwork
 from ..sensors.delay import GateDelayModel
@@ -360,8 +360,12 @@ class DeepStrike:
         The engine's cached clean stage codes give both the clean
         baseline and the attacked pass's untouched prefix.
         ``clean_accuracy`` supplies an already measured clean baseline
-        (campaigns measure it once for all cells).
+        (campaigns measure it once for all cells).  An empty image batch
+        is refused with :class:`~repro.errors.ConfigError`.
         """
+        if len(images) == 0:
+            raise ConfigError("cannot attack an empty image batch "
+                              "(need at least 1 image)")
         stage_codes = self.engine.clean_stage_codes(images)
         if clean_accuracy is None:
             preds = np.argmax(

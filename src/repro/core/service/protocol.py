@@ -29,11 +29,16 @@ ndarrays (the evaluation slice in the ``job`` payload) travel as
 ``{"dtype", "shape", "data"}`` with base64-encoded contiguous bytes;
 :class:`~repro.core.executor.WorkerRecipe` travels as nested plain
 dicts rehydrated generically from dataclass type hints, so new config
-sections ride along without touching this module.  The ``job`` frame
-comes from outside the process, so the decoder refuses — with
-:class:`ProtocolError` — any payload a worker could not build: an
-unknown field, a leaf that does not match its type hint, a section
-that is not an object, or a config that fails its own ``validate()``.
+sections ride along without touching this module.  The decoder is the
+one definition of what a recipe field may be: a bare dataclass, or a
+JSON leaf (an atom, or an Optional/Union/List/Dict of atoms).  It
+refuses any other field annotation, whatever the payload holds, so a
+field the wire cannot carry fails the recipe round trip, not a remote
+worker.  The ``job`` frame comes from outside the process, so the
+decoder refuses — with :class:`ProtocolError` — any payload a worker
+could not build: an unknown field, a leaf that does not match its type
+hint, a section that is not an object, or a config that fails its own
+``validate()``.
 """
 
 from __future__ import annotations
@@ -205,15 +210,36 @@ def _leaf_matches(hint, value) -> bool:
     return isinstance(value, _ATOMS.get(hint, ()))
 
 
+def _leaf_hint(hint) -> bool:
+    """Whether :func:`_leaf_matches` can judge values of ``hint``: a JSON
+    atom, or an Optional/Union/List/Dict of leaf hints (a ``Dict`` keyed
+    by ``str``, JSON's only key type)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        args = args[1:] if args[:1] == (str,) else ()
+    if origin in (typing.Union, list, dict):
+        return bool(args) and all(_leaf_hint(arg) for arg in args)
+    return hint in _ATOMS
+
+
+def _hint_text(hint) -> str:
+    """A type hint as an error message spells it."""
+    if isinstance(hint, type):
+        return hint.__name__
+    return str(hint).replace("typing.", "")
+
+
 def _dataclass_from_dict(cls, data, where: str = ""):
     """Rehydrate a (possibly nested) dataclass from plain dicts.
 
     Field types are resolved from type hints, so any frozen-dataclass
     config section — including ones added after this module was written
-    — round-trips without bespoke wire code.  Unknown keys are refused
-    (a worker must not silently drop config it does not understand), a
-    nested dataclass must arrive as an object, and every leaf must match
-    its hint (:func:`_leaf_matches`).
+    — round-trips without bespoke wire code.  Every field of ``cls``
+    must be annotated with a bare dataclass or a leaf hint
+    (:func:`_leaf_hint`), whatever ``data`` holds; unknown keys are
+    refused (a worker must not silently drop config it does not
+    understand), a nested dataclass must arrive as an object, and every
+    leaf must match its hint (:func:`_leaf_matches`).
     """
     where = where or cls.__name__
     if not isinstance(data, dict):
@@ -222,8 +248,14 @@ def _dataclass_from_dict(cls, data, where: str = ""):
             f"{type(data).__name__}"
         )
     hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    names = [f.name for f in dataclasses.fields(cls)]
+    for name in names:
+        hint = hints[name]
+        if not (dataclasses.is_dataclass(hint) or _leaf_hint(hint)):
+            raise ProtocolError(
+                f"{where}.{name}: the wire codec cannot rehydrate "
+                f"{_hint_text(hint)}")
+    unknown = set(data).difference(names)
     if unknown:
         raise ProtocolError(
             f"unknown {cls.__name__} field(s) on the wire: "
@@ -237,7 +269,7 @@ def _dataclass_from_dict(cls, data, where: str = ""):
         elif not _leaf_matches(hint, value):
             raise ProtocolError(
                 f"{where}.{name}: {value!r:.40} does not fit "
-                f"{getattr(hint, '__name__', hint)}")
+                f"{_hint_text(hint)}")
         kwargs[name] = value
     try:
         return cls(**kwargs)

@@ -162,8 +162,9 @@ def run_worker(address: Tuple[str, int], *,
                worker_id: Optional[str] = None) -> WorkerReport:
     """Serve one broker until its campaign is done; returns a report.
     A broker whose job this worker cannot run is refused with
-    :class:`~repro.errors.ProtocolError`.  The calling process's
-    OpenBLAS stays capped at one thread afterwards."""
+    :class:`~repro.errors.ProtocolError`, as is one that no join try
+    reaches.  The calling process's OpenBLAS stays capped at one thread
+    afterwards."""
     return _serve(address, worker_id or _default_worker_id(), None)
 
 
@@ -207,9 +208,11 @@ def _serve(address: Tuple[str, int], worker_id: str,
         try:
             job = _rpc(address, hello)
             break
-        except (ProtocolError, OSError):
+        except (ProtocolError, OSError) as exc:
             if attempt == JOIN_TRIES - 1:
-                raise
+                raise ProtocolError(
+                    f"could not join the broker at {address[0]}:"
+                    f"{address[1]} in {JOIN_TRIES} tries: {exc}") from exc
             time.sleep(JOIN_PAUSE_S)
     state, base_seed, interval = _read_job(job, adopted)
 

@@ -131,7 +131,13 @@ class DetectionStudy:
     def evaluate(self, monitor: DroopMonitor, bank_cells: int,
                  n_strikes: int, trials: int = 4,
                  clean_trials: int = 4) -> DetectionResult:
-        """Fit on clean traces, score on attacked and fresh clean ones."""
+        """Fit on clean traces, score on attacked and fresh clean ones.
+        ``trials`` and ``clean_trials`` below 1 are a
+        :class:`~repro.errors.ConfigError`."""
+        if min(trials, clean_trials) < 1:
+            raise ConfigError(f"detection needs at least 1 trial of each "
+                              f"kind, got trials={trials}, "
+                              f"clean_trials={clean_trials}")
         monitor.fit(self.clean_traces(clean_trials))
 
         detections = 0

@@ -98,43 +98,6 @@ class ProtocolError(ReproError):
     """
 
 
-class WorkerCrashError(ReproError):
-    """A campaign worker process died without returning a result.
-
-    An in-cell :class:`ReproError` is recorded as a ``CellFailure`` and
-    the campaign survives it; a crashed worker (segfault, OOM kill,
-    ``os._exit``) loses the cells it held in flight.  The campaign's
-    lease book (:mod:`repro.core.supervisor`) re-dispatches only the
-    lost cells; a cell blamed for repeated worker deaths is recorded as
-    a ``CellFailure`` with this error type and ``kind="quarantined"``.
-    """
-
-    def __init__(self, message: str, target_layer: str = "",
-                 n_strikes: int = 0) -> None:
-        self.target_layer = target_layer
-        self.n_strikes = n_strikes
-        super().__init__(message)
-
-
-class CellLeaseExpiredError(ReproError):
-    """A campaign cell overran its lease deadline and was cancelled.
-
-    The campaign broker grants every cell under a lease
-    (``SupervisorConfig.cell_timeout_s``); a cell still running at its
-    deadline is presumed hung and reclaimed, and the cell is retried.
-    A cell that *keeps* timing out until its retry budget runs out is
-    recorded as a ``CellFailure`` with this error type and
-    ``kind="timeout"``.
-    """
-
-    def __init__(self, message: str, target_layer: str = "",
-                 n_strikes: int = 0, attempts: int = 0) -> None:
-        self.target_layer = target_layer
-        self.n_strikes = n_strikes
-        self.attempts = attempts
-        super().__init__(message)
-
-
 class RecoveryExhaustedError(ReproError):
     """The hardened victim's replay budget ran out on a layer that keeps
     flagging timing errors.

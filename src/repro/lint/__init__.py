@@ -1,13 +1,14 @@
 """Contract linter: AST-based static enforcement of the repo's
-determinism, clock, durability, exception, wire-protocol, and
-backend-purity contracts.
+determinism, clock, durability, exception, and backend-purity
+contracts.
 
 The dynamic parity suites (byte-identical parallel/served/cached
 campaigns, byte-identical resume, exactly-once merge) prove the
 contracts hold *today*; this package makes violating them fail in
 seconds at lint time instead of hours into a distributed run.  A
 deliberate exception is excused next to its code, with an inline
-``lint: ignore[RULE-ID]`` tag under a reason comment.  See
+``# lint: ignore[RULE-ID]`` comment below a comment that says why; a
+tag that excuses nothing is itself a finding.  See
 docs/static_analysis.md for the rule catalog and the suppression
 policy, and ``repro lint --help`` for the CLI.
 

@@ -8,8 +8,8 @@ matches the file.  Two rule shapes exist:
   at a time (most contracts are local).
 * :class:`ProjectRule` — whole-program: ``check_project(ctxs)`` sees
   every parsed file at once, for contracts that span modules (the
-  wire-protocol completeness check cross-references dataclasses defined
-  in ``config.py`` and ``executor.py``).
+  raise-discipline rule discovers the ``ReproError`` family across the
+  tree before it judges any ``raise``).
 
 Scoping is by posix path relative to the *lint root* (the directory
 containing the ``repro`` package), matched with :func:`fnmatch.fnmatch`
@@ -19,17 +19,22 @@ containing the ``repro`` package), matched with :func:`fnmatch.fnmatch`
 A finding is excused in place, and only there, by a trailing
 ``# lint: ignore[RULE-ID, ...]`` comment on its line that names its
 rule; the comment line above the statement says *why*
-(docs/static_analysis.md, "Inline suppressions").
+(docs/static_analysis.md, "Inline suppressions").  Tags are read from
+comment tokens only, so tag text inside a string excuses nothing, and a
+tag that excuses no finding of a rule that ran is itself a finding of
+that rule.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import LintError
 from .findings import Finding, LintReport
@@ -54,19 +59,13 @@ class FileContext:
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
+    #: Line -> the rule ids its ``lint: ignore[...]`` comment names.
+    tags: Dict[int, FrozenSet[str]] = field(default_factory=dict)
 
     def snippet(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
-
-    def ignored(self, lineno: int, rule_id: str) -> bool:
-        """True when the line carries a tag naming ``rule_id``."""
-        if not 1 <= lineno <= len(self.lines):
-            return False
-        match = _IGNORE_RE.search(self.lines[lineno - 1])
-        return match is not None and rule_id in {
-            r.strip() for r in match.group("rules").split(",")}
 
 
 class Rule:
@@ -138,6 +137,22 @@ def _iter_sources(path: Path) -> Iterable[Path]:
         yield path
 
 
+def _tags(source: str) -> Dict[int, FrozenSet[str]]:
+    """The suppression tags of ``source``, read from its comment tokens
+    (tag text inside a string is no tag)."""
+    tags = {}
+    if "ignore[" not in source:   # skip tokenizing a file with no tag
+        return tags
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _IGNORE_RE.search(token.string)
+        if match is not None:
+            tags[token.start[0]] = frozenset(
+                r.strip() for r in match.group("rules").split(","))
+    return tags
+
+
 def _load_context(path: Path, base: Path) -> FileContext:
     source = path.read_text()
     relpath = path.relative_to(base).as_posix()
@@ -148,7 +163,8 @@ def _load_context(path: Path, base: Path) -> FileContext:
             f"{relpath}:{exc.lineno or 0}: cannot parse: {exc.msg}"
         ) from exc
     return FileContext(path=path, relpath=relpath, source=source,
-                       tree=tree, lines=source.splitlines())
+                       tree=tree, lines=source.splitlines(),
+                       tags=_tags(source))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +180,8 @@ def lint_paths(paths: Sequence, rules: Sequence[Rule],
     tree); by default each path derives its own base by walking up out
     of the package (:func:`_package_base`).  Findings are sorted by
     location; inline ``lint: ignore[...]`` suppressions are already
-    applied.
+    applied, and a tag that excused no finding of a rule in ``rules`` is
+    reported under that rule.
     """
     ctxs: List[FileContext] = []
     seen = set()
@@ -194,12 +211,25 @@ def lint_paths(paths: Sequence, rules: Sequence[Rule],
             findings.extend(rule.check_project(scoped))
 
     kept = []
+    excused = set()
     by_ctx = {ctx.relpath: ctx for ctx in ctxs}
     for finding in findings:
         ctx = by_ctx.get(finding.path)
-        if ctx is not None and ctx.ignored(finding.line, finding.rule):
+        if ctx is not None \
+                and finding.rule in ctx.tags.get(finding.line, ()):
+            excused.add((finding.path, finding.line, finding.rule))
             continue
         kept.append(finding)
+    ran = {rule.rule_id for rule in rules}
+    for ctx in ctxs:
+        for line, tagged in ctx.tags.items():
+            kept.extend(Finding(
+                path=ctx.relpath, line=line, col=1, rule=rule_id,
+                message=f"lint: ignore[{rule_id}] excuses no finding",
+                hint="delete the tag: its finding is gone",
+                snippet=ctx.snippet(line))
+                for rule_id in sorted(tagged & ran)
+                if (ctx.relpath, line, rule_id) not in excused)
     kept.sort()
     return LintReport(findings=kept, files_checked=len(ctxs),
                       rules_run=tuple(r.rule_id for r in rules))

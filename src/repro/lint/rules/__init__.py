@@ -17,7 +17,6 @@ from .clock import ClockDisciplineRule
 from .durability import DurableWriteRule
 from .exceptions import BareExceptRule, RaiseDisciplineRule
 from .rng import GlobalStateRngRule, HotLoopRngRule, UnseededRngRule
-from .wire import WireCompletenessRule
 
 __all__ = [
     "ALL_RULES",
@@ -29,7 +28,6 @@ __all__ = [
     "HotLoopRngRule",
     "RaiseDisciplineRule",
     "UnseededRngRule",
-    "WireCompletenessRule",
     "default_rules",
     "rules_by_id",
 ]
@@ -42,7 +40,6 @@ ALL_RULES: Tuple[type, ...] = (
     DurableWriteRule,
     BareExceptRule,
     RaiseDisciplineRule,
-    WireCompletenessRule,
     BackendPurityRule,
 )
 

@@ -10,12 +10,15 @@ the worker's job checks with a fake broker on a loopback socket, and
 the whole service end-to-end with real broker-spawned worker processes.
 """
 
+import dataclasses
 import json
 import multiprocessing as mp
 import socket
 import struct
+import sys
 import threading
 from types import SimpleNamespace
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.core.executor import WorkerRecipe
 from repro.core.service import CampaignBroker, parse_address, run_worker
 from repro.core.service.protocol import (
     MAX_FRAME_BYTES,
+    _dataclass_from_dict,
     decode_array,
     decode_recipe,
     encode_array,
@@ -118,6 +122,14 @@ def arms_frame(**payload):
 # Wire protocol
 # ---------------------------------------------------------------------------
 
+
+@dataclasses.dataclass(frozen=True)
+class Section:
+    """A config section, for annotations that wrap one."""
+
+    rate_hz: float = 1.0
+
+
 class TestProtocol:
     def test_round_trip_over_socketpair(self):
         a, b = socket.socketpair()
@@ -198,6 +210,53 @@ class TestProtocol:
             wire = replaced(encode_recipe(WorkerRecipe()), path, value)
             with pytest.raises(ProtocolError):
                 decode_recipe(wire)
+
+    @pytest.mark.parametrize("payload", [{"field": None}, {}],
+                             ids=["none", "absent"])
+    @pytest.mark.parametrize("hint", [
+        pytest.param(Optional[Section], id="optional-section"),
+        pytest.param(Tuple[int, int], id="pair"),
+        pytest.param(Tuple[int, ...], id="variadic-tuple"),
+        pytest.param(Optional[Tuple[int, int]], id="optional-pair"),
+        pytest.param(List[Tuple[int, int]], id="list-of-pairs"),
+        pytest.param(tuple, id="bare-tuple"),
+        pytest.param(list, id="bare-list"),
+        pytest.param(np.ndarray, id="ndarray"),
+        pytest.param(Any, id="any"),
+        pytest.param(List[Section], id="list-of-sections"),
+    ])
+    def test_field_the_codec_cannot_rebuild_is_refused(self, hint, payload):
+        """Only a bare dataclass or a JSON leaf crosses the wire: any
+        other annotation is refused by its field path, even when the
+        payload holds None for the field or leaves it out."""
+        root = dataclasses.make_dataclass(
+            "Root", [("field", hint, dataclasses.field(default=None))])
+        with pytest.raises(ProtocolError, match=r"^Root\.field: the wire "
+                                                r"codec cannot rehydrate "):
+            _dataclass_from_dict(root, payload)
+
+    def test_unrebuildable_nested_field_is_refused_by_its_path(self):
+        inner = dataclasses.make_dataclass(
+            "Inner", [("arr", np.ndarray, dataclasses.field(default=None))])
+        root = dataclasses.make_dataclass(
+            "Root", [("inner", inner, dataclasses.field(default=None))])
+        with pytest.raises(ProtocolError, match=r"^Root\.inner\.arr: the "
+                                                r"wire codec cannot "
+                                                r"rehydrate ndarray$"):
+            _dataclass_from_dict(root, {"inner": {}})
+
+    @pytest.mark.skipif(sys.version_info < (3, 10),
+                        reason="PEP 604 unions need Python 3.10")
+    @pytest.mark.parametrize("payload", [{"clean": 0.5}, {}],
+                             ids=["value", "absent"])
+    def test_pep604_optional_is_refused(self, payload):
+        """``X | None`` is no ``typing.Union``, so no leaf: the codec
+        refuses the field rather than every value sent for it."""
+        root = dataclasses.make_dataclass(
+            "Root", [("clean", float | None, dataclasses.field(default=0.5))])
+        with pytest.raises(ProtocolError, match=r"^Root\.clean: the wire "
+                                                r"codec cannot rehydrate "):
+            _dataclass_from_dict(root, payload)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

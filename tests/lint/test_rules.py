@@ -290,102 +290,6 @@ class TestRaiseDiscipline:
         assert ids(run_lint(root), "REPRO-EXC002") == []
 
 
-WIRE_COMMON = {
-    "repro/config.py": (
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class ClockConfig:\n"
-        "    rate_hz: float = 1.0\n"
-        "@dataclass(frozen=True)\n"
-        "class SimulationConfig:\n"
-        "    clock: ClockConfig = None\n"
-        "    seed: int = 0\n"
-    ),
-}
-
-
-class TestWireCompleteness:
-    def test_clean_recipe(self, make_tree, run_lint):
-        root = make_tree(dict(WIRE_COMMON, **{"repro/core/executor.py": (
-            "from dataclasses import dataclass\n"
-            "from ..config import SimulationConfig\n"
-            "@dataclass(frozen=True)\n"
-            "class WorkerRecipe:\n"
-            "    victim_name: str = 'lenet5'\n"
-            "    bank_cells: int = 5500\n"
-            "    config: SimulationConfig = None\n"
-        )}))
-        assert ids(run_lint(root), "REPRO-WIRE001") == []
-
-    def test_optional_wrapped_dataclass_flagged(self, make_tree, run_lint):
-        root = make_tree(dict(WIRE_COMMON, **{"repro/core/executor.py": (
-            "from dataclasses import dataclass\n"
-            "from typing import Optional\n"
-            "from ..config import ClockConfig\n"
-            "@dataclass(frozen=True)\n"
-            "class WorkerRecipe:\n"
-            "    clock: Optional[ClockConfig] = None\n"
-        )}))
-        found = ids(run_lint(root), "REPRO-WIRE001")
-        assert len(found) == 1
-        assert "raw dict" in found[0].message
-
-    def test_top_level_tuple_of_atoms_passes(self, make_tree, run_lint):
-        # The name predates the rule tightening: the codec has no tuple
-        # branch, so even a top-level Tuple[...] of JSON atoms arrives
-        # as a list and is flagged.
-        root = make_tree({"repro/core/executor.py": (
-            "from dataclasses import dataclass\n"
-            "from typing import Tuple\n"
-            "@dataclass(frozen=True)\n"
-            "class WorkerRecipe:\n"
-            "    window: Tuple[int, int] = (0, 0)\n"
-            "    shape: Tuple[int, ...] = (1, 28, 28)\n"
-        )})
-        found = ids(run_lint(root), "REPRO-WIRE001")
-        assert len(found) == 2
-        assert all("tuple" in f.message for f in found)
-
-    def test_nested_tuple_field_flagged(self, make_tree, run_lint):
-        # A tuple inside Optional/containers arrives as a list too.
-        root = make_tree({"repro/core/executor.py": (
-            "from dataclasses import dataclass\n"
-            "from typing import List, Optional, Tuple\n"
-            "@dataclass(frozen=True)\n"
-            "class WorkerRecipe:\n"
-            "    window: Optional[Tuple[int, int]] = None\n"
-            "    spans: List[Tuple[int, int]] = None\n"
-            "    loose: tuple = ()\n"
-        )})
-        found = ids(run_lint(root), "REPRO-WIRE001")
-        assert len(found) == 3
-        assert all("tuple" in f.message for f in found)
-
-    def test_non_json_leaf_flagged_transitively(self, make_tree, run_lint):
-        root = make_tree({"repro/core/executor.py": (
-            "from dataclasses import dataclass\n"
-            "import numpy as np\n"
-            "@dataclass(frozen=True)\n"
-            "class Inner:\n"
-            "    arr: np.ndarray = None\n"
-            "@dataclass(frozen=True)\n"
-            "class WorkerRecipe:\n"
-            "    inner: Inner = None\n"
-        )})
-        found = ids(run_lint(root), "REPRO-WIRE001")
-        assert len(found) == 1 and "Inner.arr" in found[0].message
-
-    def test_missing_root_is_a_finding(self, make_tree, run_lint):
-        root = make_tree({"repro/core/executor.py": (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class SomethingElse:\n"
-            "    x: int = 0\n"
-        )})
-        found = ids(run_lint(root), "REPRO-WIRE001")
-        assert len(found) == 1 and "WorkerRecipe" in found[0].message
-
-
 class TestBackendPurity:
     def test_flags_direct_optional_backend_imports(self, make_tree,
                                                    run_lint):
@@ -430,6 +334,35 @@ class TestEngineMechanics:
         # A tag must name the rule it excuses: the blanket form on
         # line 7 excuses nothing.
         assert [f.line for f in found] == [5, 7]
+
+    def test_tag_inside_a_string_excuses_nothing(self, make_tree,
+                                                 run_lint):
+        """Tags are comments: tag text written into a file is no tag."""
+        root = make_tree({"repro/core/x.py": (
+            'open(path, "w").write(payload + "# lint: ignore[REPRO-DUR001]")\n'
+        )})
+        found = run_lint(root)
+        assert [(f.rule, f.line) for f in found] == [("REPRO-DUR001", 1)]
+        assert "bare open" in found[0].message
+
+    def test_tag_that_excuses_nothing_is_a_finding(self, make_tree,
+                                                   run_lint):
+        root = make_tree({"repro/core/x.py": (
+            "x = 1  # lint: ignore[REPRO-DUR001]\n"
+        )})
+        (found,) = run_lint(root)
+        assert (found.rule, found.line) == ("REPRO-DUR001", 1)
+        assert "excuses no finding" in found.message
+
+    def test_unused_tag_is_reported_only_for_rules_run(self, make_tree,
+                                                       run_lint):
+        from repro.lint.rules import BareExceptRule
+
+        root = make_tree({"repro/core/x.py": (
+            "x = 1  # lint: ignore[REPRO-DUR001, REPRO-EXC001]\n"
+        )})
+        (found,) = run_lint(root, rule=BareExceptRule())
+        assert (found.rule, found.line) == ("REPRO-EXC001", 1)
 
     def test_syntax_error_raises_lint_error(self, make_tree):
         from repro.errors import LintError

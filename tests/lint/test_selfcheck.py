@@ -7,9 +7,7 @@ fail, and excusing one breaks the suppression policy."""
 from __future__ import annotations
 
 import ast
-import io
 import shutil
-import tokenize
 from pathlib import Path
 from typing import List, NamedTuple, Tuple
 
@@ -17,14 +15,14 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.lint.engine import _IGNORE_RE
+from repro.lint.engine import _load_context
 
 PACKAGE_DIR = Path(repro.__file__).resolve().parent
 
 #: Contracts that hold everywhere: fix the code, never excuse it.
 DURABILITY_AND_CLOCK = ("REPRO-DUR001", "REPRO-CLK001")
-RNG_WIRE_AND_BACKEND = ("REPRO-RNG001", "REPRO-RNG002", "REPRO-RNG003",
-                        "REPRO-XP001", "REPRO-WIRE001")
+RNG_AND_BACKEND = ("REPRO-RNG001", "REPRO-RNG002", "REPRO-RNG003",
+                   "REPRO-XP001")
 
 
 class Suppression(NamedTuple):
@@ -45,29 +43,19 @@ def _statement_start(tree: ast.Module, row: int) -> int:
 
 
 def _suppressions(package_dir: Path) -> List[Suppression]:
-    """Every suppression tag under ``package_dir``, found as a comment
-    token (the engine's regex and docstrings hold the tag text too)."""
+    """Every suppression tag under ``package_dir``, as the engine's own
+    reader finds them (in comment tokens only: the engine's regex and
+    docstrings hold the tag text too)."""
     found = []
     for path in sorted(package_dir.rglob("*.py")):
-        source = path.read_text()
-        comments = [t for t in tokenize.generate_tokens(
-            io.StringIO(source).readline) if t.type == tokenize.COMMENT]
-        own_line = {t.start[0]: t.string for t in comments
-                    if not t.line[:t.start[1]].strip()}
-        tree = ast.parse(source)
-        relpath = path.relative_to(package_dir.parent).as_posix()
-        for token in comments:
-            match = _IGNORE_RE.search(token.string)
-            if match is None:
-                continue
-            row = token.start[0]
-            reason = own_line.get(_statement_start(tree, row) - 1, "")
-            if _IGNORE_RE.search(reason):
+        ctx = _load_context(path, package_dir.parent)
+        for row, rules in sorted(ctx.tags.items()):
+            above = _statement_start(ctx.tree, row) - 1
+            reason = ctx.snippet(above)
+            if not reason.startswith("#") or above in ctx.tags:
                 reason = ""
-            found.append(Suppression(
-                f"{relpath}:{row}",
-                tuple(r.strip() for r in match.group("rules").split(",")),
-                reason))
+            found.append(Suppression(f"{ctx.relpath}:{row}",
+                                     tuple(sorted(rules)), reason))
     return found
 
 
@@ -93,7 +81,7 @@ class TestCommittedBaseline:
         assert _excused(PACKAGE_DIR, DURABILITY_AND_CLOCK) == []
 
     def test_baseline_grants_no_rng_or_backend_entries(self):
-        assert _excused(PACKAGE_DIR, RNG_WIRE_AND_BACKEND) == []
+        assert _excused(PACKAGE_DIR, RNG_AND_BACKEND) == []
 
     def test_every_baseline_entry_has_a_reason(self):
         assert _suppressions(PACKAGE_DIR), "no suppression found"

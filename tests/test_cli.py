@@ -269,6 +269,45 @@ class TestCommands:
             assert err.startswith("repro: ConfigError: ")
             assert str(torn) in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, words", [
+        (["attack", "--images", "0"],
+         "ConfigError: cannot attack an empty image batch"),
+        (["report", "--images", "0"],
+         "ConfigError: cannot attack an empty image batch"),
+        (["defend", "--images", "4", "--cells", "3000",
+          "--detection-trials", "0"],
+         "ConfigError: detection needs at least 1 trial"),
+    ], ids=["attack-no-images", "report-no-images", "defend-no-trials"])
+    def test_empty_input_is_one_line_exit_two(self, argv, words, tmp_path,
+                                              capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {words}")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_work_without_a_broker_is_one_line_exit_two(self, capsys,
+                                                        monkeypatch):
+        """A worker whose every join try is refused names the address
+        and the number of tries, one line, exit 2."""
+        import socket
+
+        from repro.core.service import worker
+
+        monkeypatch.setattr(worker, "JOIN_TRIES", 3)
+        monkeypatch.setattr(worker, "JOIN_PAUSE_S", 0.0)
+        # Leave this process's BLAS threads to the tests that follow.
+        monkeypatch.setattr(worker, "_one_blas_thread", lambda: None)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["work", "--broker", f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ProtocolError: could not join the "
+                              f"broker at 127.0.0.1:{port} in 3 tries")
+        assert err.count("\n") == 1
+
     def test_campaign_chaos_flag(self, tmp_path, capsys):
         target = tmp_path / "c.json"
         assert main(["campaign", "-o", str(target), "--images", "16",
